@@ -1,7 +1,8 @@
 """Command-line entry point wiring corpus synthesis, annotation, training,
 evaluation, ablation grids, gradient checking, and attention inspection.
 
-Exit codes: 0 success, 1 flag/config validation error, 2 runtime failure.
+Exit codes: 0 success; 1 bad flags or input, with a message naming the
+file, line, key or instance; 2 runtime failure.
 All floats in logs are printed with six decimals so runs diff cleanly.
 The SSDP_THREADS environment variable caps the numeric-backend thread
 count (0 or unset = automatic); it must be applied before numpy loads.
@@ -64,10 +65,12 @@ def _f(x):
     return f"{x:.6f}"
 
 
+def _read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def _load_data_dir(data_dir: Path):
-    manifest = corpus.manifest_from_dict(
-        json.loads((data_dir / "manifest.json").read_text(encoding="utf-8"))
-    )
+    manifest = corpus.manifest_from_dict(_read_json(data_dir / "manifest.json"))
     splits = {}
     for split in manifest.split_sizes:
         path = data_dir / f"{split}.jsonl"
@@ -78,15 +81,19 @@ def _load_data_dir(data_dir: Path):
     return manifest, splits
 
 
-def _load_train_config(path: Path, seed_override=None) -> trainer.TrainConfig:
-    rec = json.loads(path.read_text(encoding="utf-8"))
-    known = set(trainer.TrainConfig.__dataclass_fields__)
-    unknown = set(rec) - known
+def _train_config(rec, where, seed_override=None) -> trainer.TrainConfig:
+    """Build and fully validate one TrainConfig; errors name ``where``."""
+    if not isinstance(rec, dict):
+        raise corpus.ConfigError(f"{where}: expected a JSON object of TrainConfig keys")
+    unknown = set(rec) - set(trainer.TrainConfig.__dataclass_fields__)
     if unknown:
-        raise corpus.ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise corpus.ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
     if seed_override is not None:
-        rec["seed"] = seed_override
-    return trainer.TrainConfig(**rec)
+        rec = {**rec, "seed": seed_override}
+    try:
+        return trainer.TrainConfig(**rec)
+    except ValueError as exc:
+        raise corpus.ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +156,7 @@ def cmd_annotate(args):
 def cmd_train(args):
     out = Path(args.out)
     log = _Log(out)
-    config = _load_train_config(Path(args.config), args.seed)
+    config = _train_config(_read_json(args.config), args.config, args.seed)
     manifest, splits = _load_data_dir(Path(args.data))
     if "train" not in splits:
         raise corpus.ConfigError("data directory lacks a train split")
@@ -183,13 +190,11 @@ def cmd_eval(args):
     instances = corpus.read_jsonl(args.split)
     lexicon = sentiment.load_lexicon(args.lexicon)
     prepared, _ = pipeline.annotate(instances, lexicon, args.variant)
-    entity_types = None
+    entity_types, no_relation = None, "no_relation"
     if args.manifest:
-        manifest = corpus.manifest_from_dict(
-            json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        )
-        entity_types = manifest.entity_types
-    report = evalkit.evaluate(state, prepared, entity_types)
+        manifest = corpus.manifest_from_dict(_read_json(args.manifest))
+        entity_types, no_relation = manifest.entity_types, manifest.no_relation_label
+    report = evalkit.evaluate(state, prepared, entity_types, no_relation)
     text = evalkit.report_to_text(report, state.relations)
     (out / "report.txt").write_text(text, encoding="utf-8")
     rows = ["relation,precision,recall,f1,tp,fp,fn"]
@@ -208,21 +213,16 @@ def cmd_eval(args):
 def cmd_ablate(args):
     out = Path(args.out)
     log = _Log(out)
-    grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+    grid = _read_json(args.grid)
     if not isinstance(grid, list) or not grid:
         raise corpus.ConfigError("grid file must hold a non-empty JSON list of configs")
-    known = set(trainer.TrainConfig.__dataclass_fields__)
-    configs = []
-    for i, rec in enumerate(grid):
-        unknown = set(rec) - known
-        if unknown:
-            raise corpus.ConfigError(f"grid entry {i}: unknown keys {sorted(unknown)}")
-        configs.append(trainer.TrainConfig(**rec))
+    configs = [_train_config(rec, f"{args.grid}: grid entry {i}") for i, rec in enumerate(grid)]
     manifest, splits = _load_data_dir(Path(args.data))
     lexicon = sentiment.load_lexicon(args.lexicon)
     results = evalkit.ablation_grid(
         configs, splits, manifest.relations, manifest.entity_types,
         eval_split=args.eval_split, lexicon=lexicon,
+        no_relation=manifest.no_relation_label,
     )
     csv_text = evalkit.grid_to_csv(results)
     (out / "grid.csv").write_text(csv_text, encoding="utf-8")
@@ -235,7 +235,7 @@ def cmd_gradcheck(args):
     out = Path(args.out)
     log = _Log(out)
     if args.config:
-        config = _load_train_config(Path(args.config), args.seed)
+        config = _train_config(_read_json(args.config), args.config, args.seed)
     else:
         config = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32,
                                      seed=args.seed)

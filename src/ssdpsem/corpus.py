@@ -47,7 +47,6 @@ class Instance:
     relation: str
     sentiment: str | None = None
     fragmented: bool = False
-    isl: dict | None = None  # cached signal: {"variant": ..., "Q": [...]}
 
     def __len__(self):
         return len(self.tokens)
@@ -201,8 +200,6 @@ def instance_to_dict(inst):
         rec["sentiment"] = inst.sentiment
     if inst.fragmented:
         rec["fragmented"] = True
-    if inst.isl is not None:
-        rec["isl"] = inst.isl
     return rec
 
 
@@ -219,7 +216,6 @@ def instance_from_dict(rec):
         relation=rec["relation"],
         sentiment=rec.get("sentiment"),
         fragmented=rec.get("fragmented", False),
-        isl=rec.get("isl"),
     )
 
 
@@ -259,7 +255,11 @@ def read_jsonl(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            instances.append(instance_from_dict(rec).validate())
+            try:
+                inst = instance_from_dict(rec)
+            except KeyError as exc:
+                raise ParseError(f"{path}:{lineno}: missing key {exc}") from exc
+            instances.append(inst.validate())
     return instances
 
 

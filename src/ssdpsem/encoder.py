@@ -59,9 +59,6 @@ class ModelState:
     def __post_init__(self):
         self.token_to_id = {s: i for i, s in enumerate(self.vocab)}
 
-    def param_names(self):
-        return list(self.params)
-
     def copy(self):
         return ModelState(
             config=self.config,
@@ -149,9 +146,9 @@ def _layernorm_backward(dy, cache, g):
     return du, dg, db
 
 
-def _softmax_last(x):
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
+def softmax(x):
+    """Softmax over the last axis, shifted by the row maximum for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -167,8 +164,7 @@ def _merge_heads(x):
 
 @dataclass
 class ForwardResult:
-    features: np.ndarray  # (B, n, d) final-layer token features
-    sentiment_feature: np.ndarray  # (B, d) row 0 of features
+    features: np.ndarray  # (B, n, d) final-layer token features; row 0 is the sentiment token
     attention: list[np.ndarray]  # per layer: (B, H, n, n), row-stochastic
     cache: dict
 
@@ -194,7 +190,7 @@ def forward(state: ModelState, ids) -> ForwardResult:
         Vf = x @ p[pre + "Wv"] + p[pre + "bv"]
         q, k, v = (_split_heads(t, cfg.heads) for t in (Qf, Kf, Vf))
         S = (q @ k.transpose(0, 1, 3, 2)) * scale
-        A = _softmax_last(S)
+        A = softmax(S)
         ctx = _merge_heads(A @ v)
         ao = ctx @ p[pre + "Wo"] + p[pre + "bo"]
         x1, ln1_cache = _layernorm(x + ao, p[pre + "ln1_g"], p[pre + "ln1_b"])
@@ -207,12 +203,7 @@ def forward(state: ModelState, ids) -> ForwardResult:
             dict(x=x, q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, x1=x1, f1=f1, h=h, ln2=ln2_cache)
         )
         x = x2
-    return ForwardResult(
-        features=x,
-        sentiment_feature=x[:, 0, :],
-        attention=attention,
-        cache=cache,
-    )
+    return ForwardResult(features=x, attention=attention, cache=cache)
 
 
 def backward(state: ModelState, result: ForwardResult, d_features, d_attention=None):
@@ -334,19 +325,26 @@ def save_checkpoint(state: ModelState, path):
 
 
 def load_checkpoint(path) -> ModelState:
+    """Read a checkpoint; a truncated file or trailing bytes raise ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         size = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(size).decode("utf-8"))
+        blob = fh.read(size)
+        if len(blob) != size:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        header = json.loads(blob.decode("utf-8"))
         params = {}
         for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
             dtype = np.dtype(spec["dtype"])
-            data = fh.read(count * dtype.itemsize)
-            params[spec["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            nbytes = int(np.prod(spec["shape"])) * dtype.itemsize
+            data = fh.read(nbytes)
+            if len(data) != nbytes:
+                raise ValueError(f"{path}: truncated checkpoint at array {spec['name']}")
+            params[spec["name"]] = np.frombuffer(data, dtype=dtype).reshape(spec["shape"]).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last checkpoint array")
     return ModelState(
         config=EncoderConfig(**header["config"]),
         seed=header["seed"],

@@ -35,46 +35,33 @@ def _prf(tp, fp, fn):
     return p, r, f1
 
 
-def _infer(state, encoded, batch_size=64):
-    """Batched inference grouped by sequence length; returns per-instance
-    (probs, alpha_ib, alpha_avg) in input order."""
+def predict(state, prepared, batch_size=64):
+    """Batched inference grouped by sequence length.
+
+    Returns per-instance lists in input order: predicted relation index,
+    gold index, pooling attention alpha_ib and averaged attention alpha_avg.
+    """
+    encoded = trainer.encode_prepared(state, prepared)
     by_len = {}
-    for i, (ids, Q, q, gold) in enumerate(encoded):
+    for i, (ids, _, _, _) in enumerate(encoded):
         by_len.setdefault(len(ids), []).append(i)
-    probs = [None] * len(encoded)
+    preds = [None] * len(encoded)
     alpha_ib = [None] * len(encoded)
     alpha_avg = [None] * len(encoded)
-    p = state.params
     for n in sorted(by_len):
         idxs = by_len[n]
         for lo in range(0, len(idxs), batch_size):
             chunk = idxs[lo : lo + batch_size]
-            ids = np.stack([encoded[i][0] for i in chunk])
-            fwd = enc.forward(state, ids)
-            a_ib, _ = objectives.saib_attention(
-                fwd.features, fwd.sentiment_feature, p["saib.W"], p["saib.b"]
-            )
-            pooled = np.einsum("bn,bnd->bd", a_ib, fwd.features)
-            logits = pooled @ p["clf.W"] + p["clf.b"]
-            pr = np.exp(logits - logits.max(axis=1, keepdims=True))
-            pr /= pr.sum(axis=1, keepdims=True)
+            fwd = enc.forward(state, np.stack([encoded[i][0] for i in chunk]))
+            a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
             a_avg = enc.average_attention(
                 fwd.attention, state.config.last_k, state.config.attn_axis
             )
             for row, i in enumerate(chunk):
-                probs[i] = pr[row]
+                preds[i] = int(np.argmax(probs[row]))
                 alpha_ib[i] = a_ib[row]
                 alpha_avg[i] = a_avg[row]
-    return probs, alpha_ib, alpha_avg
-
-
-def predict(state, prepared):
-    """Predicted relation index and gold index per prepared instance."""
-    encoded = trainer.encode_prepared(state, prepared)
-    probs, alpha_ib, alpha_avg = _infer(state, encoded)
-    preds = [int(np.argmax(p)) for p in probs]
-    golds = [g for (_, _, _, g) in encoded]
-    return preds, golds, alpha_ib, alpha_avg
+    return preds, [gold for (_, _, _, gold) in encoded], alpha_ib, alpha_avg
 
 
 def micro_scores(preds, golds, relations, no_relation="no_relation"):
@@ -151,8 +138,7 @@ def bucket_by_entity_pair(preds, golds, relations, entity_types, no_relation="no
 
 def isl_attention_mass(state, prepared):
     """Mean total averaged-attention mass on the marked signal positions."""
-    encoded = trainer.encode_prepared(state, prepared)
-    _, _, alpha_avg = _infer(state, encoded)
+    _, _, _, alpha_avg = predict(state, prepared)
     masses = [
         float((a * pi.signal.Q).sum()) for a, pi in zip(alpha_avg, prepared)
     ]
@@ -161,8 +147,7 @@ def isl_attention_mass(state, prepared):
 
 def mean_pooling_entropy(state, prepared):
     """Mean SAIB attention entropy over a split."""
-    encoded = trainer.encode_prepared(state, prepared)
-    _, alpha_ib, _ = _infer(state, encoded)
+    _, _, alpha_ib, _ = predict(state, prepared)
     return float(np.mean([objectives.entropy(a)[0] for a in alpha_ib]))
 
 
@@ -171,14 +156,14 @@ def mean_pooling_entropy(state, prepared):
 
 
 def ablation_grid(configs, splits, relations, entity_types=None, eval_split="test",
-                  lexicon=None):
+                  lexicon=None, no_relation="no_relation"):
     """Train and evaluate one run per config; returns [(config, EvalReport)]."""
     lexicon = lexicon or sentiment.load_lexicon()
     results = []
     for config in configs:
         record = trainer.train(config, splits, relations, lexicon=lexicon)
         prepared, _ = pipeline.annotate(splits[eval_split], lexicon, config.isl_variant)
-        report = evaluate(record.state, prepared, entity_types)
+        report = evaluate(record.state, prepared, entity_types, no_relation)
         results.append((config, report))
     return results
 
@@ -226,8 +211,7 @@ def export_attention(state, prepared_instance, csv_path, svg_path=None):
     CSV values use repr-exact float formatting so re-reading reproduces the
     in-memory vectors bit for bit.
     """
-    encoded = trainer.encode_prepared(state, [prepared_instance])
-    _, alpha_ib, alpha_avg = _infer(state, encoded)
+    _, _, alpha_ib, alpha_avg = predict(state, [prepared_instance])
     a_ib, a_avg = alpha_ib[0], alpha_avg[0]
     tokens = [t.surface for t in prepared_instance.augmented.tokens]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

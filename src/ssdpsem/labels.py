@@ -50,12 +50,3 @@ def build_signal(augmented: Instance, sdp_positions, variant: str) -> IslSignal:
         Q[0] = 1.0
     q = Q / Q.sum()
     return IslSignal(variant=variant, Q=Q, q=q)
-
-
-def signal_to_json(signal: IslSignal) -> dict:
-    return {"variant": signal.variant, "Q": [int(v) for v in signal.Q]}
-
-
-def signal_from_json(rec: dict) -> IslSignal:
-    Q = np.asarray(rec["Q"], dtype=np.float64)
-    return IslSignal(variant=rec["variant"], Q=Q, q=Q / Q.sum())

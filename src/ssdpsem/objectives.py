@@ -105,37 +105,36 @@ def asp_loss(alpha_avg, Q, q, cfg: AspConfig):
     return loss, d_alpha, int(fallback.sum())
 
 
-def saib_attention(features, sentiment_feature, W, b):
+def saib_attention(features, anchor, W, b):
     """Pooling attention over per-token scores of [token : sentiment] pairs.
 
-    features: (B, n, d); sentiment_feature: (B, d); W: (2d,); b: (1,).
+    features: (B, n, d); anchor: (B, d), the sentiment token's feature;
+    W: (2d,); b: (1,).
     Returns (alpha (B, n), scores (B, n)).
     """
     features = np.asarray(features, dtype=np.float64)
     d = features.shape[-1]
-    scores = features @ W[:d] + (sentiment_feature @ W[d:])[:, None] + b[0]
-    alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    return alpha, scores
+    scores = features @ W[:d] + (anchor @ W[d:])[:, None] + b[0]
+    return enc.softmax(scores), scores
 
 
-def saib_attention_backward(d_alpha, alpha, features, sentiment_feature, W):
+def saib_attention_backward(d_alpha, alpha, features, anchor, W):
     """Backprop through the pooling softmax and linear scoring.
 
-    Returns (d_features, d_sentiment_feature, dW, db).
+    Returns (d_features, d_anchor, dW, db).
     """
     d = features.shape[-1]
     d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
     dW = np.concatenate(
         [
             np.einsum("bn,bnd->d", d_scores, features),
-            d_scores.sum(axis=1) @ sentiment_feature,
+            d_scores.sum(axis=1) @ anchor,
         ]
     )
     db = np.array([d_scores.sum()])
     d_features = d_scores[:, :, None] * W[:d]
-    d_sentiment = d_scores.sum(axis=1)[:, None] * W[d:]
-    return d_features, d_sentiment, dW, db
+    d_anchor = d_scores.sum(axis=1)[:, None] * W[d:]
+    return d_features, d_anchor, dW, db
 
 
 def entropy(alpha):
@@ -156,6 +155,18 @@ def saib_entropy_loss(alpha):
     return loss, d_alpha
 
 
+def relation_head(params, features):
+    """The pooling head and relation classifier forward: the model's output.
+
+    features: (B, n, d) encoder output whose row 0, the sentiment token,
+    conditions the pooling scores.
+    Returns (alpha_ib (B, n), pooled (B, d), probs (B, R)).
+    """
+    alpha_ib, _ = saib_attention(features, features[:, 0], params["saib.W"], params["saib.b"])
+    pooled = np.einsum("bn,bnd->bd", alpha_ib, features)
+    return alpha_ib, pooled, enc.softmax(pooled @ params["clf.W"] + params["clf.b"])
+
+
 def re_loss(pooled, Wc, bc, gold):
     """Softmax cross-entropy over relations from the pooled feature.
 
@@ -163,20 +174,23 @@ def re_loss(pooled, Wc, bc, gold):
     Returns (mean loss, d_pooled, dWc, dbc, probs).
     """
     pooled = np.atleast_2d(np.asarray(pooled, dtype=np.float64))
+    probs = enc.softmax(pooled @ Wc + bc)
+    return (*re_loss_from_probs(pooled, probs, Wc, gold), probs)
+
+
+def re_loss_from_probs(pooled, probs, Wc, gold):
+    """Cross-entropy and its gradients given the classifier's probs (B, R).
+
+    Returns (mean loss, d_pooled, dWc, dbc).
+    """
     gold = np.atleast_1d(np.asarray(gold, dtype=np.int64))
     B = pooled.shape[0]
-    logits = pooled @ Wc + bc
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):  # P[gold]=0 yields inf, caught upstream
         loss = -np.log(probs[np.arange(B), gold]).mean()
     d_logits = probs.copy()
     d_logits[np.arange(B), gold] -= 1.0
     d_logits /= B
-    dWc = pooled.T @ d_logits
-    dbc = d_logits.sum(axis=0)
-    d_pooled = d_logits @ Wc.T
-    return loss, d_pooled, dWc, dbc, probs
+    return loss, d_logits @ Wc.T, pooled.T @ d_logits, d_logits.sum(axis=0)
 
 
 @dataclass
@@ -212,11 +226,10 @@ def batch_losses(state, ids, Q, q, gold, mode, asp_cfg: AspConfig, terms=None,
     cfg = state.config
     p = state.params
     fwd = enc.forward(state, ids)
-    B, n, d = fwd.features.shape
+    n = fwd.features.shape[1]
 
-    alpha_ib, _ = saib_attention(fwd.features, fwd.sentiment_feature, p["saib.W"], p["saib.b"])
-    pooled = np.einsum("bn,bnd->bd", alpha_ib, fwd.features)
-    l_re, d_pooled, dWc, dbc, probs = re_loss(pooled, p["clf.W"], p["clf.b"], gold)
+    alpha_ib, pooled, probs = relation_head(p, fwd.features)
+    l_re, d_pooled, dWc, dbc = re_loss_from_probs(pooled, probs, p["clf.W"], gold)
 
     d_alpha_ib = np.zeros_like(alpha_ib)
     d_features = np.zeros_like(fwd.features)
@@ -232,7 +245,7 @@ def batch_losses(state, ids, Q, q, gold, mode, asp_cfg: AspConfig, terms=None,
         d_alpha_ib = d_alpha_ib + d_alpha_ent
 
     df, d_sen, dW_saib, db_saib = saib_attention_backward(
-        d_alpha_ib, alpha_ib, fwd.features, fwd.sentiment_feature, p["saib.W"]
+        d_alpha_ib, alpha_ib, fwd.features, fwd.features[:, 0], p["saib.W"]
     )
     d_features = d_features + df
     d_features[:, 0, :] += d_sen

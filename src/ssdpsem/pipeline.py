@@ -1,14 +1,14 @@
 """Preprocessing glue: sentiment tagging, token insertion, SDP extraction,
 and supervisory-signal construction for whole instance lists.
 
-Signals are deterministic functions of static inputs, so they are built
-once here and cached on the instance records.
+Input is raw instances.  An instance that already starts with a sentiment
+token (for example a record of ``ssdp annotate`` output) is rejected, since
+annotating it again would prepend a second one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
 
 from . import labels, sentiment, syntax
 from .corpus import Instance
@@ -32,12 +32,13 @@ class PreparedInstance:
 
 
 def annotate_instance(inst, lexicon, variant, stats=None) -> PreparedInstance:
+    if inst.tokens and inst.tokens[0].deprel == sentiment.SENTIMENT_DEPREL:
+        raise ValueError(f"{inst.id}: already starts with a sentiment token; pass raw input")
     tag = sentiment.classify(inst, lexicon, stats.tag_stats if stats else None)
     sdp, _, _ = syntax.sdp_for_instance(inst)
     augmented = sentiment.insert_sentiment_token(inst, tag)
     sdp_positions = sentiment.shift_positions(sdp.token_set)
     signal = labels.build_signal(augmented, sdp_positions, variant)
-    augmented.isl = labels.signal_to_json(signal)
     if stats is not None:
         stats.instances += 1
         stats.sdp_fallbacks += int(sdp.fallback)

@@ -13,6 +13,8 @@ from importlib import resources
 
 from .corpus import NEGATIVE, POSITIVE, ROOT, Instance, ParseError, Token
 
+SENTIMENT_DEPREL = "sentiment"  # relation of the inserted token to the root
+
 
 @dataclass
 class SentimentLexicon:
@@ -92,7 +94,7 @@ def insert_sentiment_token(instance: Instance, tag: SentimentTag) -> Instance:
     structure stays a single tree.
     """
     root_pos = next((t.index for t in instance.tokens if t.head == ROOT), 0)
-    tokens = [Token(0, tag.value, root_pos + 1, "sentiment")]
+    tokens = [Token(0, tag.value, root_pos + 1, SENTIMENT_DEPREL)]
     for tok in instance.tokens:
         head = ROOT if tok.head == ROOT else tok.head + 1
         tokens.append(Token(tok.index + 1, tok.surface, head, tok.deprel))

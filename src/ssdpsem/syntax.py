@@ -30,7 +30,6 @@ class NoPathError(ValueError):
 class DepGraph:
     n: int
     adj: list[list[int]]  # sorted neighbor lists, symmetric
-    deprel: dict[tuple[int, int], str]  # keyed by (min, max) endpoint pair
 
 
 @dataclass
@@ -43,17 +42,14 @@ class SdpResult:
 def build_graph(instance: Instance) -> DepGraph:
     n = len(instance.tokens)
     adj = [[] for _ in range(n)]
-    deprel = {}
     for tok in instance.tokens:
         if tok.head == ROOT:
             continue
         adj[tok.index].append(tok.head)
         adj[tok.head].append(tok.index)
-        key = (min(tok.index, tok.head), max(tok.index, tok.head))
-        deprel[key] = tok.deprel
     for neighbors in adj:
         neighbors.sort()
-    return DepGraph(n=n, adj=adj, deprel=deprel)
+    return DepGraph(n=n, adj=adj)
 
 
 def entity_head(instance: Instance, span: tuple[int, int], graph: DepGraph) -> int:

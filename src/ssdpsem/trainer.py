@@ -52,6 +52,9 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # run the encoder and loss checks now, not after annotating the data
+        self.encoder_config(0, 0)
+        self.asp_config()
 
     def encoder_config(self, vocab_size, n_relations):
         return enc.EncoderConfig(
@@ -65,6 +68,9 @@ class TrainConfig:
             last_k=self.last_k,
             attn_axis=self.attn_axis,
         )
+
+    def asp_config(self):
+        return objectives.AspConfig(lambda_asp=self.lambda_asp, epsilon=self.asp_epsilon)
 
 
 @dataclass
@@ -125,6 +131,8 @@ def encode_prepared(state, prepared):
     rel_to_idx = {r: i for i, r in enumerate(state.relations)}
     out = []
     for pi in prepared:
+        if pi.raw.relation not in rel_to_idx:
+            raise ValueError(f"{pi.raw.id}: relation {pi.raw.relation!r} is not a model label")
         ids = enc.encode_tokens(state, [t.surface for t in pi.augmented.tokens])
         out.append((ids, pi.signal.Q, pi.signal.q, rel_to_idx[pi.raw.relation]))
     return out
@@ -164,6 +172,15 @@ def init_from_config(config: TrainConfig, prepared_train, relations):
     )
 
 
+def _prepare(config: TrainConfig, instances, relations, lexicon):
+    """Annotate raw instances, build a model over their vocabulary, encode them."""
+    prepared, _ = pipeline.annotate(
+        instances, lexicon or sentiment.load_lexicon(), config.isl_variant
+    )
+    state = init_from_config(config, prepared, relations)
+    return state, encode_prepared(state, prepared)
+
+
 def train(config: TrainConfig, splits, relations, lexicon=None, checkpoint_path=None,
           metrics_path=None, epoch_hook=None) -> RunRecord:
     """Train on splits["train"]; splits is {name: [Instance]} of raw instances.
@@ -172,11 +189,8 @@ def train(config: TrainConfig, splits, relations, lexicon=None, checkpoint_path=
     with epoch=-1) for attention-mass tracking and similar probes.
     """
     t0 = time.perf_counter()
-    lexicon = lexicon or sentiment.load_lexicon()
-    prepared, _ = pipeline.annotate(splits["train"], lexicon, config.isl_variant)
-    state = init_from_config(config, prepared, relations)
-    encoded = encode_prepared(state, prepared)
-    asp_cfg = objectives.AspConfig(lambda_asp=config.lambda_asp, epsilon=config.asp_epsilon)
+    state, encoded = _prepare(config, splits["train"], relations, lexicon)
+    asp_cfg = config.asp_config()
     optimizer = make_optimizer(config)
     rows = ["step,l_re,l_asp,l_ib,total"]
     epoch_losses = []
@@ -359,11 +373,8 @@ def gradcheck_batch(state, ids, Q, q, gold, asp_cfg=None, max_coords_per_block=4
 def gradcheck(config: TrainConfig, instances, relations, lexicon=None,
               max_coords_per_block=40) -> GradCheckReport:
     """Run the finite-difference suite on a sample of instances."""
-    lexicon = lexicon or sentiment.load_lexicon()
-    prepared, _ = pipeline.annotate(instances, lexicon, config.isl_variant)
-    state = init_from_config(config, prepared, relations)
-    encoded = encode_prepared(state, prepared)
-    asp_cfg = objectives.AspConfig(lambda_asp=config.lambda_asp, epsilon=config.asp_epsilon)
+    state, encoded = _prepare(config, instances, relations, lexicon)
+    asp_cfg = config.asp_config()
     merged = GradCheckReport()
     for ids, Q, q, gold in encoded:
         rep = gradcheck_batch(

@@ -198,7 +198,7 @@ def test_criterion_5_saib_sparsification(capsys):
         before = after = None
         for _ in range(50):
             fwd = enc.forward(state, ids)
-            alpha, _ = obj.saib_attention(fwd.features, fwd.sentiment_feature,
+            alpha, _ = obj.saib_attention(fwd.features, fwd.features[:, 0],
                                           state.params["saib.W"],
                                           state.params["saib.b"])
             h = float(obj.entropy(alpha)[0])
@@ -206,7 +206,7 @@ def test_criterion_5_saib_sparsification(capsys):
             after = h
             _, d_alpha = obj.saib_entropy_loss(alpha)
             df, dsen, dW, db = obj.saib_attention_backward(
-                d_alpha, alpha, fwd.features, fwd.sentiment_feature,
+                d_alpha, alpha, fwd.features, fwd.features[:, 0],
                 state.params["saib.W"])
             df[:, 0, :] += dsen
             grads = enc.backward(state, fwd, df)

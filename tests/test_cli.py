@@ -1,10 +1,15 @@
 """End-to-end command-line interface: run directories, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ssdpsem import cli
+import ssdpsem
+from ssdpsem import cli, encoder
 
 
 def run(argv, capsys=None):
@@ -181,3 +186,126 @@ def test_corrupt_checkpoint_exits_one(tmp_path, data_dir, capsys):
     assert run(["eval", "--checkpoint", str(bad),
                 "--split", str(data_dir / "test.jsonl"),
                 "--out", str(tmp_path / "o")]) == 1
+
+
+def test_jsonl_record_without_heads_exits_one(tmp_path, data_dir, capsys):
+    lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    del rec["heads"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n", encoding="utf-8")
+    assert run(["sdp", "dump", "--jsonl", str(bad)]) == 1
+    assert f"{bad}:2: missing key 'heads'" in capsys.readouterr().err
+
+
+def test_eval_unknown_relation_exits_one(tmp_path, data_dir, train_dir, capsys):
+    rec = json.loads((data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    rec["relation"] = "acquired_by"
+    split = tmp_path / "split.jsonl"
+    split.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    assert run(["eval", "--checkpoint", str(train_dir / "model.ckpt"),
+                "--split", str(split), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert rec["id"] in err and "'acquired_by'" in err
+
+
+def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, capsys):
+    ann = tmp_path / "ann"
+    assert run(["annotate", "--jsonl", str(data_dir / "test.jsonl"), "--out", str(ann)]) == 0
+    annotated = ann / "annotated.jsonl"
+    first = json.loads(annotated.read_text(encoding="utf-8").splitlines()[0])
+    assert "isl" not in first
+    ckpt = str(train_dir / "model.ckpt")
+    assert run(["eval", "--checkpoint", ckpt, "--split", str(annotated),
+                "--out", str(tmp_path / "e")]) == 1
+    assert f"{first['id']}: already starts with a sentiment token" in capsys.readouterr().err
+    assert run(["inspect", "--instance", first["id"], "--checkpoint", ckpt,
+                "--data", str(annotated), "--out", str(tmp_path / "i")]) == 1
+    assert f"{first['id']}: already starts with a sentiment token" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"heads": 3, "d_model": 16}, "heads"),
+    ({"lambda_asp": -1.0}, "lambda_asp"),
+    ({"asp_epsilon": 0.0}, "epsilon"),
+    ({"attn_axis": "sideways"}, "attn_axis"),
+    ({"lr_typo": 1.0}, "lr_typo"),
+])
+def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkeypatch,
+                                                      capsys, bad, key):
+    calls = []
+    monkeypatch.setattr(cli.trainer, "train", lambda *a, **k: calls.append(a))
+    base = {"epochs": 1, "layers": 2, "heads": 2, "d_model": 16, "d_ff": 32}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([base, dict(base, **bad)]), encoding="utf-8")
+    assert run(["ablate", "--grid", str(grid), "--data", str(data_dir),
+                "--out", str(tmp_path / "abl")]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "grid entry 1" in err and key in err
+
+
+def _relabel(src, dst, old, new):
+    """Copy a corpus directory, renaming relation label ``old`` to ``new``."""
+    dst.mkdir()
+    manifest = json.loads((src / "manifest.json").read_text(encoding="utf-8"))
+    manifest["relations"] = [new if r == old else r for r in manifest["relations"]]
+    manifest["entity_types"] = {new if r == old else r: pair
+                                for r, pair in manifest["entity_types"].items()}
+    manifest["no_relation_label"] = new
+    (dst / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    for split in ("train", "dev", "test"):
+        recs = [json.loads(line) for line in
+                (src / f"{split}.jsonl").read_text(encoding="utf-8").splitlines()]
+        for rec in recs:
+            rec["relation"] = new if rec["relation"] == old else rec["relation"]
+        (dst / f"{split}.jsonl").write_text(
+            "".join(json.dumps(rec) + "\n" for rec in recs), encoding="utf-8")
+
+
+def test_manifest_no_relation_label_is_honoured(tmp_path, data_dir, train_dir):
+    other = tmp_path / "other"
+    _relabel(data_dir, other, "no_relation", "other")
+    state = encoder.load_checkpoint(train_dir / "model.ckpt")
+    state.relations = ["other" if r == "no_relation" else r for r in state.relations]
+    encoder.save_checkpoint(state, tmp_path / "other.ckpt")
+
+    def micro_f1(ckpt, data, out):
+        assert run(["eval", "--checkpoint", str(ckpt), "--split", str(data / "dev.jsonl"),
+                    "--manifest", str(data / "manifest.json"), "--out", str(out)]) == 0
+        lines = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+        return next(line for line in lines if "micro_f1" in line)
+
+    assert (micro_f1(train_dir / "model.ckpt", data_dir, tmp_path / "e1")
+            == micro_f1(tmp_path / "other.ckpt", other, tmp_path / "e2"))
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"epochs": 1, "layers": 2, "heads": 2, "d_model": 16,
+                                 "d_ff": 32, "batch_size": 8}]), encoding="utf-8")
+    for data, out in ((data_dir, tmp_path / "a1"), (other, tmp_path / "a2")):
+        assert run(["ablate", "--grid", str(grid), "--data", str(data),
+                    "--eval-split", "dev", "--out", str(out)]) == 0
+    assert ((tmp_path / "a1" / "grid.csv").read_bytes()
+            == (tmp_path / "a2" / "grid.csv").read_bytes())
+
+
+def test_train_is_byte_identical_across_thread_counts(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--seed", "11", "--out", str(data),
+                     "--train", "200", "--dev", "8", "--test", "8"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1, "layers": 2, "heads": 4, "d_model": 64,
+                               "d_ff": 128, "batch_size": 16}), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(ssdpsem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-m", "ssdpsem.cli", "train", "--config", str(cfg),
+                        "--data", str(data), "--out", str(out)],
+                       env=dict(env, SSDP_THREADS=threads), check=True, timeout=300,
+                       capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "model.ckpt")])
+    assert outputs[0] == outputs[1]

@@ -44,8 +44,6 @@ def test_forward_shapes_and_row_stochastic_attention():
     out = enc.forward(state, ids)
     B, n, d = out.features.shape
     assert (B, n, d) == (2, 4, 8)
-    assert out.sentiment_feature.shape == (2, 8)
-    assert np.array_equal(out.sentiment_feature, out.features[:, 0, :])
     assert len(out.attention) == state.config.layers
     for A in out.attention:
         assert A.shape == (2, state.config.heads, 4, 4)
@@ -172,3 +170,19 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError, match="not a checkpoint"):
         enc.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda blob: blob[:-5], "truncated checkpoint at array"),
+    (lambda blob: blob + b"\0", "trailing bytes"),
+])
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, corrupt, message):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    enc.save_checkpoint(tiny_state(seed=2), good)
+    again = tmp_path / "again.ckpt"
+    enc.save_checkpoint(enc.load_checkpoint(good), again)
+    assert again.read_bytes() == good.read_bytes()
+    bad.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(ValueError, match=message) as err:
+        enc.load_checkpoint(bad)
+    assert str(bad) in str(err.value)

@@ -206,7 +206,7 @@ def test_gradient_descent_on_entropy_sparsifies():
         for step in range(50):
             fwd = enc.forward(state, ids)
             alpha, _ = obj.saib_attention(
-                fwd.features, fwd.sentiment_feature,
+                fwd.features, fwd.features[:, 0],
                 state.params["saib.W"], state.params["saib.b"],
             )
             h = obj.entropy(alpha)[0]
@@ -214,7 +214,7 @@ def test_gradient_descent_on_entropy_sparsifies():
             after = h
             _, d_alpha = obj.saib_entropy_loss(alpha)
             df, dsen, dW, db = obj.saib_attention_backward(
-                d_alpha, alpha, fwd.features, fwd.sentiment_feature, state.params["saib.W"]
+                d_alpha, alpha, fwd.features, fwd.features[:, 0], state.params["saib.W"]
             )
             df[:, 0, :] += dsen
             grads = enc.backward(state, fwd, df)
