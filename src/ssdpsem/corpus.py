@@ -142,15 +142,10 @@ def read_conllu(conllu_path, sidecar_path):
     carry one, else positionally.
     """
     sentences = _parse_conllu_sentences(conllu_path)
-    sidecar = []
-    with open(sidecar_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                sidecar.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{sidecar_path}:{lineno}: bad JSON: {exc}") from exc
+    sidecar = list(_parse_lines(sidecar_path, lambda row: {
+        **row, "subj": _span(row, "subj"), "obj": _span(row, "obj"),
+        "relation": row["relation"],
+    }))
     if len(sidecar) != len(sentences):
         raise ParseError(
             f"{sidecar_path}: {len(sidecar)} sidecar rows for {len(sentences)} sentences"
@@ -171,8 +166,8 @@ def read_conllu(conllu_path, sidecar_path):
         inst = Instance(
             id=sid,
             tokens=tokens,
-            subj=tuple(row["subj"]),
-            obj=tuple(row["obj"]),
+            subj=row["subj"],
+            obj=row["obj"],
             relation=row["relation"],
             sentiment=row.get("sentiment"),
             fragmented=roots != 1,
@@ -203,6 +198,14 @@ def instance_to_dict(inst):
     return rec
 
 
+def _span(rec, key):
+    span = rec[key]
+    if not (isinstance(span, list) and len(span) == 2
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in span)):
+        raise ParseError(f"{key} must be a [start, end] pair of token indices, got {span!r}")
+    return tuple(span)
+
+
 def instance_from_dict(rec):
     tokens = [
         Token(i, s, h, d)
@@ -211,8 +214,8 @@ def instance_from_dict(rec):
     return Instance(
         id=str(rec["id"]),
         tokens=tokens,
-        subj=tuple(rec["subj"]),
-        obj=tuple(rec["obj"]),
+        subj=_span(rec, "subj"),
+        obj=_span(rec, "obj"),
         relation=rec["relation"],
         sentiment=rec.get("sentiment"),
         fragmented=rec.get("fragmented", False),
@@ -245,8 +248,9 @@ def write_jsonl(instances, path):
             fh.write(json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path):
-    instances = []
+def _parse_lines(path, parse):
+    """parse(record) for each non-blank line, which must hold a JSON object;
+    a bad line, a missing key or a ParseError from parse names path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -255,12 +259,20 @@ def read_jsonl(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ParseError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}"
+                )
             try:
-                inst = instance_from_dict(rec)
+                yield parse(rec)
             except KeyError as exc:
                 raise ParseError(f"{path}:{lineno}: missing key {exc}") from exc
-            instances.append(inst.validate())
-    return instances
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+
+
+def read_jsonl(path):
+    return [inst.validate() for inst in _parse_lines(path, instance_from_dict)]
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,17 @@ def forward(state: ModelState, ids) -> ForwardResult:
     return ForwardResult(features=x, attention=attention, cache=cache)
 
 
+def _weight_grad(a, b):
+    """Sum over the batch of a[i].T @ b[i]: (B, n, d), (B, n, e) -> (d, e).
+
+    A per-sample batched matmul, summed afterwards.  The single reshaped
+    GEMM ``a.reshape(-1, d).T @ b.reshape(-1, e)`` gives different bits at
+    different BLAS thread counts for some B*n, which would break the
+    determinism contract (see README, Determinism).
+    """
+    return np.matmul(a.transpose(0, 2, 1), b).sum(axis=0)
+
+
 def backward(state: ModelState, result: ForwardResult, d_features, d_attention=None):
     """Exact gradients for every parameter.
 
@@ -213,34 +224,34 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_attention=N
     (gradients on the sentiment feature must already be added to row 0).
     d_attention: optional per-layer (B, H, n, n) gradients injected into the
     post-softmax attention matrices.
+    Returns one fresh array per parameter; the pooling-head and classifier
+    entries are zeros for the caller to accumulate into.
     """
     cfg = state.config
     p = state.params
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads = {}
     dx = np.asarray(d_features, dtype=np.float64)
     scale = 1.0 / np.sqrt(cfg.d_head)
     for ell in reversed(range(cfg.layers)):
         pre = f"L{ell}."
         c = result.cache["layers"][ell]
-        du2, dg2, db2 = _layernorm_backward(dx, c["ln2"], p[pre + "ln2_g"])
-        grads[pre + "ln2_g"] += dg2
-        grads[pre + "ln2_b"] += db2
-        dx1 = du2.copy()
+        du2, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = _layernorm_backward(
+            dx, c["ln2"], p[pre + "ln2_g"]
+        )
         df2 = du2
-        grads[pre + "W2"] += np.einsum("bnf,bnd->fd", c["h"], df2)
-        grads[pre + "b2"] += df2.sum(axis=(0, 1))
+        grads[pre + "W2"] = _weight_grad(c["h"], df2)
+        grads[pre + "b2"] = df2.sum(axis=(0, 1))
         dh = df2 @ p[pre + "W2"].T
         df1 = dh * (c["f1"] > 0)
-        grads[pre + "W1"] += np.einsum("bnd,bnf->df", c["x1"], df1)
-        grads[pre + "b1"] += df1.sum(axis=(0, 1))
-        dx1 += df1 @ p[pre + "W1"].T
-        du, dg1, db1 = _layernorm_backward(dx1, c["ln1"], p[pre + "ln1_g"])
-        grads[pre + "ln1_g"] += dg1
-        grads[pre + "ln1_b"] += db1
-        dx = du.copy()
+        grads[pre + "W1"] = _weight_grad(c["x1"], df1)
+        grads[pre + "b1"] = df1.sum(axis=(0, 1))
+        dx1 = du2 + df1 @ p[pre + "W1"].T
+        du, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = _layernorm_backward(
+            dx1, c["ln1"], p[pre + "ln1_g"]
+        )
         dao = du
-        grads[pre + "Wo"] += np.einsum("bnd,bne->de", c["ctx"], dao)
-        grads[pre + "bo"] += dao.sum(axis=(0, 1))
+        grads[pre + "Wo"] = _weight_grad(c["ctx"], dao)
+        grads[pre + "bo"] = dao.sum(axis=(0, 1))
         dctx = _split_heads(dao @ p[pre + "Wo"].T, cfg.heads)
         dA = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = c["A"].transpose(0, 1, 3, 2) @ dctx
@@ -252,12 +263,16 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_attention=N
         dk = (dS.transpose(0, 1, 3, 2) @ c["q"]) * scale
         dQf, dKf, dVf = (_merge_heads(t) for t in (dq, dk, dv))
         x_in = c["x"]
+        dx = du  # dao's last use is above, so accumulate into it in place
         for name, dmat in (("Wq", dQf), ("Wk", dKf), ("Wv", dVf)):
-            grads[pre + name] += np.einsum("bnd,bne->de", x_in, dmat)
-            grads[pre + name.replace("W", "b")] += dmat.sum(axis=(0, 1))
+            grads[pre + name] = _weight_grad(x_in, dmat)
+            grads[pre + name.replace("W", "b")] = dmat.sum(axis=(0, 1))
             dx += dmat @ p[pre + name].T
     ids = result.cache["ids"]
+    grads["emb"] = np.zeros_like(p["emb"])
     np.add.at(grads["emb"], ids.reshape(-1), dx.reshape(-1, cfg.d_model))
+    for name in ("saib.W", "saib.b", "clf.W", "clf.b"):
+        grads[name] = np.zeros_like(p[name])
     return grads
 
 

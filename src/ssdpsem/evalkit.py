@@ -157,13 +157,24 @@ def mean_pooling_entropy(state, prepared):
 
 def ablation_grid(configs, splits, relations, entity_types=None, eval_split="test",
                   lexicon=None, no_relation="no_relation"):
-    """Train and evaluate one run per config; returns [(config, EvalReport)]."""
+    """Train and evaluate one run per config; returns [(config, EvalReport)].
+
+    Each (split, isl_variant) pair is annotated once for the whole grid.
+    """
     lexicon = lexicon or sentiment.load_lexicon()
+    annotated = {}
+
+    def prepared(split, variant):
+        if (split, variant) not in annotated:
+            annotated[split, variant], _ = pipeline.annotate(splits[split], lexicon, variant)
+        return annotated[split, variant]
+
     results = []
     for config in configs:
-        record = trainer.train(config, splits, relations, lexicon=lexicon)
-        prepared, _ = pipeline.annotate(splits[eval_split], lexicon, config.isl_variant)
-        report = evaluate(record.state, prepared, entity_types, no_relation)
+        record = trainer.train(config, splits, relations, lexicon=lexicon,
+                               prepared=prepared("train", config.isl_variant))
+        report = evaluate(record.state, prepared(eval_split, config.isl_variant),
+                          entity_types, no_relation)
         results.append((config, report))
     return results
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from . import encoder as enc
 from . import objectives, pipeline, sentiment
 from .corpus import ConfigError
 from .labels import VARIANTS
+
+# JSON value types each TrainConfig field accepts (bool is not an int here)
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
 @dataclass
@@ -44,6 +47,14 @@ class TrainConfig:
     last_k: int = 3
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise ConfigError(
+                    f"{f.name} must be of type {f.type}, got {type(value).__name__} {value!r}"
+                )
         self.mode = objectives.canonical_mode(self.mode)
         if self.isl_variant not in VARIANTS:
             raise ConfigError(f"isl_variant must be one of {VARIANTS}")
@@ -108,16 +119,29 @@ class AdamOptimizer:
         self.v = {}
 
     def step(self, params, grads):
+        """In place, with two scratch arrays per parameter, bit for bit
+        ``m += (1-b1)(g-m); v += (1-b2)(g*g-v);
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps)``."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for name, g in grads.items():
             m = self.m.setdefault(name, np.zeros_like(g))
             v = self.v.setdefault(name, np.zeros_like(g))
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            tmp = np.subtract(g, m)
+            tmp *= 1 - b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp -= v
+            tmp *= 1 - b2
+            v += tmp
+            update = np.divide(m, c1)
+            update *= self.lr
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update /= tmp
+            params[name] -= update
 
 
 def make_optimizer(config: TrainConfig):
@@ -129,10 +153,14 @@ def make_optimizer(config: TrainConfig):
 def encode_prepared(state, prepared):
     """Token ids, label indicators, and gold index per prepared instance."""
     rel_to_idx = {r: i for i, r in enumerate(state.relations)}
+    max_len = state.config.max_len
     out = []
     for pi in prepared:
         if pi.raw.relation not in rel_to_idx:
             raise ValueError(f"{pi.raw.id}: relation {pi.raw.relation!r} is not a model label")
+        if len(pi.augmented.tokens) > max_len:
+            raise ValueError(f"{pi.raw.id}: sequence length {len(pi.augmented.tokens)} "
+                             f"exceeds max_len {max_len}")
         ids = enc.encode_tokens(state, [t.surface for t in pi.augmented.tokens])
         out.append((ids, pi.signal.Q, pi.signal.q, rel_to_idx[pi.raw.relation]))
     return out
@@ -172,24 +200,30 @@ def init_from_config(config: TrainConfig, prepared_train, relations):
     )
 
 
-def _prepare(config: TrainConfig, instances, relations, lexicon):
-    """Annotate raw instances, build a model over their vocabulary, encode them."""
-    prepared, _ = pipeline.annotate(
-        instances, lexicon or sentiment.load_lexicon(), config.isl_variant
-    )
+def _prepare(config: TrainConfig, instances, relations, lexicon, prepared=None):
+    """Annotate raw instances unless ``prepared`` already holds them
+    annotated, build a model over their vocabulary, encode them."""
+    if prepared is None:
+        prepared, _ = pipeline.annotate(
+            instances, lexicon or sentiment.load_lexicon(), config.isl_variant
+        )
+    elif any(pi.signal.variant != config.isl_variant for pi in prepared):
+        raise ValueError(f"prepared instances are not annotated with {config.isl_variant}")
     state = init_from_config(config, prepared, relations)
     return state, encode_prepared(state, prepared)
 
 
 def train(config: TrainConfig, splits, relations, lexicon=None, checkpoint_path=None,
-          metrics_path=None, epoch_hook=None) -> RunRecord:
+          metrics_path=None, epoch_hook=None, prepared=None) -> RunRecord:
     """Train on splits["train"]; splits is {name: [Instance]} of raw instances.
 
+    prepared: optionally, splits["train"] as ``pipeline.annotate`` returns
+    it for config.isl_variant, so a grid of runs annotates it only once.
     epoch_hook(epoch, state) runs after each epoch (and once before epoch 0
     with epoch=-1) for attention-mass tracking and similar probes.
     """
     t0 = time.perf_counter()
-    state, encoded = _prepare(config, splits["train"], relations, lexicon)
+    state, encoded = _prepare(config, splits["train"], relations, lexicon, prepared)
     asp_cfg = config.asp_config()
     optimizer = make_optimizer(config)
     rows = ["step,l_re,l_asp,l_ib,total"]

@@ -198,6 +198,43 @@ def test_jsonl_record_without_heads_exits_one(tmp_path, data_dir, capsys):
     assert f"{bad}:2: missing key 'heads'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rec: [1, 2], "expected a JSON object, got list"),
+    (lambda rec: dict(rec, obj=[0]), "obj must be a [start, end] pair"),
+], ids=["not-an-object", "one-element-span"])
+def test_malformed_jsonl_record_exits_one(tmp_path, data_dir, capsys, edit, message):
+    lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(edit(json.loads(lines[1])))]) + "\n",
+                   encoding="utf-8")
+    assert run(["sdp", "dump", "--jsonl", str(bad)]) == 1
+    assert f"{bad}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("heads", "2"), ("lr", [0.001])])
+def test_train_rejects_wrong_typed_config_value(tmp_path, data_dir, capsys, key, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1, key: value}), encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--data", str(data_dir),
+                "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: {key} must be of type" in err and repr(value) in err
+
+
+def test_train_checks_max_len_before_training(tmp_path, data_dir, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1, "layers": 2, "heads": 2, "d_model": 16,
+                               "d_ff": 32, "max_len": 12}), encoding="utf-8")
+    recs = [json.loads(line) for line in
+            (data_dir / "train.jsonl").read_text(encoding="utf-8").splitlines()]
+    first = next(r for r in recs if len(r["tokens"]) + 1 > 12)  # +1: sentiment token
+    assert run(["train", "--config", str(cfg), "--data", str(data_dir),
+                "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{first['id']}: sequence length {len(first['tokens']) + 1} exceeds max_len 12" in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_eval_unknown_relation_exits_one(tmp_path, data_dir, train_dir, capsys):
     rec = json.loads((data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()[0])
     rec["relation"] = "acquired_by"
@@ -230,6 +267,7 @@ def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, ca
     ({"asp_epsilon": 0.0}, "epsilon"),
     ({"attn_axis": "sideways"}, "attn_axis"),
     ({"lr_typo": 1.0}, "lr_typo"),
+    ({"heads": "2"}, "heads"),
 ])
 def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkeypatch,
                                                       capsys, bad, key):

@@ -77,6 +77,19 @@ def test_read_conllu_sidecar_count_mismatch(tmp_path):
         ]))
 
 
+@pytest.mark.parametrize("second, message", [
+    ([1], "expected a JSON object, got list"),
+    ({"subj": [0], "obj": [1, 1], "relation": "r"}, "subj must be a [start, end] pair"),
+    ({"subj": [0, 0], "obj": [1, 1]}, "missing key 'relation'"),
+], ids=["not-an-object", "one-element-span", "no-relation"])
+def test_read_conllu_malformed_sidecar_row_names_line(tmp_path, second, message):
+    conllu, sidecar = write_pair(tmp_path, sidecar_rows=[
+        {"subj": [0, 0], "obj": [2, 2], "relation": "r"}, second])
+    with pytest.raises(ParseError) as err:
+        corpus.read_conllu(conllu, sidecar)
+    assert f"{sidecar}:2: {message}" in str(err.value)
+
+
 def test_read_conllu_positional_sidecar_match(tmp_path):
     rows = [
         {"subj": [0, 0], "obj": [2, 2], "relation": "profit_of"},

@@ -1,5 +1,10 @@
 """Encoder forward/backward internals, attention averaging, checkpoints."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,6 +126,46 @@ def test_backward_covers_every_parameter():
     for name, g in grads.items():
         assert g.shape == state.params[name].shape
         assert np.isfinite(g).all()
+
+
+@pytest.mark.parametrize("B, n, d, e", [
+    (1, 6, 16, 16), (3, 11, 16, 32), (16, 25, 64, 64), (11, 35, 64, 128), (5, 40, 128, 64),
+])
+def test_weight_grad_matches_einsum(B, n, d, e):
+    rng = np.random.default_rng(B * n + d + e)
+    a, b = rng.normal(size=(B, n, d)), rng.normal(size=(B, n, e))
+    ref = np.einsum("bnd,bne->de", a, b)
+    # relative to the block's scale: entries that cancel to near zero carry
+    # a summation-order error of the terms' size, not of their own
+    assert np.abs(enc._weight_grad(a, b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_weight_grad_is_byte_identical_across_thread_counts():
+    """B*n in 385..624 is where a single reshaped (B*n, d) GEMM changed bits
+    between 1 and 2 BLAS threads; the per-sample form must not."""
+    code = (
+        "import hashlib\n"
+        "from ssdpsem import cli  # applies SSDP_THREADS before numpy loads\n"
+        "import numpy as np\n"
+        "from ssdpsem.encoder import _weight_grad\n"
+        "h = hashlib.sha256()\n"
+        "for B, n in [(11, 35), (11, 36)] + [(16, n) for n in range(25, 40)]:\n"
+        "    rng = np.random.default_rng(B * 100 + n)\n"
+        "    for d, e in ((64, 64), (64, 128), (128, 64), (16, 32)):\n"
+        "        a, b = rng.normal(size=(B, n, d)), rng.normal(size=(B, n, e))\n"
+        "        h.update(_weight_grad(a, b).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(enc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = [
+        subprocess.run([sys.executable, "-c", code], env=dict(env, SSDP_THREADS=threads),
+                       check=True, timeout=120, capture_output=True, text=True).stdout
+        for threads in ("1", "2")
+    ]
+    assert digests[0] == digests[1] != ""
 
 
 def test_embedding_gradient_hits_only_used_rows():

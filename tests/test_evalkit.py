@@ -160,6 +160,31 @@ def test_ablation_grid_shape_and_determinism(small_splits, small_manifest, lexic
     assert lines[2] == lines[3]  # identical configs -> identical rows
 
 
+def test_ablation_grid_annotates_each_split_and_variant_once(small_splits, small_manifest,
+                                                             lexicon, monkeypatch):
+    base = dict(epochs=1, layers=2, heads=2, d_model=16, d_ff=32, batch_size=8, seed=0)
+    configs = [trainer.TrainConfig(mode=mode, isl_variant=variant, **base)
+               for variant in ("ISL", "SPL") for mode in ("baseline", "asp")]
+    calls = []
+    annotate = pipeline.annotate
+
+    def counting(instances, lex, variant):
+        calls.append(variant)
+        return annotate(instances, lex, variant)
+
+    monkeypatch.setattr(pipeline, "annotate", counting)
+    results = evalkit.ablation_grid(configs, small_splits, small_manifest.relations,
+                                    lexicon=lexicon)
+    assert sorted(calls) == ["ISL", "ISL", "SPL", "SPL"]
+    # the same reports as one fresh train + annotate + evaluate per config
+    monkeypatch.setattr(pipeline, "annotate", annotate)
+    for config, report in results[1::2]:
+        record = trainer.train(config, small_splits, small_manifest.relations, lexicon=lexicon)
+        prepared, _ = pipeline.annotate(small_splits["test"], lexicon, config.isl_variant)
+        alone = evalkit.evaluate(record.state, prepared)
+        assert np.array_equal(alone.confusion, report.confusion)
+
+
 def test_report_to_text_contains_all_relations(state_and_prepared, small_manifest):
     state, prepared = state_and_prepared
     report = evalkit.evaluate(state, prepared, small_manifest.entity_types)

@@ -48,6 +48,39 @@ def test_adam_lr_zero_is_identity():
         assert np.array_equal(state.params[name], before[name])
 
 
+def test_adam_step_is_bit_identical_to_textbook_formula():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (40, 16), "b": (16,), "emb": (30, 8)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    opt = trainer.AdamOptimizer(lr, b1, b2, eps)
+    for t in range(1, 8):
+        # many exact zeros, as in the embedding gradient
+        grads = {k: rng.normal(size=s) * (rng.random(s) < 0.4) for k, s in shapes.items()}
+        saved = {k: g.copy() for k, g in grads.items()}
+        opt.step(params, grads)
+        for k, g in grads.items():
+            assert np.array_equal(g, saved[k])  # gradients are not overwritten
+            m[k] = m[k] + (1 - b1) * (g - m[k])
+            v[k] = v[k] + (1 - b2) * (g * g - v[k])
+            mhat = m[k] / (1 - b1**t)
+            vhat = v[k] / (1 - b2**t)
+            ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+            assert params[k].tobytes() == ref[k].tobytes()
+
+
+def test_train_rejects_prepared_split_of_another_variant(small_splits, small_manifest,
+                                                         lexicon):
+    prepared, _ = pipeline.annotate(small_splits["train"], lexicon, "SPL")
+    cfg = trainer.TrainConfig(epochs=1, isl_variant="ISL", **SMALL)
+    with pytest.raises(ValueError, match="not annotated with ISL"):
+        trainer.train(cfg, small_splits, small_manifest.relations, lexicon=lexicon,
+                      prepared=prepared)
+
+
 def test_adam_and_sgd_agree_on_first_step_sign():
     state_a, state_b = tiny_state(seed=2), tiny_state(seed=2)
     ids, Q, q, gold = make_batch(state_a)
