@@ -15,7 +15,7 @@ Run:  python demos/guided_vs_baseline.py        (~1 minute on one core)
 from ssdpsem import corpus, evalkit, pipeline, sentiment, trainer
 
 
-def train_one(mode, splits, manifest, lexicon, seed=0):
+def train_one(mode, train_prep, manifest, seed=0):
     captured = {}
 
     def hook(epoch, state):
@@ -26,8 +26,7 @@ def train_one(mode, splits, manifest, lexicon, seed=0):
         epochs=12, layers=2, heads=2, d_model=16, d_ff=32, batch_size=16,
         lr=1e-3, seed=seed, mode=mode,
     )
-    record = trainer.train(cfg, splits, manifest.relations, lexicon=lexicon,
-                           epoch_hook=hook)
+    record = trainer.train(cfg, train_prep, manifest.relations, epoch_hook=hook)
     return record, captured["init"]
 
 
@@ -35,13 +34,14 @@ def main():
     lexicon = sentiment.load_lexicon()
     manifest = corpus.default_manifest(seed=11, train=800, dev=200, test=200)
     splits = corpus.synthesize_corpus(manifest, sentiment_coupling=0.9)
+    train_prep, _ = pipeline.annotate(splits["train"], lexicon, "ISL")
     test_prep, _ = pipeline.annotate(splits["test"], lexicon, "ISL")
     dev_prep, _ = pipeline.annotate(splits["dev"], lexicon, "ISL")
 
     print(f"{'mode':10s} {'micro_f1':>9s} {'isl_mass_0':>11s} {'isl_mass':>9s} "
           f"{'pool_entropy':>13s}")
     for mode in ("baseline", "asp", "asp_saib"):
-        record, init_state = train_one(mode, splits, manifest, lexicon)
+        record, init_state = train_one(mode, train_prep, manifest)
         report = evalkit.evaluate(record.state, test_prep, manifest.entity_types)
         mass0 = evalkit.isl_attention_mass(init_state, dev_prep)
         mass1 = evalkit.isl_attention_mass(record.state, dev_prep)

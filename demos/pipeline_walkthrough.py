@@ -7,7 +7,8 @@ instance before any model sees it:
   2. extract the shortest dependency path between the entity heads,
   3. prepend the sentiment token and shift every annotation by one,
   4. build the three label variants (EPL / SPL / ISL) and the
-     normalized distribution q that the auxiliary loss trains toward.
+     normalized distribution q = Q / sum(Q) that the auxiliary loss
+     (objectives.asp_loss) derives and trains toward.
 
 Run:  python demos/pipeline_walkthrough.py
 """
@@ -57,11 +58,11 @@ def main():
         print(f"{variant}: {marked}  ({words})")
     print("EPL ⊆ SPL ⊆ ISL always holds; ISL adds the sentiment slot 0.")
 
-    sig = prepared.signal
-    show("Normalized target distribution q")
-    nz = [(i, sig.q[i]) for i in range(len(sig.q)) if sig.q[i] > 0]
-    print("  ".join(f"{i}:{v:.3f}" for i, v in nz))
-    print(f"sum(q) = {sig.q.sum():.12f}")
+    Q = prepared.signal.Q
+    q = Q / Q.sum()
+    show("Normalized target distribution q = Q / sum(Q)")
+    print("  ".join(f"{i}:{q[i]:.3f}" for i in range(len(q)) if q[i] > 0))
+    print(f"sum(q) = {q.sum():.12f}")
 
 
 if __name__ == "__main__":

@@ -163,12 +163,13 @@ def cmd_train(args):
     (out / "config.json").write_text(
         json.dumps(vars(config).copy(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    lexicon = sentiment.load_lexicon(args.lexicon)
+    prepared, _ = pipeline.annotate(
+        splits["train"], sentiment.load_lexicon(args.lexicon), config.isl_variant
+    )
     record = trainer.train(
         config,
-        splits,
+        prepared,
         manifest.relations,
-        lexicon=lexicon,
         checkpoint_path=out / "model.ckpt",
         metrics_path=out / "metrics.csv",
     )
@@ -248,7 +249,8 @@ def cmd_gradcheck(args):
                                            dev=1, test=1)
         instances = corpus.synthesize_corpus(manifest, 0.9)["train"]
         relations = manifest.relations
-    report = trainer.gradcheck(config, instances, relations,
+    prepared, _ = pipeline.annotate(instances, sentiment.load_lexicon(), config.isl_variant)
+    report = trainer.gradcheck(config, prepared, relations,
                                max_coords_per_block=args.coords)
     lines = [
         f"{e.term} {e.block} max_rel_err {e.max_rel_err:.3e} coords {e.coords_checked} "

@@ -207,6 +207,10 @@ def _span(rec, key):
 
 
 def instance_from_dict(rec):
+    for key in ("heads", "deprels"):
+        if len(rec[key]) != len(rec["tokens"]):
+            raise ParseError(f"{key} has {len(rec[key])} entries for "
+                             f"{len(rec['tokens'])} tokens")
     tokens = [
         Token(i, s, h, d)
         for i, (s, h, d) in enumerate(zip(rec["tokens"], rec["heads"], rec["deprels"]))

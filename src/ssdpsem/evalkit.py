@@ -42,26 +42,20 @@ def predict(state, prepared, batch_size=64):
     gold index, pooling attention alpha_ib and averaged attention alpha_avg.
     """
     encoded = trainer.encode_prepared(state, prepared)
-    by_len = {}
-    for i, (ids, _, _, _) in enumerate(encoded):
-        by_len.setdefault(len(ids), []).append(i)
     preds = [None] * len(encoded)
     alpha_ib = [None] * len(encoded)
     alpha_avg = [None] * len(encoded)
-    for n in sorted(by_len):
-        idxs = by_len[n]
-        for lo in range(0, len(idxs), batch_size):
-            chunk = idxs[lo : lo + batch_size]
-            fwd = enc.forward(state, np.stack([encoded[i][0] for i in chunk]))
-            a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
-            a_avg = enc.average_attention(
-                fwd.attention, state.config.last_k, state.config.attn_axis
-            )
-            for row, i in enumerate(chunk):
-                preds[i] = int(np.argmax(probs[row]))
-                alpha_ib[i] = a_ib[row]
-                alpha_avg[i] = a_avg[row]
-    return preds, [gold for (_, _, _, gold) in encoded], alpha_ib, alpha_avg
+    for chunk in trainer.make_batches(encoded, batch_size, range(len(encoded))):
+        ids, _, _ = trainer._collate(encoded, chunk)
+        fwd = enc.forward(state, ids)
+        a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
+        a_avg = enc.average_attention(fwd.attention, state.config.last_k,
+                                      state.config.attn_axis)
+        for row, i in enumerate(chunk):
+            preds[i] = int(np.argmax(probs[row]))
+            alpha_ib[i] = a_ib[row]
+            alpha_avg[i] = a_avg[row]
+    return preds, [gold for (_, _, gold) in encoded], alpha_ib, alpha_avg
 
 
 def micro_scores(preds, golds, relations, no_relation="no_relation"):
@@ -159,7 +153,8 @@ def ablation_grid(configs, splits, relations, entity_types=None, eval_split="tes
                   lexicon=None, no_relation="no_relation"):
     """Train and evaluate one run per config; returns [(config, EvalReport)].
 
-    Each (split, isl_variant) pair is annotated once for the whole grid.
+    splits is {name: [Instance]} of raw instances.  Each (split,
+    isl_variant) pair is annotated once for the whole grid.
     """
     lexicon = lexicon or sentiment.load_lexicon()
     annotated = {}
@@ -171,8 +166,7 @@ def ablation_grid(configs, splits, relations, entity_types=None, eval_split="tes
 
     results = []
     for config in configs:
-        record = trainer.train(config, splits, relations, lexicon=lexicon,
-                               prepared=prepared("train", config.isl_variant))
+        record = trainer.train(config, prepared("train", config.isl_variant), relations)
         report = evaluate(record.state, prepared(eval_split, config.isl_variant),
                           entity_types, no_relation)
         results.append((config, report))

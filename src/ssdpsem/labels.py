@@ -5,7 +5,8 @@ Three nested variants:
   SPL  additionally marks the shortest-dependency-path token set,
   ISL  additionally marks the sentiment-token position (index 0).
 
-Q is the binary indicator; q = Q / sum(Q) is the supervision distribution.
+Q is the binary indicator.  The supervision distribution q = Q / sum(Q)
+is derived from it by ``objectives.asp_loss``, where the loss uses it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ VARIANTS = ("EPL", "SPL", "ISL")
 class IslSignal:
     variant: str
     Q: np.ndarray  # binary, length n'
-    q: np.ndarray  # Q / sum(Q)
 
     @property
     def positions(self):
@@ -48,5 +48,4 @@ def build_signal(augmented: Instance, sdp_positions, variant: str) -> IslSignal:
             Q[p] = 1.0
     if variant == "ISL":
         Q[0] = 1.0
-    q = Q / Q.sum()
-    return IslSignal(variant=variant, Q=Q, q=q)
+    return IslSignal(variant=variant, Q=Q)

@@ -67,15 +67,16 @@ def total_loss(l_re, l_asp, l_ib) -> LossBreakdown:
     return LossBreakdown(l_re=l_re, l_asp=l_asp, l_ib=l_ib, total=l_re + l_asp + l_ib)
 
 
-def asp_loss(alpha_avg, Q, q, cfg: AspConfig):
+def asp_loss(alpha_avg, Q, cfg: AspConfig):
     """KLD pulling the masked averaged attention toward the label distribution.
 
-    alpha_avg, Q, q: (B, n).  The attention is masked in Hadamard manner
-    with Q, epsilon-smoothed, and compared against the equally smoothed
-    label distribution as KLD(q_s || a_s).  The masked side is NOT
-    renormalized: its missing mass is exactly the attention sitting on
-    unmarked positions, so minimizing this loss migrates attention mass
-    onto the marked positions instead of merely reshaping it among them.
+    alpha_avg, Q: (B, n).  The label distribution is q = Q / sum(Q) per
+    row.  The attention is masked in Hadamard manner with Q,
+    epsilon-smoothed, and compared against the equally smoothed q as
+    KLD(q_s || a_s).  The masked side is NOT renormalized: its missing
+    mass is exactly the attention sitting on unmarked positions, so
+    minimizing this loss migrates attention mass onto the marked positions
+    instead of merely reshaping it among them.
     Both sides share the smoothing denominator 1 + n*eps, which makes the
     loss exactly zero when the masked attention equals q and non-negative
     otherwise (the masked side is a sub-distribution).
@@ -88,15 +89,13 @@ def asp_loss(alpha_avg, Q, q, cfg: AspConfig):
     """
     alpha_avg = np.atleast_2d(np.asarray(alpha_avg, dtype=np.float64))
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    q = Q / Q.sum(axis=1, keepdims=True)
     B, n = alpha_avg.shape
     eps = cfg.epsilon
     m = alpha_avg * Q
     s = m.sum(axis=1, keepdims=True)
     fallback = (s == 0.0).ravel()
-    a = np.where(fallback[:, None], Q / Q.sum(axis=1, keepdims=True) + eps, m + eps) / (
-        1.0 + n * eps
-    )
+    a = np.where(fallback[:, None], q + eps, m + eps) / (1.0 + n * eps)
     qs = (q + eps) / (1.0 + n * eps)
     kld = (qs * np.log(qs / a)).sum(axis=1)
     loss = cfg.lambda_asp * kld.mean()
@@ -213,7 +212,7 @@ def mode_terms(mode):
     }[canonical_mode(mode)]
 
 
-def batch_losses(state, ids, Q, q, gold, mode, asp_cfg: AspConfig, terms=None,
+def batch_losses(state, ids, Q, gold, mode, asp_cfg: AspConfig, terms=None,
                  value_only=False) -> BatchResult:
     """Joint forward/backward over one same-length batch.
 
@@ -255,7 +254,7 @@ def batch_losses(state, ids, Q, q, gold, mode, asp_cfg: AspConfig, terms=None,
     d_attention = None
     fallbacks = 0
     if "asp" in terms:
-        l_asp, d_alpha_avg, fallbacks = asp_loss(alpha_avg, Q, q, asp_cfg)
+        l_asp, d_alpha_avg, fallbacks = asp_loss(alpha_avg, Q, asp_cfg)
         d_attention = enc.average_attention_backward(
             d_alpha_avg, cfg.layers, cfg.last_k, cfg.heads, n, cfg.attn_axis
         )

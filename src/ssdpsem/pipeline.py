@@ -26,7 +26,6 @@ class AnnotateStats:
 class PreparedInstance:
     raw: Instance
     augmented: Instance  # sentiment token prepended, indices re-based
-    tag: sentiment.SentimentTag
     sdp_positions: list[int]  # augmented indices
     signal: labels.IslSignal
 
@@ -44,7 +43,7 @@ def annotate_instance(inst, lexicon, variant, stats=None) -> PreparedInstance:
         stats.sdp_fallbacks += int(sdp.fallback)
         stats.fragments += int(inst.fragmented)
     return PreparedInstance(
-        raw=inst, augmented=augmented, tag=tag, sdp_positions=sdp_positions, signal=signal
+        raw=inst, augmented=augmented, sdp_positions=sdp_positions, signal=signal
     )
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import encoder as enc
-from . import objectives, pipeline, sentiment
+from . import objectives
 from .corpus import ConfigError
 from .labels import VARIANTS
 
@@ -86,10 +86,8 @@ class TrainConfig:
 
 @dataclass
 class RunRecord:
-    config: dict
     epoch_losses: list[dict]  # per epoch: mean l_re/l_asp/l_ib/total
     metrics_rows: list[str]  # CSV lines incl. header
-    checkpoint_path: str | None
     wall_time: float
     asp_fallbacks: int
     state: enc.ModelState
@@ -162,14 +160,15 @@ def encode_prepared(state, prepared):
             raise ValueError(f"{pi.raw.id}: sequence length {len(pi.augmented.tokens)} "
                              f"exceeds max_len {max_len}")
         ids = enc.encode_tokens(state, [t.surface for t in pi.augmented.tokens])
-        out.append((ids, pi.signal.Q, pi.signal.q, rel_to_idx[pi.raw.relation]))
+        out.append((ids, pi.signal.Q, rel_to_idx[pi.raw.relation]))
     return out
 
 
-def make_batches(encoded, batch_size, rng):
-    """Seeded shuffle, then greedy same-length grouping in arrival order."""
-    order = list(range(len(encoded)))
-    rng.shuffle(order)
+def make_batches(encoded, batch_size, order):
+    """Same-length batches of the indices in ``order``: each length's
+    indices are chunked in the given order; full chunks come out as they
+    fill, then the partial ones by length.  train passes a seeded shuffle,
+    evalkit.predict ``range(n)``."""
     buckets = {}
     batches = []
     for idx in order:
@@ -188,9 +187,8 @@ def make_batches(encoded, batch_size, rng):
 def _collate(encoded, batch):
     ids = np.stack([encoded[i][0] for i in batch])
     Q = np.stack([encoded[i][1] for i in batch])
-    q = np.stack([encoded[i][2] for i in batch])
-    gold = np.array([encoded[i][3] for i in batch], dtype=np.int64)
-    return ids, Q, q, gold
+    gold = np.array([encoded[i][2] for i in batch], dtype=np.int64)
+    return ids, Q, gold
 
 
 def init_from_config(config: TrainConfig, prepared_train, relations):
@@ -200,30 +198,24 @@ def init_from_config(config: TrainConfig, prepared_train, relations):
     )
 
 
-def _prepare(config: TrainConfig, instances, relations, lexicon, prepared=None):
-    """Annotate raw instances unless ``prepared`` already holds them
-    annotated, build a model over their vocabulary, encode them."""
-    if prepared is None:
-        prepared, _ = pipeline.annotate(
-            instances, lexicon or sentiment.load_lexicon(), config.isl_variant
-        )
-    elif any(pi.signal.variant != config.isl_variant for pi in prepared):
+def _prepare(config: TrainConfig, prepared, relations):
+    """Build a model over the annotated instances' vocabulary, encode them."""
+    if any(pi.signal.variant != config.isl_variant for pi in prepared):
         raise ValueError(f"prepared instances are not annotated with {config.isl_variant}")
     state = init_from_config(config, prepared, relations)
     return state, encode_prepared(state, prepared)
 
 
-def train(config: TrainConfig, splits, relations, lexicon=None, checkpoint_path=None,
-          metrics_path=None, epoch_hook=None, prepared=None) -> RunRecord:
-    """Train on splits["train"]; splits is {name: [Instance]} of raw instances.
+def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
+          metrics_path=None, epoch_hook=None) -> RunRecord:
+    """Train on ``prepared``, the training split as ``pipeline.annotate``
+    returns it for config.isl_variant.
 
-    prepared: optionally, splits["train"] as ``pipeline.annotate`` returns
-    it for config.isl_variant, so a grid of runs annotates it only once.
     epoch_hook(epoch, state) runs after each epoch (and once before epoch 0
     with epoch=-1) for attention-mass tracking and similar probes.
     """
     t0 = time.perf_counter()
-    state, encoded = _prepare(config, splits["train"], relations, lexicon, prepared)
+    state, encoded = _prepare(config, prepared, relations)
     asp_cfg = config.asp_config()
     optimizer = make_optimizer(config)
     rows = ["step,l_re,l_asp,l_ib,total"]
@@ -233,15 +225,16 @@ def train(config: TrainConfig, splits, relations, lexicon=None, checkpoint_path=
     if epoch_hook is not None:
         epoch_hook(-1, state)
     for epoch in range(config.epochs):
-        rng = random.Random(f"{config.seed}:{epoch}")
+        order = list(range(len(encoded)))
+        random.Random(f"{config.seed}:{epoch}").shuffle(order)
         sums = np.zeros(4)
         n_batches = 0
-        for batch in make_batches(encoded, config.batch_size, rng):
-            ids, Q, q, gold = _collate(encoded, batch)
+        for batch in make_batches(encoded, config.batch_size, order):
+            ids, Q, gold = _collate(encoded, batch)
             terms = _step_terms(config, step)
             try:
                 result = objectives.batch_losses(
-                    state, ids, Q, q, gold, config.mode, asp_cfg, terms=terms
+                    state, ids, Q, gold, config.mode, asp_cfg, terms=terms
                 )
             except objectives.NonFiniteLossError as exc:
                 raise TrainDivergenceError(step, exc.term) from exc
@@ -265,10 +258,8 @@ def train(config: TrainConfig, splits, relations, lexicon=None, checkpoint_path=
     if checkpoint_path is not None:
         enc.save_checkpoint(state, checkpoint_path)
     return RunRecord(
-        config=asdict(config),
         epoch_losses=epoch_losses,
         metrics_rows=rows,
-        checkpoint_path=str(checkpoint_path) if checkpoint_path else None,
         wall_time=time.perf_counter() - t0,
         asp_fallbacks=fallbacks,
         state=state,
@@ -322,9 +313,9 @@ class GradCheckReport:
         return [e for e in self.entries if not e.passed]
 
 
-def _loss_value(state, ids, Q, q, gold, term, asp_cfg):
+def _loss_value(state, ids, Q, gold, term, asp_cfg):
     result = objectives.batch_losses(
-        state, ids, Q, q, gold, "asp_saib", asp_cfg, terms=term, value_only=True
+        state, ids, Q, gold, "asp_saib", asp_cfg, terms=term, value_only=True
     )
     return result.breakdown.total
 
@@ -335,7 +326,7 @@ def _relu_pattern(state, ids):
     return tuple((layer["f1"] > 0).tobytes() for layer in fwd.cache["layers"])
 
 
-def gradcheck_batch(state, ids, Q, q, gold, asp_cfg=None, max_coords_per_block=40,
+def gradcheck_batch(state, ids, Q, gold, asp_cfg=None, max_coords_per_block=40,
                     analytic_override=None) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
@@ -359,7 +350,7 @@ def gradcheck_batch(state, ids, Q, q, gold, asp_cfg=None, max_coords_per_block=4
                  "total": ("re", "asp", "ib")}
     for term_name, terms in term_sets.items():
         analytic = objectives.batch_losses(
-            state, ids, Q, q, gold, "asp_saib", asp_cfg, terms=terms
+            state, ids, Q, gold, "asp_saib", asp_cfg, terms=terms
         ).grads
         if analytic_override is not None:
             analytic = analytic_override(term_name, analytic)
@@ -380,9 +371,9 @@ def gradcheck_batch(state, ids, Q, q, gold, asp_cfg=None, max_coords_per_block=4
             for c in coords:
                 orig = pflat[c]
                 pflat[c] = orig + FD_STEP
-                up = _loss_value(state, ids, Q, q, gold, terms, asp_cfg)
+                up = _loss_value(state, ids, Q, gold, terms, asp_cfg)
                 pflat[c] = orig - FD_STEP
-                down = _loss_value(state, ids, Q, q, gold, terms, asp_cfg)
+                down = _loss_value(state, ids, Q, gold, terms, asp_cfg)
                 pflat[c] = orig
                 fd = (up - down) / (2 * FD_STEP)
                 a = flat[c]
@@ -404,15 +395,15 @@ def gradcheck_batch(state, ids, Q, q, gold, asp_cfg=None, max_coords_per_block=4
     return report
 
 
-def gradcheck(config: TrainConfig, instances, relations, lexicon=None,
+def gradcheck(config: TrainConfig, prepared, relations,
               max_coords_per_block=40) -> GradCheckReport:
-    """Run the finite-difference suite on a sample of instances."""
-    state, encoded = _prepare(config, instances, relations, lexicon)
+    """Run the finite-difference suite on a sample of annotated instances."""
+    state, encoded = _prepare(config, prepared, relations)
     asp_cfg = config.asp_config()
     merged = GradCheckReport()
-    for ids, Q, q, gold in encoded:
+    for ids, Q, gold in encoded:
         rep = gradcheck_batch(
-            state, ids[None, :], Q[None, :], q[None, :], np.array([gold]),
+            state, ids[None, :], Q[None, :], np.array([gold]),
             asp_cfg, max_coords_per_block,
         )
         merged.entries.extend(rep.entries)

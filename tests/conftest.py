@@ -1,6 +1,6 @@
 import pytest
 
-from ssdpsem import corpus, sentiment
+from ssdpsem import corpus, pipeline, sentiment
 from ssdpsem.corpus import Instance, Token
 
 
@@ -17,6 +17,13 @@ def small_manifest():
 @pytest.fixture(scope="session")
 def small_splits(small_manifest):
     return corpus.synthesize_corpus(small_manifest, 0.9)
+
+
+@pytest.fixture(scope="session")
+def small_train(small_splits, lexicon):
+    """small_splits["train"] annotated with the default ISL signal."""
+    prepared, _ = pipeline.annotate(small_splits["train"], lexicon, "ISL")
+    return prepared
 
 
 def chain_instance(n, relation="profit_of", subj=(0, 0), obj=None, sentiment=None):

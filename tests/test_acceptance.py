@@ -61,17 +61,31 @@ def ref_test_prepared(ref_corpus, ref_lexicon):
     return prepared
 
 
-def run_f1(ref_corpus, ref_lexicon, ref_test_prepared, mode, seed, variant="ISL"):
-    manifest, splits = ref_corpus
+@pytest.fixture(scope="session")
+def ref_train(ref_corpus, ref_lexicon):
+    """ref_train(variant): the reference train split, annotated once per variant."""
+    _, splits = ref_corpus
+    annotated = {}
+
+    def prepared(variant="ISL"):
+        if variant not in annotated:
+            annotated[variant], _ = pipeline.annotate(splits["train"], ref_lexicon, variant)
+        return annotated[variant]
+
+    return prepared
+
+
+def run_f1(ref_corpus, ref_train, ref_test_prepared, mode, seed, variant="ISL"):
+    manifest, _ = ref_corpus
     cfg = trainer.TrainConfig(epochs=EPOCHS, seed=seed, mode=mode,
                               isl_variant=variant, **REFERENCE)
-    record = trainer.train(cfg, splits, manifest.relations, lexicon=ref_lexicon)
+    record = trainer.train(cfg, ref_train(variant), manifest.relations)
     report = evalkit.evaluate(record.state, ref_test_prepared, manifest.entity_types)
     return report.micro_f1
 
 
 @pytest.fixture(scope="session")
-def five_seed_f1(ref_corpus, ref_lexicon, ref_test_prepared):
+def five_seed_f1(ref_corpus, ref_train, ref_test_prepared):
     """micro-F1 per seed for the modes/variants criteria 7 and 8 compare."""
     out = {}
     start = time.perf_counter()
@@ -79,7 +93,7 @@ def five_seed_f1(ref_corpus, ref_lexicon, ref_test_prepared):
                                ("asp_saib", "asp_saib", "ISL"),
                                ("SPL", "asp_saib", "SPL"),
                                ("EPL", "asp_saib", "EPL")):
-        out[key] = [run_f1(ref_corpus, ref_lexicon, ref_test_prepared,
+        out[key] = [run_f1(ref_corpus, ref_train, ref_test_prepared,
                            mode, s, variant) for s in SEEDS]
         if key == "asp_saib":
             # the ten runs criteria 7 compares; its < 10 min budget
@@ -140,8 +154,8 @@ def test_criterion_3_gradient_suite(capsys, ref_corpus, ref_lexicon):
     manifest, splits = ref_corpus
     start = time.perf_counter()
     cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
-    report = trainer.gradcheck(cfg, splits["train"][:20], manifest.relations,
-                               lexicon=ref_lexicon, max_coords_per_block=4)
+    prepared, _ = pipeline.annotate(splits["train"][:20], ref_lexicon, "ISL")
+    report = trainer.gradcheck(cfg, prepared, manifest.relations, max_coords_per_block=4)
     elapsed = time.perf_counter() - start
     terms = {e.term for e in report.entries}
     ok = (report.passed and terms == {"l_re", "l_asp", "l_ib", "total"}
@@ -224,7 +238,7 @@ def test_criterion_5_saib_sparsification(capsys):
 # 6. Supervised attention migrates mass onto the marked positions
 
 
-def test_criterion_6_asp_attention_shift(capsys, ref_corpus, ref_lexicon):
+def test_criterion_6_asp_attention_shift(capsys, ref_corpus, ref_lexicon, ref_train):
     manifest, splits = ref_corpus
     dev_prepared, _ = pipeline.annotate(splits["dev"], ref_lexicon, "ISL")
     gains = []
@@ -236,8 +250,7 @@ def test_criterion_6_asp_attention_shift(capsys, ref_corpus, ref_lexicon):
                 captured["init"] = state.copy()
 
         cfg = trainer.TrainConfig(epochs=3, seed=seed, mode="asp", **REFERENCE)
-        record = trainer.train(cfg, splits, manifest.relations,
-                               lexicon=ref_lexicon, epoch_hook=hook)
+        record = trainer.train(cfg, ref_train(), manifest.relations, epoch_hook=hook)
         before = evalkit.isl_attention_mass(captured["init"], dev_prepared)
         after = evalkit.isl_attention_mass(record.state, dev_prepared)
         gains.append(after - before)
@@ -281,14 +294,13 @@ def test_criterion_8_variant_ordering(capsys, five_seed_f1):
 # 9. Byte-level determinism
 
 
-def test_criterion_9_determinism(capsys, tmp_path, ref_corpus, ref_lexicon):
-    manifest, splits = ref_corpus
-    small = {"train": splits["train"][:64], "dev": splits["dev"][:16],
-             "test": splits["test"][:16]}
+def test_criterion_9_determinism(capsys, tmp_path, ref_corpus, ref_train):
+    manifest, _ = ref_corpus
+    small = ref_train()[:64]  # annotation is per instance, so this is train[:64] annotated
     digests = []
     for tag in ("a", "b"):
         cfg = trainer.TrainConfig(epochs=2, seed=7, mode="asp_saib", **REFERENCE)
-        trainer.train(cfg, small, manifest.relations, lexicon=ref_lexicon,
+        trainer.train(cfg, small, manifest.relations,
                       checkpoint_path=tmp_path / f"{tag}.ckpt",
                       metrics_path=tmp_path / f"{tag}.csv")
         digests.append(((tmp_path / f"{tag}.csv").read_bytes(),

@@ -211,6 +211,18 @@ def test_malformed_jsonl_record_exits_one(tmp_path, data_dir, capsys, edit, mess
     assert f"{bad}:2: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["heads", "deprels"])
+def test_jsonl_record_with_a_short_list_exits_one(tmp_path, data_dir, capsys, key):
+    lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    n = len(rec["tokens"])
+    rec[key] = rec[key][:-1]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n", encoding="utf-8")
+    assert run(["sdp", "dump", "--jsonl", str(bad)]) == 1
+    assert f"{bad}:2: {key} has {n - 1} entries for {n} tokens" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("heads", "2"), ("lr", [0.001])])
 def test_train_rejects_wrong_typed_config_value(tmp_path, data_dir, capsys, key, value):
     cfg = tmp_path / "config.json"

@@ -54,16 +54,16 @@ def test_all_no_relation_predictions_give_zero_micro():
     assert evalkit.micro_scores(preds, golds, RELATIONS) == (0.0, 0.0, 0.0)
 
 
-def trained_state(small_splits, small_manifest, lexicon, mode="baseline", epochs=2):
+def trained_state(small_train, small_manifest, mode="baseline", epochs=2):
     cfg = trainer.TrainConfig(epochs=epochs, layers=2, heads=2, d_model=16, d_ff=32,
                               batch_size=8, seed=0, mode=mode)
-    record = trainer.train(cfg, small_splits, small_manifest.relations, lexicon=lexicon)
+    record = trainer.train(cfg, small_train, small_manifest.relations)
     return record.state
 
 
 @pytest.fixture(scope="module")
-def state_and_prepared(small_splits, small_manifest, lexicon):
-    state = trained_state(small_splits, small_manifest, lexicon)
+def state_and_prepared(small_train, small_splits, small_manifest, lexicon):
+    state = trained_state(small_train, small_manifest)
     prepared, _ = pipeline.annotate(small_splits["test"], lexicon, "ISL")
     return state, prepared
 
@@ -179,7 +179,8 @@ def test_ablation_grid_annotates_each_split_and_variant_once(small_splits, small
     # the same reports as one fresh train + annotate + evaluate per config
     monkeypatch.setattr(pipeline, "annotate", annotate)
     for config, report in results[1::2]:
-        record = trainer.train(config, small_splits, small_manifest.relations, lexicon=lexicon)
+        train, _ = pipeline.annotate(small_splits["train"], lexicon, config.isl_variant)
+        record = trainer.train(config, train, small_manifest.relations)
         prepared, _ = pipeline.annotate(small_splits["test"], lexicon, config.isl_variant)
         alone = evalkit.evaluate(record.state, prepared)
         assert np.array_equal(alone.confusion, report.confusion)

@@ -45,7 +45,7 @@ def test_asp_loss_zero_when_masked_attention_equals_q():
     Q = np.array([[1.0, 0.0, 1.0, 0.0]])
     q = Q / Q.sum()
     alpha = q.copy()  # attention already equals the target, all mass marked
-    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, q, obj.AspConfig())
+    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, obj.AspConfig())
     assert loss == pytest.approx(0.0, abs=1e-10)
     assert fallbacks == 0
 
@@ -53,9 +53,8 @@ def test_asp_loss_zero_when_masked_attention_equals_q():
 def test_asp_loss_uniform_full_mask_is_zero():
     n = 4
     Q = np.ones((1, n))
-    q = Q / n
     alpha = np.full((1, n), 1.0 / n)
-    loss, _, _ = obj.asp_loss(alpha, Q, q, obj.AspConfig())
+    loss, _, _ = obj.asp_loss(alpha, Q, obj.AspConfig())
     assert loss == pytest.approx(0.0, abs=1e-10)
 
 
@@ -68,7 +67,7 @@ def test_asp_loss_matches_standalone_kld_oracle():
     masked = (alpha * Q + eps) / (1 + n * eps)
     qs = (q + eps) / (1 + n * eps)
     expected = kld_oracle(qs[0], masked[0])
-    loss, _, _ = obj.asp_loss(alpha, Q, q, obj.AspConfig(epsilon=eps))
+    loss, _, _ = obj.asp_loss(alpha, Q, obj.AspConfig(epsilon=eps))
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -80,20 +79,18 @@ def test_asp_loss_nonnegative_on_random_inputs():
         alpha = rng.dirichlet(np.ones(n))[None, :]
         Q = np.zeros((1, n))
         Q[0, rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 1.0
-        q = Q / Q.sum()
-        loss, _, _ = obj.asp_loss(alpha, Q, q, cfg)
+        loss, _, _ = obj.asp_loss(alpha, Q, cfg)
         assert loss >= -1e-12
 
 
 def test_asp_loss_decreases_as_marked_mass_grows():
     """More attention mass on marked positions must mean lower loss."""
     Q = np.array([[1.0, 1.0, 0.0, 0.0]])
-    q = Q / 2
     cfg = obj.AspConfig()
     losses = []
     for mass in (0.2, 0.5, 0.8, 1.0):
         alpha = np.array([[mass / 2, mass / 2, (1 - mass) / 2, (1 - mass) / 2]])
-        loss, _, _ = obj.asp_loss(alpha, Q, q, cfg)
+        loss, _, _ = obj.asp_loss(alpha, Q, cfg)
         losses.append(loss)
     assert losses == sorted(losses, reverse=True)
 
@@ -101,8 +98,7 @@ def test_asp_loss_decreases_as_marked_mass_grows():
 def test_asp_loss_zero_mask_fallback_counts_and_zero_grad():
     alpha = np.array([[0.0, 0.0, 0.5, 0.5]])
     Q = np.array([[1.0, 1.0, 0.0, 0.0]])
-    q = Q / 2
-    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, q, obj.AspConfig())
+    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, obj.AspConfig())
     assert fallbacks == 1
     assert np.allclose(d_alpha, 0.0)
     assert np.isfinite(loss)
@@ -111,9 +107,8 @@ def test_asp_loss_zero_mask_fallback_counts_and_zero_grad():
 def test_asp_loss_scales_with_lambda():
     alpha = np.array([[0.6, 0.2, 0.1, 0.1]])
     Q = np.array([[1.0, 0.0, 0.0, 1.0]])
-    q = Q / 2
-    l1, g1, _ = obj.asp_loss(alpha, Q, q, obj.AspConfig(lambda_asp=1.0))
-    l2, g2, _ = obj.asp_loss(alpha, Q, q, obj.AspConfig(lambda_asp=2.0))
+    l1, g1, _ = obj.asp_loss(alpha, Q, obj.AspConfig(lambda_asp=1.0))
+    l2, g2, _ = obj.asp_loss(alpha, Q, obj.AspConfig(lambda_asp=2.0))
     assert l2 == pytest.approx(2 * l1)
     assert np.allclose(g2, 2 * g1)
 
@@ -123,14 +118,13 @@ def test_asp_gradient_matches_finite_differences():
     cfg = obj.AspConfig()
     alpha = rng.dirichlet(np.ones(5))[None, :]
     Q = np.array([[1.0, 0.0, 1.0, 1.0, 0.0]])
-    q = Q / Q.sum()
-    _, d_alpha, _ = obj.asp_loss(alpha, Q, q, cfg)
+    _, d_alpha, _ = obj.asp_loss(alpha, Q, cfg)
     step = 1e-7
     for i in range(5):
         up, down = alpha.copy(), alpha.copy()
         up[0, i] += step
         down[0, i] -= step
-        fd = (obj.asp_loss(up, Q, q, cfg)[0] - obj.asp_loss(down, Q, q, cfg)[0]) / (2 * step)
+        fd = (obj.asp_loss(up, Q, cfg)[0] - obj.asp_loss(down, Q, cfg)[0]) / (2 * step)
         assert d_alpha[0, i] == pytest.approx(fd, abs=1e-5)
 
 
@@ -287,19 +281,18 @@ def make_batch(state, B=2, n=5, seed=0):
     Q[:, 0] = 1.0
     for b in range(B):
         Q[b, rng.choice(np.arange(1, n), size=2, replace=False)] = 1.0
-    q = Q / Q.sum(axis=1, keepdims=True)
     gold = rng.integers(0, len(state.relations), size=B)
-    return ids, Q, q, gold
+    return ids, Q, gold
 
 
 def test_batch_losses_mode_gating():
     state = tiny_state()
-    ids, Q, q, gold = make_batch(state)
+    ids, Q, gold = make_batch(state)
     cfg = obj.AspConfig()
-    base = obj.batch_losses(state, ids, Q, q, gold, "baseline", cfg)
-    asp = obj.batch_losses(state, ids, Q, q, gold, "asp", cfg)
-    saib = obj.batch_losses(state, ids, Q, q, gold, "saib", cfg)
-    both = obj.batch_losses(state, ids, Q, q, gold, "asp_saib", cfg)
+    base = obj.batch_losses(state, ids, Q, gold, "baseline", cfg)
+    asp = obj.batch_losses(state, ids, Q, gold, "asp", cfg)
+    saib = obj.batch_losses(state, ids, Q, gold, "saib", cfg)
+    both = obj.batch_losses(state, ids, Q, gold, "asp_saib", cfg)
     assert base.breakdown.l_asp == 0.0 and base.breakdown.l_ib == 0.0
     assert base.breakdown.total == base.breakdown.l_re
     assert asp.breakdown.l_asp > 0.0 and asp.breakdown.l_ib == 0.0
@@ -313,8 +306,8 @@ def test_batch_losses_mode_gating():
 
 def test_batch_losses_value_only_skips_grads():
     state = tiny_state()
-    ids, Q, q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, q, gold, "asp_saib", obj.AspConfig(),
+    ids, Q, gold = make_batch(state)
+    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig(),
                            value_only=True)
     assert out.grads == {}
     assert np.isfinite(out.breakdown.total)
@@ -322,8 +315,8 @@ def test_batch_losses_value_only_skips_grads():
 
 def test_batch_losses_alpha_shapes():
     state = tiny_state()
-    ids, Q, q, gold = make_batch(state, B=3, n=6)
-    out = obj.batch_losses(state, ids, Q, q, gold, "asp_saib", obj.AspConfig())
+    ids, Q, gold = make_batch(state, B=3, n=6)
+    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
     assert out.probs.shape == (3, len(state.relations))
     assert np.allclose(out.probs.sum(axis=1), 1.0)
     assert out.alpha_ib.shape == (3, 6)

@@ -31,8 +31,8 @@ def test_config_validation():
 def test_sgd_lr_zero_is_identity():
     state = tiny_state()
     before = {k: v.copy() for k, v in state.params.items()}
-    ids, Q, q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, q, gold, "asp_saib", obj.AspConfig())
+    ids, Q, gold = make_batch(state)
+    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
     trainer.SgdOptimizer(lr=0.0).step(state.params, out.grads)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
@@ -41,8 +41,8 @@ def test_sgd_lr_zero_is_identity():
 def test_adam_lr_zero_is_identity():
     state = tiny_state()
     before = {k: v.copy() for k, v in state.params.items()}
-    ids, Q, q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, q, gold, "asp_saib", obj.AspConfig())
+    ids, Q, gold = make_batch(state)
+    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
     trainer.AdamOptimizer(lr=0.0).step(state.params, out.grads)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
@@ -77,14 +77,13 @@ def test_train_rejects_prepared_split_of_another_variant(small_splits, small_man
     prepared, _ = pipeline.annotate(small_splits["train"], lexicon, "SPL")
     cfg = trainer.TrainConfig(epochs=1, isl_variant="ISL", **SMALL)
     with pytest.raises(ValueError, match="not annotated with ISL"):
-        trainer.train(cfg, small_splits, small_manifest.relations, lexicon=lexicon,
-                      prepared=prepared)
+        trainer.train(cfg, prepared, small_manifest.relations)
 
 
 def test_adam_and_sgd_agree_on_first_step_sign():
     state_a, state_b = tiny_state(seed=2), tiny_state(seed=2)
-    ids, Q, q, gold = make_batch(state_a)
-    grads = obj.batch_losses(state_a, ids, Q, q, gold, "asp_saib", obj.AspConfig()).grads
+    ids, Q, gold = make_batch(state_a)
+    grads = obj.batch_losses(state_a, ids, Q, gold, "asp_saib", obj.AspConfig()).grads
     before = {k: v.copy() for k, v in state_a.params.items()}
     trainer.SgdOptimizer(lr=1e-3).step(state_a.params, grads)
     trainer.AdamOptimizer(lr=1e-3).step(state_b.params, grads)
@@ -96,10 +95,17 @@ def test_adam_and_sgd_agree_on_first_step_sign():
 
 
 def test_make_batches_same_length_and_seeded():
-    encoded = [(np.zeros(5 + (i % 3)), None, None, 0) for i in range(20)]
-    batches_a = trainer.make_batches(encoded, 4, random.Random("s"))
-    batches_b = trainer.make_batches(encoded, 4, random.Random("s"))
+    encoded = [(np.zeros(5 + (i % 3)), None, 0) for i in range(20)]
+
+    def shuffled(seed):
+        order = list(range(20))
+        random.Random(seed).shuffle(order)
+        return order
+
+    batches_a = trainer.make_batches(encoded, 4, shuffled("s"))
+    batches_b = trainer.make_batches(encoded, 4, shuffled("s"))
     assert batches_a == batches_b
+    assert batches_a != trainer.make_batches(encoded, 4, shuffled("t"))
     covered = sorted(i for b in batches_a for i in b)
     assert covered == list(range(20))
     for batch in batches_a:
@@ -108,12 +114,26 @@ def test_make_batches_same_length_and_seeded():
         assert len(batch) <= 4
 
 
-def test_train_runs_and_is_deterministic(tmp_path, small_splits, small_manifest, lexicon):
+def test_make_batches_in_index_order_chunks_each_length():
+    """Eval batching: for each length, consecutive index-order chunks of
+    batch_size, so every instance meets the same batch mates as when its
+    length's instances are chunked on their own."""
+    rng = random.Random(0)
+    lengths = [rng.choice((5, 6, 9)) for _ in range(41)]
+    encoded = [(np.zeros(n), None, 0) for n in lengths]
+    batches = trainer.make_batches(encoded, 4, range(len(encoded)))
+    for n in set(lengths):
+        idxs = [i for i, m in enumerate(lengths) if m == n]
+        expected = [idxs[lo:lo + 4] for lo in range(0, len(idxs), 4)]
+        assert [b for b in batches if lengths[b[0]] == n] == expected
+
+
+def test_train_runs_and_is_deterministic(tmp_path, small_train, small_manifest):
     cfg = trainer.TrainConfig(epochs=2, seed=3, mode="asp_saib", **SMALL)
     outs = []
     for tag in ("a", "b"):
         record = trainer.train(
-            cfg, small_splits, small_manifest.relations, lexicon=lexicon,
+            cfg, small_train, small_manifest.relations,
             checkpoint_path=tmp_path / f"{tag}.ckpt",
             metrics_path=tmp_path / f"{tag}.csv",
         )
@@ -125,14 +145,13 @@ def test_train_runs_and_is_deterministic(tmp_path, small_splits, small_manifest,
     assert header == "step,l_re,l_asp,l_ib,total"
 
 
-def test_train_loss_decreases(small_splits, small_manifest, lexicon):
+def test_train_loss_decreases(small_train, small_manifest):
     cfg = trainer.TrainConfig(epochs=4, seed=0, mode="baseline", **SMALL)
-    record = trainer.train(cfg, small_splits, small_manifest.relations, lexicon=lexicon)
+    record = trainer.train(cfg, small_train, small_manifest.relations)
     assert record.epoch_losses[-1]["l_re"] < record.epoch_losses[0]["l_re"]
 
 
-def test_first_metrics_row_matches_offline_recomputation(small_splits, small_manifest,
-                                                         lexicon):
+def test_first_metrics_row_matches_offline_recomputation(small_train, small_manifest):
     """Loss at step 0 equals objectives.batch_losses on the initial state."""
     cfg = trainer.TrainConfig(epochs=1, seed=9, mode="asp_saib", **SMALL)
     captured = {}
@@ -141,25 +160,24 @@ def test_first_metrics_row_matches_offline_recomputation(small_splits, small_man
         if epoch == -1:
             captured["state"] = state.copy()
 
-    record = trainer.train(cfg, small_splits, small_manifest.relations,
-                           lexicon=lexicon, epoch_hook=hook)
-    prepared, _ = pipeline.annotate(small_splits["train"], lexicon, cfg.isl_variant)
+    record = trainer.train(cfg, small_train, small_manifest.relations, epoch_hook=hook)
     state = captured["state"]
-    encoded = trainer.encode_prepared(state, prepared)
-    rng = random.Random(f"{cfg.seed}:0")
-    first = trainer.make_batches(encoded, cfg.batch_size, rng)[0]
-    ids, Q, q, gold = trainer._collate(encoded, first)
-    out = obj.batch_losses(state, ids, Q, q, gold, cfg.mode,
+    encoded = trainer.encode_prepared(state, small_train)
+    order = list(range(len(encoded)))
+    random.Random(f"{cfg.seed}:0").shuffle(order)
+    first = trainer.make_batches(encoded, cfg.batch_size, order)[0]
+    ids, Q, gold = trainer._collate(encoded, first)
+    out = obj.batch_losses(state, ids, Q, gold, cfg.mode,
                            obj.AspConfig(cfg.lambda_asp, cfg.asp_epsilon))
     expected = f"0,{out.breakdown.l_re:.6f},{out.breakdown.l_asp:.6f}," \
                f"{out.breakdown.l_ib:.6f},{out.breakdown.total:.6f}"
     assert record.metrics_rows[1] == expected
 
 
-def test_alternate_tasks_produces_asp_only_steps(small_splits, small_manifest, lexicon):
+def test_alternate_tasks_produces_asp_only_steps(small_train, small_manifest):
     cfg = trainer.TrainConfig(epochs=1, seed=1, mode="asp_saib",
                               alternate_tasks=True, **SMALL)
-    record = trainer.train(cfg, small_splits, small_manifest.relations, lexicon=lexicon)
+    record = trainer.train(cfg, small_train, small_manifest.relations)
     rows = [r.split(",") for r in record.metrics_rows[1:]]
     odd = [r for r in rows if int(r[0]) % 2 == 1]
     even = [r for r in rows if int(r[0]) % 2 == 0]
@@ -172,23 +190,22 @@ def test_alternate_tasks_produces_asp_only_steps(small_splits, small_manifest, l
 # Gradient verification harness
 
 
-def test_gradcheck_passes_on_synthetic_instances(small_splits, small_manifest, lexicon):
+def test_gradcheck_passes_on_synthetic_instances(small_train, small_manifest):
     cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
-    report = trainer.gradcheck(cfg, small_splits["train"][:2], small_manifest.relations,
-                               lexicon=lexicon, max_coords_per_block=6)
+    report = trainer.gradcheck(cfg, small_train[:2], small_manifest.relations,
+                               max_coords_per_block=6)
     assert report.passed, report.failures()
     assert report.max_rel_err < trainer.GRADCHECK_TOLERANCE
     terms = {e.term for e in report.entries}
     assert terms == {"l_re", "l_asp", "l_ib", "total"}
 
 
-def test_gradcheck_negative_control_catches_corruption(small_splits, small_manifest,
-                                                       lexicon):
+def test_gradcheck_negative_control_catches_corruption(small_train, small_manifest):
     """A deliberately corrupted gradient block must be flagged."""
     cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
-    prepared, _ = pipeline.annotate(small_splits["train"][:1], lexicon, "ISL")
+    prepared = small_train[:1]
     state = trainer.init_from_config(cfg, prepared, small_manifest.relations)
-    ids, Q, q, gold = trainer.encode_prepared(state, prepared)[0]
+    ids, Q, gold = trainer.encode_prepared(state, prepared)[0]
 
     def corrupt(term, grads):
         if term == "l_re":
@@ -197,7 +214,7 @@ def test_gradcheck_negative_control_catches_corruption(small_splits, small_manif
         return grads
 
     report = trainer.gradcheck_batch(
-        state, ids[None, :], Q[None, :], q[None, :], np.array([gold]),
+        state, ids[None, :], Q[None, :], np.array([gold]),
         max_coords_per_block=4, analytic_override=corrupt,
     )
     failing = {(e.term, e.block) for e in report.failures()}
@@ -205,20 +222,20 @@ def test_gradcheck_negative_control_catches_corruption(small_splits, small_manif
     assert not report.passed
 
 
-def test_divergence_raises_with_step(small_splits, small_manifest, lexicon):
+def test_divergence_raises_with_step(small_train, small_manifest):
     cfg = trainer.TrainConfig(epochs=1, seed=0, mode="baseline", lr=1e9, **SMALL)
     with pytest.raises(trainer.TrainDivergenceError) as err:
-        trainer.train(cfg, small_splits, small_manifest.relations, lexicon=lexicon)
+        trainer.train(cfg, small_train, small_manifest.relations)
     assert err.value.step > 0
 
 
-def test_gradcheck_skips_relu_kink_crossings(small_splits, small_manifest, lexicon):
+def test_gradcheck_skips_relu_kink_crossings(small_train, small_manifest):
     """Coordinates whose FD probes straddle a feed-forward kink are counted,
     not reported as gradient errors; genuinely corrupted gradients still fail
     (see the negative control above)."""
     cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
-    report = trainer.gradcheck(cfg, small_splits["train"][:4], small_manifest.relations,
-                               lexicon=lexicon, max_coords_per_block=6)
+    report = trainer.gradcheck(cfg, small_train[:4], small_manifest.relations,
+                               max_coords_per_block=6)
     assert report.passed
     assert all(e.kinks_skipped >= 0 for e in report.entries)
     assert all(e.coords_checked > 0 for e in report.entries)
