@@ -207,6 +207,9 @@ def _span(rec, key):
 
 
 def instance_from_dict(rec):
+    for key in ("tokens", "heads", "deprels"):
+        if not isinstance(rec[key], list):
+            raise ParseError(f"{key} must be a list, got {type(rec[key]).__name__}")
     for key in ("heads", "deprels"):
         if len(rec[key]) != len(rec["tokens"]):
             raise ParseError(f"{key} has {len(rec[key])} entries for "

@@ -13,6 +13,7 @@ All shapes are batched: ids (B, n), features (B, n, d), attention
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -49,24 +50,87 @@ class EncoderConfig:
 
 @dataclass
 class ModelState:
+    """A model: its config, vocabulary, labels, parameters and gradients.
+
+    ``params`` maps each name to a view into ``flat``, one contiguous
+    float64 buffer laid out in ``sorted(names)`` order, the order of the
+    checkpoint body.  ``grads`` holds views of the same shapes into
+    ``grad_flat``, a second buffer with that layout which ``backward``
+    writes into; they are listed in the order backward fills them, which is
+    the order gradcheck reports.  ``workspace`` keeps a training step's
+    buffers between steps: the forward cache, the backward temporaries and
+    ``_weight_grad``'s products, each grown to the largest batch seen
+    (``trainer.train`` empties it when it returns).  The constructor copies
+    the given arrays into a fresh buffer, so a state never shares memory
+    with another.
+    """
+
     config: EncoderConfig
     seed: int
     vocab: list[str]  # id -> surface; includes specials
     params: dict[str, np.ndarray]
     relations: list[str] = field(default_factory=list)  # ordered label set
     token_to_id: dict[str, int] = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
+    grad_flat: np.ndarray = field(init=False, repr=False)
+    grads: dict[str, np.ndarray] = field(init=False, repr=False)
+    workspace: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.token_to_id = {s: i for i, s in enumerate(self.vocab)}
+        shapes = {k: np.shape(self.params[k]) for k in sorted(self.params)}
+        self.flat, views = _buffer(shapes)
+        for k, view in views.items():
+            view[...] = self.params[k]
+        self.params = views
+        self.grad_flat, grads = _buffer(shapes)
+        self.grads = {k: grads[k] for k in _grad_order(self.config)}
+        self.workspace = {}
 
     def copy(self):
         return ModelState(
             config=self.config,
             seed=self.seed,
             vocab=list(self.vocab),
-            params={k: v.copy() for k, v in self.params.items()},
+            params=self.params,
             relations=list(self.relations),
         )
+
+
+def _buffer(shapes):
+    """One zeroed float64 buffer and a view into it per name, in order."""
+    flat = np.zeros(sum(math.prod(s) for s in shapes.values()))
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return flat, views
+
+
+def _slot(workspace, key, shape):
+    """A float64 array of ``shape`` to write into: a view of the buffer
+    ``workspace`` keeps under ``key``, grown to the largest size asked for,
+    or a fresh array when there is no workspace."""
+    if workspace is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = workspace.get(key)
+    if buf is None or buf.size < size:
+        buf = workspace[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+# the order backward produces gradients in, per layer from the last one down
+_LAYER_GRADS = ("ln2_g", "ln2_b", "W2", "b2", "W1", "b1", "ln1_g", "ln1_b",
+                "Wo", "bo", "Wq", "bq", "Wk", "bk", "Wv", "bv")
+_HEAD_GRADS = ("emb", "saib.W", "saib.b", "clf.W", "clf.b")
+
+
+def _grad_order(config):
+    """Every parameter name of a model with this config, in backward's order."""
+    return [f"L{ell}.{name}" for ell in reversed(range(config.layers))
+            for name in _LAYER_GRADS] + list(_HEAD_GRADS)
 
 
 def build_vocab(instances):
@@ -125,31 +189,47 @@ def positional_encoding(n, d):
     return enc
 
 
-def _layernorm(u, g, b):
-    mu = u.mean(axis=-1, keepdims=True)
-    var = ((u - mu) ** 2).mean(axis=-1, keepdims=True)
+def _layernorm(u, g, b, out=None):
+    """g * xhat + b over the last axis, with its (xhat, inv_std) cache.
+    With ``out``, the result goes there and u is overwritten by xhat."""
+    # add.reduce over the last axis divided by its length is what mean
+    # computes, bit for bit, without mean's Python-level wrapper
+    d = u.shape[-1]
+    mu = np.add.reduce(u, axis=-1, keepdims=True) / d
+    xc = u - mu if out is None else np.subtract(u, mu, out=u)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (u - mu) * inv_std
-    return g * xhat + b, (xhat, inv_std)
+    xhat = np.multiply(xc, inv_std, out=xc)
+    y = np.multiply(g, xhat, out=out)
+    y += b
+    return y, (xhat, inv_std)
 
 
-def _layernorm_backward(dy, cache, g):
+def _layernorm_backward(dy, cache, g, dg, db, out, workspace):
+    """Input gradient into out; the gain and bias gradients into dg, db."""
     xhat, inv_std = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    du = (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    ) * inv_std
-    return du, dg, db
+    d = dy.shape[-1]
+    axes = tuple(range(dy.ndim - 1))
+    t = np.multiply(dy, xhat, out=_slot(workspace, "ln.t", dy.shape))
+    np.add.reduce(t, axis=axes, out=dg)
+    np.add.reduce(dy, axis=axes, out=db)
+    dxhat = np.multiply(dy, g, out=_slot(workspace, "ln.dxhat", dy.shape))
+    np.multiply(dxhat, xhat, out=t)
+    m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
+    du = np.subtract(dxhat, np.add.reduce(dxhat, axis=-1, keepdims=True) / d, out=out)
+    np.multiply(xhat, m2, out=t)
+    du -= t
+    du *= inv_std
+    return du
 
 
-def softmax(x):
-    """Softmax over the last axis, shifted by the row maximum for stability."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(x, out=None):
+    """Softmax over the last axis, shifted by the row maximum for stability;
+    ``out`` may be x itself."""
+    e = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _split_heads(x, H):
@@ -157,9 +237,11 @@ def _split_heads(x, H):
     return x.reshape(B, n, H, d // H).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def _merge_heads(x, out):
+    """(B, H, n, dk) -> (B, n, H*dk), copied into out of shape (B, n, H, dk)."""
     B, H, n, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, n, H * dk)
+    np.copyto(out, x.transpose(0, 2, 1, 3))
+    return out.reshape(B, n, H * dk)
 
 
 @dataclass
@@ -169,7 +251,14 @@ class ForwardResult:
     cache: dict
 
 
-def forward(state: ModelState, ids) -> ForwardResult:
+def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
+    """The encoder over a same-length batch of token ids (B, n).
+
+    With a ``workspace`` (training passes ``state.workspace``), the cache
+    and the large temporaries are written into buffers kept there across
+    steps, so the result is valid only until the next forward with that
+    workspace.  Without one, every array is fresh.
+    """
     cfg = state.config
     p = state.params
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
@@ -179,25 +268,37 @@ def forward(state: ModelState, ids) -> ForwardResult:
     bad = ids[(ids < 0) | (ids >= len(state.vocab))]
     if bad.size:
         raise ValueError(f"unknown token id {int(bad.flat[0])}")
-    x = p["emb"][ids] + positional_encoding(n, cfg.d_model)
+    d, H, ff = cfg.d_model, cfg.heads, cfg.d_ff
+    # ids are checked above; mode="clip" lets take write straight into out
+    x = np.take(p["emb"], ids, axis=0, out=_slot(workspace, ("x", 0), (B, n, d)), mode="clip")
+    x += positional_encoding(n, d)
     cache = {"ids": ids, "layers": []}
     attention = []
     scale = 1.0 / np.sqrt(cfg.d_head)
     for ell in range(cfg.layers):
         pre = f"L{ell}."
-        Qf = x @ p[pre + "Wq"] + p[pre + "bq"]
-        Kf = x @ p[pre + "Wk"] + p[pre + "bk"]
-        Vf = x @ p[pre + "Wv"] + p[pre + "bv"]
-        q, k, v = (_split_heads(t, cfg.heads) for t in (Qf, Kf, Vf))
-        S = (q @ k.transpose(0, 1, 3, 2)) * scale
-        A = softmax(S)
-        ctx = _merge_heads(A @ v)
-        ao = ctx @ p[pre + "Wo"] + p[pre + "bo"]
-        x1, ln1_cache = _layernorm(x + ao, p[pre + "ln1_g"], p[pre + "ln1_b"])
-        f1 = x1 @ p[pre + "W1"] + p[pre + "b1"]
-        h = np.maximum(f1, 0.0)
-        f2 = h @ p[pre + "W2"] + p[pre + "b2"]
-        x2, ln2_cache = _layernorm(x1 + f2, p[pre + "ln2_g"], p[pre + "ln2_b"])
+
+        def slot(name, *shape):
+            return _slot(workspace, (name, ell), shape)
+
+        q, k, v = (
+            _split_heads(_affine(x, p[pre + w], p[pre + w.replace("W", "b")],
+                                 slot(w, B, n, d)), H)
+            for w in ("Wq", "Wk", "Wv")
+        )
+        S = np.matmul(q, k.transpose(0, 1, 3, 2), out=slot("A", B, H, n, n))
+        S *= scale
+        A = softmax(S, out=S)
+        ctx = _merge_heads(np.matmul(A, v, out=slot("Av", B, H, n, d // H)),
+                           slot("ctx", B, n, H, d // H))
+        ao = _affine(ctx, p[pre + "Wo"], p[pre + "bo"], slot("u1", B, n, d))
+        x1, ln1_cache = _layernorm(np.add(x, ao, out=ao), p[pre + "ln1_g"], p[pre + "ln1_b"],
+                                   slot("x1", B, n, d))
+        f1 = _affine(x1, p[pre + "W1"], p[pre + "b1"], slot("f1", B, n, ff))
+        h = np.maximum(f1, 0.0, out=slot("h", B, n, ff))
+        f2 = _affine(h, p[pre + "W2"], p[pre + "b2"], slot("u2", B, n, d))
+        x2, ln2_cache = _layernorm(np.add(x1, f2, out=f2), p[pre + "ln2_g"], p[pre + "ln2_b"],
+                                   _slot(workspace, ("x", ell + 1), (B, n, d)))
         attention.append(A)
         cache["layers"].append(
             dict(x=x, q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, x1=x1, f1=f1, h=h, ln2=ln2_cache)
@@ -206,74 +307,96 @@ def forward(state: ModelState, ids) -> ForwardResult:
     return ForwardResult(features=x, attention=attention, cache=cache)
 
 
-def _weight_grad(a, b):
-    """Sum over the batch of a[i].T @ b[i]: (B, n, d), (B, n, e) -> (d, e).
+def _affine(x, W, b, out):
+    """x @ W + b, written into out."""
+    y = np.matmul(x, W, out=out)
+    y += b
+    return y
 
-    A per-sample batched matmul, summed afterwards.  The single reshaped
-    GEMM ``a.reshape(-1, d).T @ b.reshape(-1, e)`` gives different bits at
+
+def _weight_grad(a, b, out, workspace):
+    """Write the sum over the batch of a[i].T @ b[i] into out:
+    (B, n, d), (B, n, e) -> (d, e).
+
+    A per-sample batched matmul into a (B, d, e) slot of ``workspace``,
+    summed over the batch afterwards.  The single reshaped GEMM
+    ``a.reshape(-1, d).T @ b.reshape(-1, e)`` gives different bits at
     different BLAS thread counts for some B*n, which would break the
     determinism contract (see README, Determinism).
     """
-    return np.matmul(a.transpose(0, 2, 1), b).sum(axis=0)
+    B, d, e = a.shape[0], a.shape[2], b.shape[2]
+    products = np.matmul(a.transpose(0, 2, 1), b,
+                         out=_slot(workspace, ("products", d, e), (B, d, e)))
+    return np.add.reduce(products, axis=0, out=out)
 
 
 def backward(state: ModelState, result: ForwardResult, d_features, d_attention=None):
-    """Exact gradients for every parameter.
+    """Exact gradients for every parameter, written into ``state.grads``.
 
     d_features: (B, n, d) upstream gradient on the final token features
     (gradients on the sentiment feature must already be added to row 0).
     d_attention: optional per-layer (B, H, n, n) gradients injected into the
     post-softmax attention matrices.
-    Returns one fresh array per parameter; the pooling-head and classifier
-    entries are zeros for the caller to accumulate into.
+    Returns ``state.grads``, views into ``state.grad_flat`` that stay valid
+    until the next backward on this state.  Every block is overwritten; the
+    pooling-head and classifier entries are zeroed for the caller to
+    accumulate into.
     """
     cfg = state.config
-    p = state.params
-    grads = {}
+    p, g, ws = state.params, state.grads, state.workspace
+    B, n, d = result.features.shape
+    H, hd, ff = cfg.heads, cfg.d_head, cfg.d_ff
+
+    def slot(name, *shape):
+        return _slot(ws, name, shape)
+
     dx = np.asarray(d_features, dtype=np.float64)
     scale = 1.0 / np.sqrt(cfg.d_head)
     for ell in reversed(range(cfg.layers)):
         pre = f"L{ell}."
         c = result.cache["layers"][ell]
-        du2, grads[pre + "ln2_g"], grads[pre + "ln2_b"] = _layernorm_backward(
-            dx, c["ln2"], p[pre + "ln2_g"]
-        )
+        du2 = _layernorm_backward(dx, c["ln2"], p[pre + "ln2_g"], g[pre + "ln2_g"],
+                                  g[pre + "ln2_b"], slot("du2", B, n, d), ws)
         df2 = du2
-        grads[pre + "W2"] = _weight_grad(c["h"], df2)
-        grads[pre + "b2"] = df2.sum(axis=(0, 1))
-        dh = df2 @ p[pre + "W2"].T
-        df1 = dh * (c["f1"] > 0)
-        grads[pre + "W1"] = _weight_grad(c["x1"], df1)
-        grads[pre + "b1"] = df1.sum(axis=(0, 1))
-        dx1 = du2 + df1 @ p[pre + "W1"].T
-        du, grads[pre + "ln1_g"], grads[pre + "ln1_b"] = _layernorm_backward(
-            dx1, c["ln1"], p[pre + "ln1_g"]
-        )
+        _weight_grad(c["h"], df2, g[pre + "W2"], ws)
+        np.add.reduce(df2, axis=(0, 1), out=g[pre + "b2"])
+        dh = np.matmul(df2, p[pre + "W2"].T, out=slot("dh", B, n, ff))
+        df1 = np.multiply(dh, c["f1"] > 0, out=dh)
+        _weight_grad(c["x1"], df1, g[pre + "W1"], ws)
+        np.add.reduce(df1, axis=(0, 1), out=g[pre + "b1"])
+        dx1 = np.matmul(df1, p[pre + "W1"].T, out=slot("dx1", B, n, d))
+        np.add(du2, dx1, out=dx1)
+        du = _layernorm_backward(dx1, c["ln1"], p[pre + "ln1_g"], g[pre + "ln1_g"],
+                                 g[pre + "ln1_b"], slot("du1", B, n, d), ws)
         dao = du
-        grads[pre + "Wo"] = _weight_grad(c["ctx"], dao)
-        grads[pre + "bo"] = dao.sum(axis=(0, 1))
-        dctx = _split_heads(dao @ p[pre + "Wo"].T, cfg.heads)
-        dA = dctx @ c["v"].transpose(0, 1, 3, 2)
-        dv = c["A"].transpose(0, 1, 3, 2) @ dctx
+        _weight_grad(c["ctx"], dao, g[pre + "Wo"], ws)
+        np.add.reduce(dao, axis=(0, 1), out=g[pre + "bo"])
+        dctx = _split_heads(np.matmul(dao, p[pre + "Wo"].T, out=slot("dctx", B, n, d)), H)
+        dA = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2), out=slot("dA", B, H, n, n))
+        dv = np.matmul(c["A"].transpose(0, 1, 3, 2), dctx, out=slot("dv", B, H, n, hd))
         if d_attention is not None and d_attention[ell] is not None:
-            dA = dA + d_attention[ell]
+            dA += d_attention[ell]
         A = c["A"]
-        dS = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
-        dq = (dS @ c["k"]) * scale
-        dk = (dS.transpose(0, 1, 3, 2) @ c["q"]) * scale
-        dQf, dKf, dVf = (_merge_heads(t) for t in (dq, dk, dv))
+        rows = np.add.reduce(np.multiply(dA, A, out=slot("dAA", B, H, n, n)), axis=-1,
+                             keepdims=True)
+        dS = np.multiply(A, np.subtract(dA, rows, out=dA), out=dA)
+        dq = np.matmul(dS, c["k"], out=slot("dq", B, H, n, hd))
+        dq *= scale
+        dk = np.matmul(dS.transpose(0, 1, 3, 2), c["q"], out=slot("dk", B, H, n, hd))
+        dk *= scale
+        dQf, dKf, dVf = (_merge_heads(t, slot(name, B, n, H, hd))
+                         for t, name in ((dq, "dQf"), (dk, "dKf"), (dv, "dVf")))
         x_in = c["x"]
         dx = du  # dao's last use is above, so accumulate into it in place
         for name, dmat in (("Wq", dQf), ("Wk", dKf), ("Wv", dVf)):
-            grads[pre + name] = _weight_grad(x_in, dmat)
-            grads[pre + name.replace("W", "b")] = dmat.sum(axis=(0, 1))
-            dx += dmat @ p[pre + name].T
-    ids = result.cache["ids"]
-    grads["emb"] = np.zeros_like(p["emb"])
-    np.add.at(grads["emb"], ids.reshape(-1), dx.reshape(-1, cfg.d_model))
+            _weight_grad(x_in, dmat, g[pre + name], ws)
+            np.add.reduce(dmat, axis=(0, 1), out=g[pre + name.replace("W", "b")])
+            dx += np.matmul(dmat, p[pre + name].T, out=slot("dxp", B, n, d))
+    g["emb"].fill(0.0)
+    np.add.at(g["emb"], result.cache["ids"].reshape(-1), dx.reshape(-1, cfg.d_model))
     for name in ("saib.W", "saib.b", "clf.W", "clf.b"):
-        grads[name] = np.zeros_like(p[name])
-    return grads
+        g[name].fill(0.0)
+    return g
 
 
 def average_attention(attention, last_k, axis="received"):
@@ -319,15 +442,16 @@ _MAGIC = b"SSDPCKPT1\n"
 
 
 def save_checkpoint(state: ModelState, path):
-    names = sorted(state.params)
+    """The header, then the body: ``state.flat``, which holds the arrays in
+    the header's sorted-name order."""
     header = {
         "config": asdict(state.config),
         "seed": state.seed,
         "vocab": state.vocab,
         "relations": state.relations,
         "arrays": [
-            {"name": k, "shape": list(state.params[k].shape), "dtype": str(state.params[k].dtype)}
-            for k in names
+            {"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
+            for k, v in state.params.items()
         ],
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
@@ -335,12 +459,12 @@ def save_checkpoint(state: ModelState, path):
         fh.write(_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for k in names:
-            fh.write(np.ascontiguousarray(state.params[k]).tobytes())
+        fh.write(state.flat.tobytes())
 
 
 def load_checkpoint(path) -> ModelState:
-    """Read a checkpoint; a truncated file or trailing bytes raise ValueError."""
+    """Read a checkpoint; a truncated file, trailing bytes or a header that
+    does not match its config raise ValueError naming the path."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -349,19 +473,29 @@ def load_checkpoint(path) -> ModelState:
         blob = fh.read(size)
         if len(blob) != size:
             raise ValueError(f"{path}: truncated checkpoint header")
-        header = json.loads(blob.decode("utf-8"))
-        params = {}
-        for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            nbytes = int(np.prod(spec["shape"])) * dtype.itemsize
-            data = fh.read(nbytes)
-            if len(data) != nbytes:
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from exc
+        config = EncoderConfig(**header["config"])
+        specs = header["arrays"]
+        if [s["name"] for s in specs] != sorted(_grad_order(config)) or any(
+            s["dtype"] != "float64" for s in specs
+        ):
+            raise ValueError(f"{path}: checkpoint arrays do not match its config")
+        body = fh.read(8 * sum(math.prod(s["shape"]) for s in specs))
+        params, end = {}, 0
+        for spec in specs:
+            count = math.prod(spec["shape"])
+            start, end = end, end + 8 * count
+            if len(body) < end:
                 raise ValueError(f"{path}: truncated checkpoint at array {spec['name']}")
-            params[spec["name"]] = np.frombuffer(data, dtype=dtype).reshape(spec["shape"]).copy()
+            params[spec["name"]] = np.frombuffer(
+                body, np.float64, count, start).reshape(spec["shape"])
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last checkpoint array")
     return ModelState(
-        config=EncoderConfig(**header["config"]),
+        config=config,
         seed=header["seed"],
         vocab=header["vocab"],
         params=params,

@@ -224,7 +224,7 @@ def batch_losses(state, ids, Q, gold, mode, asp_cfg: AspConfig, terms=None,
     terms = mode_terms(mode) if terms is None else tuple(terms)
     cfg = state.config
     p = state.params
-    fwd = enc.forward(state, ids)
+    fwd = enc.forward(state, ids, state.workspace)
     n = fwd.features.shape[1]
 
     alpha_ib, pooled, probs = relation_head(p, fwd.features)

@@ -104,42 +104,44 @@ class SgdOptimizer:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, params, grads):
-        for name, g in grads.items():
-            params[name] -= self.lr * g
+    def step(self, flat, grad_flat):
+        """``flat -= lr * grad_flat`` on the whole parameter vector."""
+        flat -= self.lr * grad_flat
 
 
 class AdamOptimizer:
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = self.v = None
 
-    def step(self, params, grads):
-        """In place, with two scratch arrays per parameter, bit for bit
-        ``m += (1-b1)(g-m); v += (1-b2)(g*g-v);
-        p -= lr * (m/c1) / (sqrt(v/c2) + eps)``."""
+    def step(self, flat, grad_flat):
+        """One update of the whole parameter vector ``flat`` (a state's
+        ``flat``) from its gradient vector ``grad_flat``, in place, bit for
+        bit ``m += (1-b1)(g-m); v += (1-b2)(g*g-v);
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps)``.  m, v and two scratch
+        vectors are allocated on the first step and reused after it."""
+        if self.m is None:
+            self.m, self.v, self._tmp, self._update = (
+                np.zeros_like(grad_flat) for _ in range(4))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for name, g in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(g))
-            v = self.v.setdefault(name, np.zeros_like(g))
-            tmp = np.subtract(g, m)
-            tmp *= 1 - b1
-            m += tmp
-            np.multiply(g, g, out=tmp)
-            tmp -= v
-            tmp *= 1 - b2
-            v += tmp
-            update = np.divide(m, c1)
-            update *= self.lr
-            np.divide(v, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            update /= tmp
-            params[name] -= update
+        g, m, v, tmp, update = grad_flat, self.m, self.v, self._tmp, self._update
+        np.subtract(g, m, out=tmp)
+        tmp *= 1 - b1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp -= v
+        tmp *= 1 - b2
+        v += tmp
+        np.divide(m, c1, out=update)
+        update *= self.lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update /= tmp
+        flat -= update
 
 
 def make_optimizer(config: TrainConfig):
@@ -238,7 +240,7 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
                 )
             except objectives.NonFiniteLossError as exc:
                 raise TrainDivergenceError(step, exc.term) from exc
-            optimizer.step(state.params, result.grads)
+            optimizer.step(state.flat, state.grad_flat)
             b = result.breakdown
             rows.append(f"{step},{b.l_re:.6f},{b.l_asp:.6f},{b.l_ib:.6f},{b.total:.6f}")
             sums += (b.l_re, b.l_asp, b.l_ib, b.total)
@@ -257,6 +259,7 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
             fh.write("\n".join(rows) + "\n")
     if checkpoint_path is not None:
         enc.save_checkpoint(state, checkpoint_path)
+    state.workspace.clear()  # the step buffers; evaluation does not use them
     return RunRecord(
         epoch_losses=epoch_losses,
         metrics_rows=rows,

@@ -270,10 +270,12 @@ def test_criterion_7_directional_gain(capsys, five_seed_f1):
     elapsed = five_seed_f1["crit7_seconds"]
     wins = sum(a >= b for a, b in zip(full, base))
     gain = float(np.mean(full) - np.mean(base))
+    deltas = ", ".join(f"{a - b:+.4f}" for a, b in zip(full, base))
     ok = wins >= 4 and gain > 0 and elapsed < 600.0
     assert verdict(capsys, 7, ok, f"+ASP+SAIB ≥ baseline in {wins}/5 matched seeds "
                           f"(needs ≥ 4), mean gain {gain:+.4f} (needs > 0); "
                           f"baseline {np.mean(base):.4f}, full {np.mean(full):.4f}; "
+                          f"per-seed full − baseline: {deltas}; "
                           f"{elapsed:.0f}s (< 600s)")
 
 

@@ -223,6 +223,20 @@ def test_jsonl_record_with_a_short_list_exits_one(tmp_path, data_dir, capsys, ke
     assert f"{bad}:2: {key} has {n - 1} entries for {n} tokens" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("heads", 5), ("heads", None), ("tokens", 5),
+                                        ("heads", str)])
+def test_jsonl_record_with_a_non_list_exits_one(tmp_path, data_dir, capsys, key, value):
+    lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    # a string as long as the sentence passes the length check
+    rec[key] = "0" * len(rec["tokens"]) if value is str else value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n", encoding="utf-8")
+    assert run(["sdp", "dump", "--jsonl", str(bad)]) == 1
+    kind = type(rec[key]).__name__
+    assert f"{bad}:2: {key} must be a list, got {kind}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("heads", "2"), ("lr", [0.001])])
 def test_train_rejects_wrong_typed_config_value(tmp_path, data_dir, capsys, key, value):
     cfg = tmp_path / "config.json"

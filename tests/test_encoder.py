@@ -137,7 +137,8 @@ def test_weight_grad_matches_einsum(B, n, d, e):
     ref = np.einsum("bnd,bne->de", a, b)
     # relative to the block's scale: entries that cancel to near zero carry
     # a summation-order error of the terms' size, not of their own
-    assert np.abs(enc._weight_grad(a, b) - ref).max() <= 1e-12 * np.abs(ref).max()
+    got = enc._weight_grad(a, b, np.empty((d, e)), {})
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_weight_grad_is_byte_identical_across_thread_counts():
@@ -149,11 +150,12 @@ def test_weight_grad_is_byte_identical_across_thread_counts():
         "import numpy as np\n"
         "from ssdpsem.encoder import _weight_grad\n"
         "h = hashlib.sha256()\n"
+        "workspace = {}\n"
         "for B, n in [(11, 35), (11, 36)] + [(16, n) for n in range(25, 40)]:\n"
         "    rng = np.random.default_rng(B * 100 + n)\n"
         "    for d, e in ((64, 64), (64, 128), (128, 64), (16, 32)):\n"
         "        a, b = rng.normal(size=(B, n, d)), rng.normal(size=(B, n, e))\n"
-        "        h.update(_weight_grad(a, b).tobytes())\n"
+        "        h.update(_weight_grad(a, b, np.empty((d, e)), workspace).tobytes())\n"
         "print(h.hexdigest())\n"
     )
     env = {k: v for k, v in os.environ.items()
@@ -166,6 +168,54 @@ def test_weight_grad_is_byte_identical_across_thread_counts():
         for threads in ("1", "2")
     ]
     assert digests[0] == digests[1] != ""
+
+
+def test_weight_grad_reuses_its_scratch_prefix_bit_for_bit():
+    rng = np.random.default_rng(5)
+    workspace = {}
+    for B in (3, 7, 2, 7):  # grows, shrinks, grows back
+        a, b = rng.normal(size=(B, 9, 16)), rng.normal(size=(B, 9, 24))
+        fresh = np.matmul(a.transpose(0, 2, 1), b).sum(axis=0)
+        assert enc._weight_grad(a, b, np.empty((16, 24)), workspace).tobytes() == fresh.tobytes()
+    assert workspace["products", 16, 24].size == 7 * 16 * 24
+
+
+def test_workspace_buffers_give_the_bits_of_fresh_arrays():
+    state = tiny_state()
+    rng = np.random.default_rng(2)
+    for B, n in ((2, 5), (3, 7), (1, 4), (3, 7)):  # slots grow, shrink, grow back
+        ids = rng.integers(2, len(state.vocab), size=(B, n))
+        fresh = enc.forward(state, ids)
+        reused = enc.forward(state, ids, state.workspace)
+        assert reused.features.tobytes() == fresh.features.tobytes()
+        for a, b in zip(reused.attention, fresh.attention):
+            assert a.tobytes() == b.tobytes()
+        upstream = rng.normal(size=(B, n, state.config.d_model))
+        from_fresh = enc.backward(state, fresh, upstream)
+        expected = {k: g.copy() for k, g in from_fresh.items()}
+        from_reused = enc.backward(state, reused, upstream)
+        for name, g in from_reused.items():
+            assert g.tobytes() == expected[name].tobytes(), name
+
+
+def _assert_views_in_sorted_order(views, buffer):
+    offset = 0
+    for name in sorted(views):
+        view = views[name]
+        assert view.ctypes.data == buffer.ctypes.data + 8 * offset, name
+        offset += view.size
+    assert offset == buffer.size
+
+
+def test_params_and_grads_are_views_into_one_buffer_each():
+    state = tiny_state()
+    assert state.flat.dtype == np.float64 and state.flat.flags.c_contiguous
+    _assert_views_in_sorted_order(state.params, state.flat)
+    _assert_views_in_sorted_order(state.grads, state.grad_flat)
+    assert set(state.grads) == set(state.params)
+    out = enc.forward(state, np.array([[2, 3, 4, 5]]))
+    assert enc.backward(state, out, np.ones_like(out.features)) is state.grads
+    _assert_views_in_sorted_order(state.grads, state.grad_flat)
 
 
 def test_embedding_gradient_hits_only_used_rows():
@@ -187,6 +237,27 @@ def test_state_copy_is_deep():
     clone = state.copy()
     clone.params["emb"][0, 0] += 1.0
     assert state.params["emb"][0, 0] != clone.params["emb"][0, 0]
+
+
+def test_state_copy_owns_independent_buffers():
+    state = tiny_state()
+    clone = state.copy()
+    assert clone.flat.tobytes() == state.flat.tobytes()
+    for a, b in ((clone.flat, state.flat), (clone.grad_flat, state.grad_flat)):
+        assert not np.shares_memory(a, b)
+    _assert_views_in_sorted_order(clone.params, clone.flat)
+    assert clone.workspace is not state.workspace
+
+
+def test_checkpoint_body_is_the_flat_buffer(tmp_path):
+    state = tiny_state(seed=3)
+    path = tmp_path / "m.ckpt"
+    enc.save_checkpoint(state, path)
+    blob = path.read_bytes()
+    start = len(enc._MAGIC) + 8 + int.from_bytes(blob[len(enc._MAGIC):len(enc._MAGIC) + 8],
+                                                 "little")
+    assert blob[start:] == state.flat.tobytes()
+    assert enc.load_checkpoint(path).flat.tobytes() == state.flat.tobytes()
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

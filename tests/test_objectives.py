@@ -313,6 +313,18 @@ def test_batch_losses_value_only_skips_grads():
     assert np.isfinite(out.breakdown.total)
 
 
+def test_value_only_leaves_the_gradient_buffer_untouched():
+    """gradcheck reads the analytic gradients while its probes run."""
+    state = tiny_state()
+    ids, Q, gold = make_batch(state)
+    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
+    assert out.grads is state.grads
+    before = state.grad_flat.copy()
+    ids, Q, gold = make_batch(state, B=3, n=6)
+    obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig(), value_only=True)
+    assert state.grad_flat.tobytes() == before.tobytes()
+
+
 def test_batch_losses_alpha_shapes():
     state = tiny_state()
     ids, Q, gold = make_batch(state, B=3, n=6)

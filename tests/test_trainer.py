@@ -33,7 +33,7 @@ def test_sgd_lr_zero_is_identity():
     before = {k: v.copy() for k, v in state.params.items()}
     ids, Q, gold = make_batch(state)
     out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
-    trainer.SgdOptimizer(lr=0.0).step(state.params, out.grads)
+    trainer.SgdOptimizer(lr=0.0).step(state.flat, state.grad_flat)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
 
@@ -43,7 +43,7 @@ def test_adam_lr_zero_is_identity():
     before = {k: v.copy() for k, v in state.params.items()}
     ids, Q, gold = make_batch(state)
     out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
-    trainer.AdamOptimizer(lr=0.0).step(state.params, out.grads)
+    trainer.AdamOptimizer(lr=0.0).step(state.flat, state.grad_flat)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
 
@@ -51,7 +51,10 @@ def test_adam_lr_zero_is_identity():
 def test_adam_step_is_bit_identical_to_textbook_formula():
     rng = np.random.default_rng(3)
     shapes = {"w": (40, 16), "b": (16,), "emb": (30, 8)}
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])
+    slices = {k: slice(lo, hi) for k, lo, hi in zip(shapes, offsets, offsets[1:])}
+    flat = np.concatenate([rng.normal(size=s).ravel() for s in shapes.values()])
+    params = {k: flat[slices[k]].reshape(s) for k, s in shapes.items()}
     ref = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
@@ -59,9 +62,11 @@ def test_adam_step_is_bit_identical_to_textbook_formula():
     opt = trainer.AdamOptimizer(lr, b1, b2, eps)
     for t in range(1, 8):
         # many exact zeros, as in the embedding gradient
-        grads = {k: rng.normal(size=s) * (rng.random(s) < 0.4) for k, s in shapes.items()}
+        grad_flat = np.concatenate(
+            [(rng.normal(size=s) * (rng.random(s) < 0.4)).ravel() for s in shapes.values()])
+        grads = {k: grad_flat[slices[k]].reshape(s) for k, s in shapes.items()}
         saved = {k: g.copy() for k, g in grads.items()}
-        opt.step(params, grads)
+        opt.step(flat, grad_flat)
         for k, g in grads.items():
             assert np.array_equal(g, saved[k])  # gradients are not overwritten
             m[k] = m[k] + (1 - b1) * (g - m[k])
@@ -85,8 +90,8 @@ def test_adam_and_sgd_agree_on_first_step_sign():
     ids, Q, gold = make_batch(state_a)
     grads = obj.batch_losses(state_a, ids, Q, gold, "asp_saib", obj.AspConfig()).grads
     before = {k: v.copy() for k, v in state_a.params.items()}
-    trainer.SgdOptimizer(lr=1e-3).step(state_a.params, grads)
-    trainer.AdamOptimizer(lr=1e-3).step(state_b.params, grads)
+    trainer.SgdOptimizer(lr=1e-3).step(state_a.flat, state_a.grad_flat)
+    trainer.AdamOptimizer(lr=1e-3).step(state_b.flat, state_a.grad_flat)
     for name, g in grads.items():
         moved = np.abs(g) > 1e-12
         delta_sgd = np.sign(state_a.params[name] - before[name])[moved]
