@@ -84,7 +84,7 @@ class ModelState:
             view[...] = self.params[k]
         self.params = views
         self.grad_flat, grads = _buffer(shapes)
-        self.grads = {k: grads[k] for k in _grad_order(self.config)}
+        self.grads = {k: grads[k] for k in _param_shapes(self.config)}
         self.workspace = {}
 
     def copy(self):
@@ -121,16 +121,18 @@ def _slot(workspace, key, shape):
     return buf[:size].reshape(shape)
 
 
-# the order backward produces gradients in, per layer from the last one down
-_LAYER_GRADS = ("ln2_g", "ln2_b", "W2", "b2", "W1", "b1", "ln1_g", "ln1_b",
-                "Wo", "bo", "Wq", "bq", "Wk", "bk", "Wv", "bv")
-_HEAD_GRADS = ("emb", "saib.W", "saib.b", "clf.W", "clf.b")
-
-
-def _grad_order(config):
-    """Every parameter name of a model with this config, in backward's order."""
-    return [f"L{ell}.{name}" for ell in reversed(range(config.layers))
-            for name in _LAYER_GRADS] + list(_HEAD_GRADS)
+def _param_shapes(config):
+    """Every parameter's name and shape for this config, in the order
+    backward produces the gradients: per layer from the last one down,
+    then the embedding and the head."""
+    d, ff, R = config.d_model, config.d_ff, config.n_relations
+    layer = {"ln2_g": (d,), "ln2_b": (d,), "W2": (ff, d), "b2": (d,), "W1": (d, ff),
+             "b1": (ff,), "ln1_g": (d,), "ln1_b": (d,), "Wo": (d, d), "bo": (d,),
+             "Wq": (d, d), "bq": (d,), "Wk": (d, d), "bk": (d,), "Wv": (d, d), "bv": (d,)}
+    shapes = {f"L{ell}.{name}": shape for ell in reversed(range(config.layers))
+              for name, shape in layer.items()}
+    return {**shapes, "emb": (config.vocab_size, d), "saib.W": (2 * d,), "saib.b": (1,),
+            "clf.W": (d, R), "clf.b": (R,)}
 
 
 def build_vocab(instances):
@@ -463,8 +465,9 @@ def save_checkpoint(state: ModelState, path):
 
 
 def load_checkpoint(path) -> ModelState:
-    """Read a checkpoint; a truncated file, trailing bytes or a header that
-    does not match its config raise ValueError naming the path."""
+    """Read a checkpoint; a truncated file, trailing bytes, or a header that
+    is malformed or whose arrays (name, shape, dtype) do not match its
+    config raise ValueError naming the path."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -475,13 +478,14 @@ def load_checkpoint(path) -> ModelState:
             raise ValueError(f"{path}: truncated checkpoint header")
         try:
             header = json.loads(blob.decode("utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from exc
-        config = EncoderConfig(**header["config"])
-        specs = header["arrays"]
-        if [s["name"] for s in specs] != sorted(_grad_order(config)) or any(
-            s["dtype"] != "float64" for s in specs
-        ):
+            config = EncoderConfig(**header["config"])
+            specs, seed, vocab = header["arrays"], header["seed"], header["vocab"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: unreadable checkpoint header: {type(exc).__name__}: {exc}") from exc
+        shapes = _param_shapes(config)
+        if specs != [{"name": k, "shape": list(shapes[k]), "dtype": "float64"}
+                     for k in sorted(shapes)]:
             raise ValueError(f"{path}: checkpoint arrays do not match its config")
         body = fh.read(8 * sum(math.prod(s["shape"]) for s in specs))
         params, end = {}, 0
@@ -496,8 +500,8 @@ def load_checkpoint(path) -> ModelState:
             raise ValueError(f"{path}: trailing bytes after the last checkpoint array")
     return ModelState(
         config=config,
-        seed=header["seed"],
-        vocab=header["vocab"],
+        seed=seed,
+        vocab=vocab,
         params=params,
         relations=header.get("relations", []),
     )

@@ -3,8 +3,10 @@ entropy regularization of the pooling attention.
 
 Every operation returns its value together with exact gradients; the batch
 composition at the bottom wires them into a single backward pass through
-the encoder.  All reductions over a batch are means, accumulated in a fixed
-order so repeated runs are bit-identical.
+the encoder.  A run's mode names the terms it sums (``MODE_TERMS``); the
+ablation switches only these, never how a term is computed.  All
+reductions over a batch are means, accumulated in a fixed order so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -15,35 +17,14 @@ import numpy as np
 
 from . import encoder as enc
 
-MODES = ("baseline", "asp", "saib", "asp_saib")
-_MODE_ALIASES = {
-    "baseline": "baseline",
-    "asp": "asp",
-    "+asp": "asp",
-    "saib": "saib",
-    "+saib": "saib",
-    "asp_saib": "asp_saib",
-    "+asp+saib": "asp_saib",
+# the loss terms each training mode sums; the SAIB pooling head feeds the
+# classifier in every mode, only its entropy penalty is a term
+MODE_TERMS = {
+    "baseline": ("re",),
+    "asp": ("re", "asp"),
+    "saib": ("re", "ib"),
+    "asp_saib": ("re", "asp", "ib"),
 }
-
-
-def canonical_mode(mode):
-    key = mode.strip().lower()
-    if key not in _MODE_ALIASES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return _MODE_ALIASES[key]
-
-
-@dataclass
-class AspConfig:
-    lambda_asp: float = 1.0
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.lambda_asp < 0:
-            raise ValueError("lambda_asp must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass
@@ -67,7 +48,7 @@ def total_loss(l_re, l_asp, l_ib) -> LossBreakdown:
     return LossBreakdown(l_re=l_re, l_asp=l_asp, l_ib=l_ib, total=l_re + l_asp + l_ib)
 
 
-def asp_loss(alpha_avg, Q, cfg: AspConfig):
+def asp_loss(alpha_avg, Q, lambda_asp, epsilon):
     """KLD pulling the masked averaged attention toward the label distribution.
 
     alpha_avg, Q: (B, n).  The label distribution is q = Q / sum(Q) per
@@ -77,8 +58,8 @@ def asp_loss(alpha_avg, Q, cfg: AspConfig):
     mass is exactly the attention sitting on unmarked positions, so
     minimizing this loss migrates attention mass onto the marked positions
     instead of merely reshaping it among them.
-    Both sides share the smoothing denominator 1 + n*eps, which makes the
-    loss exactly zero when the masked attention equals q and non-negative
+    Both sides share the smoothing denominator 1 + n*epsilon, which makes
+    the loss exactly zero when the masked attention equals q and non-negative
     otherwise (the masked side is a sub-distribution).
 
     Rows whose masked attention sums to exactly zero fall back to
@@ -91,15 +72,14 @@ def asp_loss(alpha_avg, Q, cfg: AspConfig):
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     q = Q / Q.sum(axis=1, keepdims=True)
     B, n = alpha_avg.shape
-    eps = cfg.epsilon
     m = alpha_avg * Q
     s = m.sum(axis=1, keepdims=True)
     fallback = (s == 0.0).ravel()
-    a = np.where(fallback[:, None], q + eps, m + eps) / (1.0 + n * eps)
-    qs = (q + eps) / (1.0 + n * eps)
+    a = np.where(fallback[:, None], q + epsilon, m + epsilon) / (1.0 + n * epsilon)
+    qs = (q + epsilon) / (1.0 + n * epsilon)
     kld = (qs * np.log(qs / a)).sum(axis=1)
-    loss = cfg.lambda_asp * kld.mean()
-    d_alpha = -cfg.lambda_asp / B * qs * Q / (m + eps)
+    loss = lambda_asp * kld.mean()
+    d_alpha = -lambda_asp / B * qs * Q / (m + epsilon)
     d_alpha[fallback] = 0.0
     return loss, d_alpha, int(fallback.sum())
 
@@ -202,26 +182,15 @@ class BatchResult:
     asp_fallbacks: int
 
 
-def mode_terms(mode):
-    """Loss terms a training mode contributes to the total."""
-    return {
-        "baseline": ("re",),
-        "asp": ("re", "asp"),
-        "saib": ("re", "ib"),
-        "asp_saib": ("re", "asp", "ib"),
-    }[canonical_mode(mode)]
-
-
-def batch_losses(state, ids, Q, gold, mode, asp_cfg: AspConfig, terms=None,
-                 value_only=False) -> BatchResult:
+def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchResult:
     """Joint forward/backward over one same-length batch.
 
-    mode selects which auxiliary terms contribute; the SAIB pooling head is
-    always the classifier input, only its entropy penalty is gated.  An
-    explicit ``terms`` subset overrides the mode (used by gradient checks
-    to isolate a single loss term).
+    ``terms`` is the set of loss terms summed into the total, a subset of
+    ("re", "asp", "ib"): training passes ``MODE_TERMS[config.mode]``, the
+    gradient check one term at a time.  ``config`` is the run's
+    ``TrainConfig``; the KLD term reads its ``lambda_asp`` and
+    ``asp_epsilon``.
     """
-    terms = mode_terms(mode) if terms is None else tuple(terms)
     cfg = state.config
     p = state.params
     fwd = enc.forward(state, ids, state.workspace)
@@ -254,7 +223,8 @@ def batch_losses(state, ids, Q, gold, mode, asp_cfg: AspConfig, terms=None,
     d_attention = None
     fallbacks = 0
     if "asp" in terms:
-        l_asp, d_alpha_avg, fallbacks = asp_loss(alpha_avg, Q, asp_cfg)
+        l_asp, d_alpha_avg, fallbacks = asp_loss(
+            alpha_avg, Q, config.lambda_asp, config.asp_epsilon)
         d_attention = enc.average_attention_backward(
             d_alpha_avg, cfg.layers, cfg.last_k, cfg.heads, n, cfg.attn_axis
         )

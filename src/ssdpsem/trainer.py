@@ -20,7 +20,7 @@ from .corpus import ConfigError
 from .labels import VARIANTS
 
 # JSON value types each TrainConfig field accepts (bool is not an int here)
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -29,16 +29,12 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-3
     optimizer: str = "adam"  # "sgd" | "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     mode: str = "asp_saib"  # baseline | asp | saib | asp_saib
     isl_variant: str = "ISL"  # EPL | SPL | ISL
     lambda_asp: float = 1.0
     asp_epsilon: float = 1e-8
     attn_axis: str = "received"
-    alternate_tasks: bool = False  # alternate RE and ASP batches instead of joint sum
     layers: int = 4
     heads: int = 4
     d_model: int = 64
@@ -49,23 +45,24 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]) or (
-                isinstance(value, bool) and f.type != "bool"
-            ):
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigError(
                     f"{f.name} must be of type {f.type}, got {type(value).__name__} {value!r}"
                 )
-        self.mode = objectives.canonical_mode(self.mode)
+        if self.mode not in objectives.MODE_TERMS:
+            raise ConfigError(f"mode must be one of {tuple(objectives.MODE_TERMS)}, "
+                              f"got {self.mode!r}")
         if self.isl_variant not in VARIANTS:
             raise ConfigError(f"isl_variant must be one of {VARIANTS}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"optimizer must be sgd|adam, got {self.optimizer!r}")
-        for name in ("epochs", "batch_size", "lr"):
+        for name in ("epochs", "batch_size", "lr", "asp_epsilon"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        # run the encoder and loss checks now, not after annotating the data
+        if self.lambda_asp < 0:
+            raise ConfigError("lambda_asp must be >= 0")
+        # run the encoder checks now, not after annotating the data
         self.encoder_config(0, 0)
-        self.asp_config()
 
     def encoder_config(self, vocab_size, n_relations):
         return enc.EncoderConfig(
@@ -79,9 +76,6 @@ class TrainConfig:
             last_k=self.last_k,
             attn_axis=self.attn_axis,
         )
-
-    def asp_config(self):
-        return objectives.AspConfig(lambda_asp=self.lambda_asp, epsilon=self.asp_epsilon)
 
 
 @dataclass
@@ -110,8 +104,8 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.t = 0
         self.m = self.v = None
 
@@ -125,7 +119,7 @@ class AdamOptimizer:
             self.m, self.v, self._tmp, self._update = (
                 np.zeros_like(grad_flat) for _ in range(4))
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.b1, self.b2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         g, m, v, tmp, update = grad_flat, self.m, self.v, self._tmp, self._update
         np.subtract(g, m, out=tmp)
@@ -147,7 +141,7 @@ class AdamOptimizer:
 def make_optimizer(config: TrainConfig):
     if config.optimizer == "sgd":
         return SgdOptimizer(config.lr)
-    return AdamOptimizer(config.lr, config.beta1, config.beta2, config.adam_eps)
+    return AdamOptimizer(config.lr)
 
 
 def encode_prepared(state, prepared):
@@ -218,7 +212,7 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
     """
     t0 = time.perf_counter()
     state, encoded = _prepare(config, prepared, relations)
-    asp_cfg = config.asp_config()
+    terms = objectives.MODE_TERMS[config.mode]
     optimizer = make_optimizer(config)
     rows = ["step,l_re,l_asp,l_ib,total"]
     epoch_losses = []
@@ -233,11 +227,8 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
         n_batches = 0
         for batch in make_batches(encoded, config.batch_size, order):
             ids, Q, gold = _collate(encoded, batch)
-            terms = _step_terms(config, step)
             try:
-                result = objectives.batch_losses(
-                    state, ids, Q, gold, config.mode, asp_cfg, terms=terms
-                )
+                result = objectives.batch_losses(state, ids, Q, gold, terms, config)
             except objectives.NonFiniteLossError as exc:
                 raise TrainDivergenceError(step, exc.term) from exc
             optimizer.step(state.flat, state.grad_flat)
@@ -267,17 +258,6 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
         asp_fallbacks=fallbacks,
         state=state,
     )
-
-
-def _step_terms(config, step):
-    """Joint sum by default; optional alternation between RE and ASP batches."""
-    if not config.alternate_tasks:
-        return None  # mode's full term set
-    terms = objectives.mode_terms(config.mode)
-    if "asp" not in terms:
-        return None
-    re_terms = tuple(t for t in terms if t != "asp")
-    return re_terms if step % 2 == 0 else ("asp",)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +296,9 @@ class GradCheckReport:
         return [e for e in self.entries if not e.passed]
 
 
-def _loss_value(state, ids, Q, gold, term, asp_cfg):
-    result = objectives.batch_losses(
-        state, ids, Q, gold, "asp_saib", asp_cfg, terms=term, value_only=True
-    )
-    return result.breakdown.total
+def _loss_value(state, ids, Q, gold, terms, config):
+    return objectives.batch_losses(
+        state, ids, Q, gold, terms, config, value_only=True).breakdown.total
 
 
 def _relu_pattern(state, ids):
@@ -329,13 +307,15 @@ def _relu_pattern(state, ids):
     return tuple((layer["f1"] > 0).tobytes() for layer in fwd.cache["layers"])
 
 
-def gradcheck_batch(state, ids, Q, gold, asp_cfg=None, max_coords_per_block=40,
+def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
                     analytic_override=None) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Checks each loss term in isolation plus their sum.  Coordinates are
-    subsampled with an even deterministic stride when a block exceeds
-    ``max_coords_per_block`` (pass None to check everything).
+    Checks each loss term in isolation plus their sum, whatever
+    ``config.mode`` is; ``config`` supplies the KLD term's weight and
+    smoothing.  Coordinates are subsampled with an even deterministic
+    stride when a block exceeds ``max_coords_per_block`` (pass None to
+    check everything).
     ``analytic_override`` lets tests corrupt a gradient block (negative
     control).
 
@@ -347,14 +327,11 @@ def gradcheck_batch(state, ids, Q, gold, asp_cfg=None, max_coords_per_block=40,
     two probes are therefore skipped and counted in ``kinks_skipped``
     instead of reported as errors.
     """
-    asp_cfg = asp_cfg or objectives.AspConfig()
     report = GradCheckReport()
     term_sets = {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
                  "total": ("re", "asp", "ib")}
     for term_name, terms in term_sets.items():
-        analytic = objectives.batch_losses(
-            state, ids, Q, gold, "asp_saib", asp_cfg, terms=terms
-        ).grads
+        analytic = objectives.batch_losses(state, ids, Q, gold, terms, config).grads
         if analytic_override is not None:
             analytic = analytic_override(term_name, analytic)
         for block, grad in analytic.items():
@@ -374,9 +351,9 @@ def gradcheck_batch(state, ids, Q, gold, asp_cfg=None, max_coords_per_block=40,
             for c in coords:
                 orig = pflat[c]
                 pflat[c] = orig + FD_STEP
-                up = _loss_value(state, ids, Q, gold, terms, asp_cfg)
+                up = _loss_value(state, ids, Q, gold, terms, config)
                 pflat[c] = orig - FD_STEP
-                down = _loss_value(state, ids, Q, gold, terms, asp_cfg)
+                down = _loss_value(state, ids, Q, gold, terms, config)
                 pflat[c] = orig
                 fd = (up - down) / (2 * FD_STEP)
                 a = flat[c]
@@ -402,12 +379,11 @@ def gradcheck(config: TrainConfig, prepared, relations,
               max_coords_per_block=40) -> GradCheckReport:
     """Run the finite-difference suite on a sample of annotated instances."""
     state, encoded = _prepare(config, prepared, relations)
-    asp_cfg = config.asp_config()
     merged = GradCheckReport()
     for ids, Q, gold in encoded:
         rep = gradcheck_batch(
             state, ids[None, :], Q[None, :], np.array([gold]),
-            asp_cfg, max_coords_per_block,
+            config, max_coords_per_block,
         )
         merged.entries.extend(rep.entries)
     return merged

@@ -188,6 +188,26 @@ def test_corrupt_checkpoint_exits_one(tmp_path, data_dir, capsys):
                 "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: next(s for s in h["arrays"] if s["name"] == "L0.W1")["shape"].reverse(),
+    lambda h: h["config"].update(colour="red"),
+    lambda h: h.pop("config"),
+    lambda h: h["config"].update(heads="2"),
+], ids=["reversed-shape", "unknown-config-key", "no-config", "str-heads"])
+def test_edited_checkpoint_header_exits_one(tmp_path, train_dir, data_dir, capsys, edit):
+    blob = (train_dir / "model.ckpt").read_bytes()
+    start = len(encoder._MAGIC) + 8
+    end = start + int.from_bytes(blob[start - 8:start], "little")
+    header = json.loads(blob[start:end])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "edited.ckpt"
+    bad.write_bytes(blob[:start - 8] + len(text).to_bytes(8, "little") + text + blob[end:])
+    assert run(["eval", "--checkpoint", str(bad), "--split", str(data_dir / "test.jsonl"),
+                "--out", str(tmp_path / "o")]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_jsonl_record_without_heads_exits_one(tmp_path, data_dir, capsys):
     lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
     rec = json.loads(lines[1])
@@ -294,6 +314,8 @@ def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, ca
     ({"attn_axis": "sideways"}, "attn_axis"),
     ({"lr_typo": 1.0}, "lr_typo"),
     ({"heads": "2"}, "heads"),
+    ({"mode": "+asp"}, "mode"),
+    ({"alternate_tasks": False}, "alternate_tasks"),
 ])
 def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkeypatch,
                                                       capsys, bad, key):

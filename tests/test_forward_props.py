@@ -1,0 +1,45 @@
+"""Property test: the encoder computes each row of a batch as if it ran alone.
+
+Training runs batches of up to 16 same-length rows while `ssdp inspect` runs
+one, so a row's features and attention must not depend on its batch mates,
+bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from ssdpsem import encoder as enc
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def batches(draw):
+    heads = draw(st.integers(1, 4))
+    config = enc.EncoderConfig(
+        layers=draw(st.integers(1, 4)),
+        heads=heads,
+        d_model=heads * draw(st.integers(1, 16)),
+        d_ff=draw(st.integers(1, 128)),
+        max_len=64,
+        n_relations=2,
+    )
+    vocab = [enc.PAD, enc.UNK] + [f"w{i}" for i in range(draw(st.integers(0, 30)))]
+    state = enc.init_state(config, vocab, draw(st.integers(0, 2**32 - 1)), ["a", "b"])
+    B, n = draw(st.integers(1, 16)), draw(st.integers(1, 34))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ids = np.random.default_rng(seed).integers(0, len(vocab), size=(B, n))
+    return state, ids
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=batches())
+def test_a_batched_forward_row_equals_the_row_run_alone(batch):
+    state, ids = batch
+    together = enc.forward(state, ids, workspace={})  # as a training step runs it
+    for b in range(len(ids)):
+        alone = enc.forward(state, ids[b:b + 1])
+        assert alone.features.tobytes() == together.features[b:b + 1].tobytes()
+        for ell, (a, t) in enumerate(zip(alone.attention, together.attention)):
+            assert a.tobytes() == t[b:b + 1].tobytes(), f"layer {ell}, row {b}"

@@ -5,28 +5,19 @@ import pytest
 
 from ssdpsem import encoder as enc
 from ssdpsem import objectives as obj
+from ssdpsem.trainer import TrainConfig
 
 from test_encoder import tiny_state
+
+CONFIG = TrainConfig()
+ASP = (CONFIG.lambda_asp, CONFIG.asp_epsilon)
+FULL = obj.MODE_TERMS["asp_saib"]
 
 
 def kld_oracle(p, q):
     """Standalone two-line KLD evaluation, independent of asp_loss."""
     p, q = np.asarray(p, float), np.asarray(q, float)
     return float(np.sum(p * np.log(p / q)))
-
-
-def test_mode_canonicalization():
-    assert obj.canonical_mode("+ASP+SAIB") == "asp_saib"
-    assert obj.canonical_mode("Baseline") == "baseline"
-    with pytest.raises(ValueError, match="unknown mode"):
-        obj.canonical_mode("everything")
-
-
-def test_asp_config_validation():
-    with pytest.raises(ValueError):
-        obj.AspConfig(lambda_asp=-1)
-    with pytest.raises(ValueError):
-        obj.AspConfig(epsilon=0)
 
 
 def test_total_loss_additivity_and_nonfinite_detection():
@@ -45,7 +36,7 @@ def test_asp_loss_zero_when_masked_attention_equals_q():
     Q = np.array([[1.0, 0.0, 1.0, 0.0]])
     q = Q / Q.sum()
     alpha = q.copy()  # attention already equals the target, all mass marked
-    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, obj.AspConfig())
+    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, *ASP)
     assert loss == pytest.approx(0.0, abs=1e-10)
     assert fallbacks == 0
 
@@ -54,7 +45,7 @@ def test_asp_loss_uniform_full_mask_is_zero():
     n = 4
     Q = np.ones((1, n))
     alpha = np.full((1, n), 1.0 / n)
-    loss, _, _ = obj.asp_loss(alpha, Q, obj.AspConfig())
+    loss, _, _ = obj.asp_loss(alpha, Q, *ASP)
     assert loss == pytest.approx(0.0, abs=1e-10)
 
 
@@ -67,30 +58,28 @@ def test_asp_loss_matches_standalone_kld_oracle():
     masked = (alpha * Q + eps) / (1 + n * eps)
     qs = (q + eps) / (1 + n * eps)
     expected = kld_oracle(qs[0], masked[0])
-    loss, _, _ = obj.asp_loss(alpha, Q, obj.AspConfig(epsilon=eps))
+    loss, _, _ = obj.asp_loss(alpha, Q, CONFIG.lambda_asp, eps)
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_asp_loss_nonnegative_on_random_inputs():
     rng = np.random.default_rng(0)
-    cfg = obj.AspConfig()
     for _ in range(200):
         n = rng.integers(2, 12)
         alpha = rng.dirichlet(np.ones(n))[None, :]
         Q = np.zeros((1, n))
         Q[0, rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 1.0
-        loss, _, _ = obj.asp_loss(alpha, Q, cfg)
+        loss, _, _ = obj.asp_loss(alpha, Q, *ASP)
         assert loss >= -1e-12
 
 
 def test_asp_loss_decreases_as_marked_mass_grows():
     """More attention mass on marked positions must mean lower loss."""
     Q = np.array([[1.0, 1.0, 0.0, 0.0]])
-    cfg = obj.AspConfig()
     losses = []
     for mass in (0.2, 0.5, 0.8, 1.0):
         alpha = np.array([[mass / 2, mass / 2, (1 - mass) / 2, (1 - mass) / 2]])
-        loss, _, _ = obj.asp_loss(alpha, Q, cfg)
+        loss, _, _ = obj.asp_loss(alpha, Q, *ASP)
         losses.append(loss)
     assert losses == sorted(losses, reverse=True)
 
@@ -98,7 +87,7 @@ def test_asp_loss_decreases_as_marked_mass_grows():
 def test_asp_loss_zero_mask_fallback_counts_and_zero_grad():
     alpha = np.array([[0.0, 0.0, 0.5, 0.5]])
     Q = np.array([[1.0, 1.0, 0.0, 0.0]])
-    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, obj.AspConfig())
+    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, *ASP)
     assert fallbacks == 1
     assert np.allclose(d_alpha, 0.0)
     assert np.isfinite(loss)
@@ -107,24 +96,23 @@ def test_asp_loss_zero_mask_fallback_counts_and_zero_grad():
 def test_asp_loss_scales_with_lambda():
     alpha = np.array([[0.6, 0.2, 0.1, 0.1]])
     Q = np.array([[1.0, 0.0, 0.0, 1.0]])
-    l1, g1, _ = obj.asp_loss(alpha, Q, obj.AspConfig(lambda_asp=1.0))
-    l2, g2, _ = obj.asp_loss(alpha, Q, obj.AspConfig(lambda_asp=2.0))
+    l1, g1, _ = obj.asp_loss(alpha, Q, 1.0, CONFIG.asp_epsilon)
+    l2, g2, _ = obj.asp_loss(alpha, Q, 2.0, CONFIG.asp_epsilon)
     assert l2 == pytest.approx(2 * l1)
     assert np.allclose(g2, 2 * g1)
 
 
 def test_asp_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
-    cfg = obj.AspConfig()
     alpha = rng.dirichlet(np.ones(5))[None, :]
     Q = np.array([[1.0, 0.0, 1.0, 1.0, 0.0]])
-    _, d_alpha, _ = obj.asp_loss(alpha, Q, cfg)
+    _, d_alpha, _ = obj.asp_loss(alpha, Q, *ASP)
     step = 1e-7
     for i in range(5):
         up, down = alpha.copy(), alpha.copy()
         up[0, i] += step
         down[0, i] -= step
-        fd = (obj.asp_loss(up, Q, cfg)[0] - obj.asp_loss(down, Q, cfg)[0]) / (2 * step)
+        fd = (obj.asp_loss(up, Q, *ASP)[0] - obj.asp_loss(down, Q, *ASP)[0]) / (2 * step)
         assert d_alpha[0, i] == pytest.approx(fd, abs=1e-5)
 
 
@@ -288,11 +276,8 @@ def make_batch(state, B=2, n=5, seed=0):
 def test_batch_losses_mode_gating():
     state = tiny_state()
     ids, Q, gold = make_batch(state)
-    cfg = obj.AspConfig()
-    base = obj.batch_losses(state, ids, Q, gold, "baseline", cfg)
-    asp = obj.batch_losses(state, ids, Q, gold, "asp", cfg)
-    saib = obj.batch_losses(state, ids, Q, gold, "saib", cfg)
-    both = obj.batch_losses(state, ids, Q, gold, "asp_saib", cfg)
+    base, asp, saib, both = (obj.batch_losses(state, ids, Q, gold, obj.MODE_TERMS[m], CONFIG)
+                             for m in ("baseline", "asp", "saib", "asp_saib"))
     assert base.breakdown.l_asp == 0.0 and base.breakdown.l_ib == 0.0
     assert base.breakdown.total == base.breakdown.l_re
     assert asp.breakdown.l_asp > 0.0 and asp.breakdown.l_ib == 0.0
@@ -307,8 +292,7 @@ def test_batch_losses_mode_gating():
 def test_batch_losses_value_only_skips_grads():
     state = tiny_state()
     ids, Q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig(),
-                           value_only=True)
+    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True)
     assert out.grads == {}
     assert np.isfinite(out.breakdown.total)
 
@@ -317,18 +301,18 @@ def test_value_only_leaves_the_gradient_buffer_untouched():
     """gradcheck reads the analytic gradients while its probes run."""
     state = tiny_state()
     ids, Q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
+    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
     assert out.grads is state.grads
     before = state.grad_flat.copy()
     ids, Q, gold = make_batch(state, B=3, n=6)
-    obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig(), value_only=True)
+    obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True)
     assert state.grad_flat.tobytes() == before.tobytes()
 
 
 def test_batch_losses_alpha_shapes():
     state = tiny_state()
     ids, Q, gold = make_batch(state, B=3, n=6)
-    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
+    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
     assert out.probs.shape == (3, len(state.relations))
     assert np.allclose(out.probs.sum(axis=1), 1.0)
     assert out.alpha_ib.shape == (3, 6)

@@ -1,6 +1,9 @@
 """Training-loop determinism, optimizers, batching, and the gradient suite."""
 
 import random
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from ssdpsem import pipeline, trainer
 from ssdpsem.corpus import ConfigError
 
 from test_encoder import tiny_state
-from test_objectives import make_batch
+from test_objectives import CONFIG, FULL, make_batch
 
 
 SMALL = dict(layers=2, heads=2, d_model=16, d_ff=32, batch_size=8)
@@ -24,15 +27,23 @@ def test_config_validation():
         trainer.TrainConfig(optimizer="rmsprop")
     with pytest.raises(ConfigError):
         trainer.TrainConfig(isl_variant="XPL")
-    cfg = trainer.TrainConfig(mode="+ASP+SAIB")
-    assert cfg.mode == "asp_saib"
+    with pytest.raises(ConfigError):
+        trainer.TrainConfig(mode="+ASP+SAIB")
+
+
+def test_readme_config_table_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## TrainConfig keys", 1)[1].split("\n## ", 1)[0]
+    keys = [key for row in table.splitlines() if row.startswith("| `")
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(trainer.TrainConfig))
 
 
 def test_sgd_lr_zero_is_identity():
     state = tiny_state()
     before = {k: v.copy() for k, v in state.params.items()}
     ids, Q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
+    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
     trainer.SgdOptimizer(lr=0.0).step(state.flat, state.grad_flat)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
@@ -42,7 +53,7 @@ def test_adam_lr_zero_is_identity():
     state = tiny_state()
     before = {k: v.copy() for k, v in state.params.items()}
     ids, Q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, gold, "asp_saib", obj.AspConfig())
+    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
     trainer.AdamOptimizer(lr=0.0).step(state.flat, state.grad_flat)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
@@ -88,7 +99,7 @@ def test_train_rejects_prepared_split_of_another_variant(small_splits, small_man
 def test_adam_and_sgd_agree_on_first_step_sign():
     state_a, state_b = tiny_state(seed=2), tiny_state(seed=2)
     ids, Q, gold = make_batch(state_a)
-    grads = obj.batch_losses(state_a, ids, Q, gold, "asp_saib", obj.AspConfig()).grads
+    grads = obj.batch_losses(state_a, ids, Q, gold, FULL, CONFIG).grads
     before = {k: v.copy() for k, v in state_a.params.items()}
     trainer.SgdOptimizer(lr=1e-3).step(state_a.flat, state_a.grad_flat)
     trainer.AdamOptimizer(lr=1e-3).step(state_b.flat, state_a.grad_flat)
@@ -172,23 +183,10 @@ def test_first_metrics_row_matches_offline_recomputation(small_train, small_mani
     random.Random(f"{cfg.seed}:0").shuffle(order)
     first = trainer.make_batches(encoded, cfg.batch_size, order)[0]
     ids, Q, gold = trainer._collate(encoded, first)
-    out = obj.batch_losses(state, ids, Q, gold, cfg.mode,
-                           obj.AspConfig(cfg.lambda_asp, cfg.asp_epsilon))
+    out = obj.batch_losses(state, ids, Q, gold, obj.MODE_TERMS[cfg.mode], cfg)
     expected = f"0,{out.breakdown.l_re:.6f},{out.breakdown.l_asp:.6f}," \
                f"{out.breakdown.l_ib:.6f},{out.breakdown.total:.6f}"
     assert record.metrics_rows[1] == expected
-
-
-def test_alternate_tasks_produces_asp_only_steps(small_train, small_manifest):
-    cfg = trainer.TrainConfig(epochs=1, seed=1, mode="asp_saib",
-                              alternate_tasks=True, **SMALL)
-    record = trainer.train(cfg, small_train, small_manifest.relations)
-    rows = [r.split(",") for r in record.metrics_rows[1:]]
-    odd = [r for r in rows if int(r[0]) % 2 == 1]
-    even = [r for r in rows if int(r[0]) % 2 == 0]
-    assert all(float(r[1]) == 0.0 and float(r[3]) == 0.0 for r in odd)  # ASP-only
-    assert all(float(r[2]) == 0.0 for r in even)  # RE+IB only
-    assert any(float(r[2]) > 0.0 for r in odd)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ def test_gradcheck_negative_control_catches_corruption(small_train, small_manife
         return grads
 
     report = trainer.gradcheck_batch(
-        state, ids[None, :], Q[None, :], np.array([gold]),
+        state, ids[None, :], Q[None, :], np.array([gold]), cfg,
         max_coords_per_block=4, analytic_override=corrupt,
     )
     failing = {(e.term, e.block) for e in report.failures()}
