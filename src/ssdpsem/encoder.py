@@ -1,10 +1,11 @@
 """Small host attention encoder with hand-derived gradients.
 
 A post-layernorm transformer over float64 numpy arrays.  Every forward pass
-captures the per-layer, per-head attention matrices; the backward pass
-accepts, besides the usual feature gradient, an extra gradient injected
-directly into those attention matrices (the path the attention-supervision
-loss needs).  No dropout anywhere: bit-reproducibility is a contract.
+captures the per-layer, per-head attention matrices; ``average_attention``
+reads them as the attention each token receives, and the backward pass
+accepts, besides the usual feature gradient, a gradient on that average
+(the path the attention-supervision loss needs).  No dropout anywhere:
+bit-reproducibility is a contract.
 
 All shapes are batched: ids (B, n), features (B, n, d), attention
 (B, H, n, n) per layer.  Batches hold same-length sequences only.
@@ -14,13 +15,30 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
+
+from .corpus import ConfigError
 
 LN_EPS = 1e-5
 
 PAD, UNK = "<pad>", "<unk>"
+
+
+# JSON value types a config field accepts (bool is not an int here)
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_field_types(config):
+    """Raise ConfigError for the first field of the dataclass ``config``
+    whose value is not of its annotated type; run by ``EncoderConfig`` and
+    ``trainer.TrainConfig`` before their value checks."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ConfigError(
+                f"{f.name} must be of type {f.type}, got {type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -33,15 +51,14 @@ class EncoderConfig:
     vocab_size: int = 0
     n_relations: int = 0
     last_k: int = 3
-    attn_axis: str = "received"  # or "given" (anchor-row reading)
 
     def __post_init__(self):
+        check_field_types(self)
+        for name in ("layers", "heads", "d_model", "d_ff", "max_len", "last_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if min(self.layers, self.heads, self.d_model, self.d_ff, self.max_len) < 1:
-            raise ValueError("all encoder dimensions must be >= 1")
-        if self.attn_axis not in ("received", "given"):
-            raise ValueError(f"attn_axis must be received|given, got {self.attn_axis!r}")
 
     @property
     def d_head(self):
@@ -332,13 +349,14 @@ def _weight_grad(a, b, out, workspace):
     return np.add.reduce(products, axis=0, out=out)
 
 
-def backward(state: ModelState, result: ForwardResult, d_features, d_attention=None):
+def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     """Exact gradients for every parameter, written into ``state.grads``.
 
     d_features: (B, n, d) upstream gradient on the final token features
     (gradients on the sentiment feature must already be added to row 0).
-    d_attention: optional per-layer (B, H, n, n) gradients injected into the
-    post-softmax attention matrices.
+    d_avg: optional (B, n) gradient on ``average_attention(result.attention,
+    last_k)``; each of the last k layers' post-softmax attention gets
+    d_avg / (k*H*n) added to every head's every query row.
     Returns ``state.grads``, views into ``state.grad_flat`` that stay valid
     until the next backward on this state.  Every block is overwritten; the
     pooling-head and classifier entries are zeroed for the caller to
@@ -354,6 +372,9 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_attention=N
 
     dx = np.asarray(d_features, dtype=np.float64)
     scale = 1.0 / np.sqrt(cfg.d_head)
+    k = min(cfg.last_k, cfg.layers)
+    if d_avg is not None:
+        d_received = d_avg[:, None, None, :] / (k * H * n)  # (B, 1, 1, n)
     for ell in reversed(range(cfg.layers)):
         pre = f"L{ell}."
         c = result.cache["layers"][ell]
@@ -376,8 +397,8 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_attention=N
         dctx = _split_heads(np.matmul(dao, p[pre + "Wo"].T, out=slot("dctx", B, n, d)), H)
         dA = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2), out=slot("dA", B, H, n, n))
         dv = np.matmul(c["A"].transpose(0, 1, 3, 2), dctx, out=slot("dv", B, H, n, hd))
-        if d_attention is not None and d_attention[ell] is not None:
-            dA += d_attention[ell]
+        if d_avg is not None and ell >= cfg.layers - k:
+            dA += d_received
         A = c["A"]
         rows = np.add.reduce(np.multiply(dA, A, out=slot("dAA", B, H, n, n)), axis=-1,
                              keepdims=True)
@@ -401,40 +422,12 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_attention=N
     return g
 
 
-def average_attention(attention, last_k, axis="received"):
-    """Aggregate per-layer/per-head matrices into one vector per instance.
-
-    received: mean attention flowing INTO each token (column means over the
-    last ``last_k`` layers, all heads, all query rows); sums to 1.
-    given: attention given BY the anchor token at position 0 (its query row
-    averaged over the same layers/heads); also sums to 1.
-    """
-    L = len(attention)
-    k = min(last_k, L)
-    if k < 1:
-        raise ValueError("last_k must be >= 1")
-    stack = np.stack(attention[-k:])  # (k, B, H, n, n)
-    if axis == "received":
-        return stack.mean(axis=(0, 2, 3))  # (B, n)
-    if axis == "given":
-        return stack[:, :, :, 0, :].mean(axis=(0, 2))  # (B, n)
-    raise ValueError(f"unknown attn_axis {axis!r}")
-
-
-def average_attention_backward(d_avg, layers, last_k, heads, n, axis="received"):
-    """Spread a gradient on the averaged vector back onto attention matrices."""
-    d_avg = np.atleast_2d(d_avg)
-    B = d_avg.shape[0]
-    k = min(last_k, layers)
-    d_attention = [None] * layers
-    for ell in range(layers - k, layers):
-        g = np.zeros((B, heads, n, n))
-        if axis == "received":
-            g += d_avg[:, None, None, :] / (k * heads * n)
-        else:
-            g[:, :, 0, :] = d_avg[:, None, :] / (k * heads)
-        d_attention[ell] = g
-    return d_attention
+def average_attention(attention, last_k):
+    """The mean attention each token receives: column means over the last
+    ``last_k`` layers, all heads and all query rows, (B, n); each row sums
+    to 1.  ``backward``'s ``d_avg`` is the gradient on this vector."""
+    k = min(last_k, len(attention))
+    return np.stack(attention[-k:]).mean(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

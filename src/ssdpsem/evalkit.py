@@ -49,8 +49,7 @@ def predict(state, prepared, batch_size=64):
         ids, _, _ = trainer._collate(encoded, chunk)
         fwd = enc.forward(state, ids)
         a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
-        a_avg = enc.average_attention(fwd.attention, state.config.last_k,
-                                      state.config.attn_axis)
+        a_avg = enc.average_attention(fwd.attention, state.config.last_k)
         for row, i in enumerate(chunk):
             preds[i] = int(np.argmax(probs[row]))
             alpha_ib[i] = a_ib[row]

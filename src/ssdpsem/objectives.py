@@ -191,10 +191,8 @@ def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchR
     ``TrainConfig``; the KLD term reads its ``lambda_asp`` and
     ``asp_epsilon``.
     """
-    cfg = state.config
     p = state.params
     fwd = enc.forward(state, ids, state.workspace)
-    n = fwd.features.shape[1]
 
     alpha_ib, pooled, probs = relation_head(p, fwd.features)
     l_re, d_pooled, dWc, dbc = re_loss_from_probs(pooled, probs, p["clf.W"], gold)
@@ -218,22 +216,19 @@ def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchR
     d_features = d_features + df
     d_features[:, 0, :] += d_sen
 
-    alpha_avg = enc.average_attention(fwd.attention, cfg.last_k, cfg.attn_axis)
+    alpha_avg = enc.average_attention(fwd.attention, state.config.last_k)
     l_asp = 0.0
-    d_attention = None
+    d_alpha_avg = None
     fallbacks = 0
     if "asp" in terms:
         l_asp, d_alpha_avg, fallbacks = asp_loss(
             alpha_avg, Q, config.lambda_asp, config.asp_epsilon)
-        d_attention = enc.average_attention_backward(
-            d_alpha_avg, cfg.layers, cfg.last_k, cfg.heads, n, cfg.attn_axis
-        )
 
     breakdown = total_loss(float(l_re), float(l_asp), float(l_ib))
     if value_only:
         grads = {}
     else:
-        grads = enc.backward(state, fwd, d_features, d_attention)
+        grads = enc.backward(state, fwd, d_features, d_alpha_avg)
         grads["saib.W"] += dW_saib
         grads["saib.b"] += db_saib
         grads["clf.W"] += dWc

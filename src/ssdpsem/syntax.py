@@ -14,18 +14,6 @@ from dataclasses import dataclass
 from .corpus import ROOT, Instance
 
 
-class NoPathError(ValueError):
-    """Entity heads live in different components of a fragmented graph."""
-
-    def __init__(self, s, o, comp_s, comp_o):
-        super().__init__(
-            f"no dependency path between {s} (component {comp_s}) "
-            f"and {o} (component {comp_o})"
-        )
-        self.component_s = comp_s
-        self.component_o = comp_o
-
-
 @dataclass
 class DepGraph:
     n: int
@@ -68,30 +56,11 @@ def entity_head(instance: Instance, span: tuple[int, int], graph: DepGraph) -> i
     return exits[0] if exits else lo
 
 
-def _components(graph: DepGraph):
-    comp = [-1] * graph.n
-    cid = 0
-    for start in range(graph.n):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            u = stack.pop()
-            for v in graph.adj[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    stack.append(v)
-        cid += 1
-    return comp
-
-
-def extract_sdp(graph: DepGraph, s: int, o: int, allow_fallback=False) -> SdpResult:
+def extract_sdp(graph: DepGraph, s: int, o: int) -> SdpResult:
     """BFS shortest path between entity head tokens on the undirected graph.
 
-    Disconnected endpoints raise NoPathError unless ``allow_fallback`` is
-    set, in which case the result degenerates to the two endpoints and is
-    flagged.
+    Disconnected endpoints (a fragmented graph) give the two endpoints as
+    the path, flagged as a fallback.
     """
     if not (0 <= s < graph.n and 0 <= o < graph.n):
         raise ValueError(f"endpoint out of range: s={s}, o={o}, n={graph.n}")
@@ -108,10 +77,7 @@ def extract_sdp(graph: DepGraph, s: int, o: int, allow_fallback=False) -> SdpRes
                 parent[v] = u
                 queue.append(v)
     if o not in parent:
-        comp = _components(graph)
-        if allow_fallback:
-            return SdpResult(path=[s, o], token_set=sorted({s, o}), fallback=True)
-        raise NoPathError(s, o, comp[s], comp[o])
+        return SdpResult(path=[s, o], token_set=sorted({s, o}), fallback=True)
     path = []
     node = o
     while node is not None:
@@ -126,4 +92,4 @@ def sdp_for_instance(instance: Instance) -> tuple[SdpResult, int, int]:
     graph = build_graph(instance)
     s = entity_head(instance, instance.subj, graph)
     o = entity_head(instance, instance.obj, graph)
-    return extract_sdp(graph, s, o, allow_fallback=True), s, o
+    return extract_sdp(graph, s, o), s, o

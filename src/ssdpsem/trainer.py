@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,6 @@ from . import encoder as enc
 from . import objectives
 from .corpus import ConfigError
 from .labels import VARIANTS
-
-# JSON value types each TrainConfig field accepts (bool is not an int here)
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -34,7 +31,6 @@ class TrainConfig:
     isl_variant: str = "ISL"  # EPL | SPL | ISL
     lambda_asp: float = 1.0
     asp_epsilon: float = 1e-8
-    attn_axis: str = "received"
     layers: int = 4
     heads: int = 4
     d_model: int = 64
@@ -43,12 +39,7 @@ class TrainConfig:
     last_k: int = 3
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ConfigError(
-                    f"{f.name} must be of type {f.type}, got {type(value).__name__} {value!r}"
-                )
+        enc.check_field_types(self)
         if self.mode not in objectives.MODE_TERMS:
             raise ConfigError(f"mode must be one of {tuple(objectives.MODE_TERMS)}, "
                               f"got {self.mode!r}")
@@ -74,7 +65,6 @@ class TrainConfig:
             vocab_size=vocab_size,
             n_relations=n_relations,
             last_k=self.last_k,
-            attn_axis=self.attn_axis,
         )
 
 

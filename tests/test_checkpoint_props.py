@@ -24,7 +24,6 @@ def states(draw):
         max_len=draw(st.integers(1, 64)),
         n_relations=n_relations,
         last_k=draw(st.integers(1, 3)),
-        attn_axis=draw(st.sampled_from(["received", "given"])),
     )
     words = draw(st.lists(st.text(min_size=1, max_size=6), max_size=8, unique=True))
     relations = draw(st.lists(st.text(min_size=1, max_size=8), min_size=n_relations,

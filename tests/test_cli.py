@@ -193,7 +193,10 @@ def test_corrupt_checkpoint_exits_one(tmp_path, data_dir, capsys):
     lambda h: h["config"].update(colour="red"),
     lambda h: h.pop("config"),
     lambda h: h["config"].update(heads="2"),
-], ids=["reversed-shape", "unknown-config-key", "no-config", "str-heads"])
+    lambda h: h["config"].update(d_ff=float(h["config"]["d_ff"])),
+    lambda h: h["config"].update(last_k=float(h["config"]["last_k"])),
+], ids=["reversed-shape", "unknown-config-key", "no-config", "str-heads", "float-d_ff",
+        "float-last_k"])
 def test_edited_checkpoint_header_exits_one(tmp_path, train_dir, data_dir, capsys, edit):
     blob = (train_dir / "model.ckpt").read_bytes()
     start = len(encoder._MAGIC) + 8
@@ -316,6 +319,7 @@ def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, ca
     ({"heads": "2"}, "heads"),
     ({"mode": "+asp"}, "mode"),
     ({"alternate_tasks": False}, "alternate_tasks"),
+    ({"last_k": 0}, "last_k"),
 ])
 def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkeypatch,
                                                       capsys, bad, key):

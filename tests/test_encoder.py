@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from ssdpsem import encoder as enc
+from ssdpsem.trainer import FD_STEP, GRADCHECK_TOLERANCE
 
 
 def tiny_state(layers=2, heads=2, d_model=8, d_ff=16, vocab_extra=("a", "b", "c"),
-               n_relations=3, seed=0, attn_axis="received"):
+               n_relations=3, seed=0):
     vocab = [enc.PAD, enc.UNK] + list(vocab_extra) + ["positive", "negative"]
     config = enc.EncoderConfig(
         layers=layers, heads=heads, d_model=d_model, d_ff=d_ff, max_len=16,
-        vocab_size=len(vocab), n_relations=n_relations, last_k=2, attn_axis=attn_axis,
+        vocab_size=len(vocab), n_relations=n_relations, last_k=2,
     )
     return enc.init_state(config, vocab, seed, relations=["r0", "r1", "r2"])
 
@@ -24,8 +25,10 @@ def tiny_state(layers=2, heads=2, d_model=8, d_ff=16, vocab_extra=("a", "b", "c"
 def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         enc.EncoderConfig(heads=3, d_model=8)
-    with pytest.raises(ValueError, match="attn_axis"):
-        enc.EncoderConfig(attn_axis="sideways")
+    with pytest.raises(ValueError, match="last_k must be >= 1"):
+        enc.EncoderConfig(last_k=0)
+    with pytest.raises(ValueError, match="d_ff must be of type int, got float 128.0"):
+        enc.EncoderConfig(d_ff=128.0)
 
 
 def test_init_is_seeded_and_reproducible():
@@ -84,38 +87,37 @@ def test_positional_encoding_matches_closed_form():
 def test_average_attention_received_sums_to_one():
     state = tiny_state()
     out = enc.forward(state, np.array([[2, 3, 4, 5, 6]]))
-    avg = enc.average_attention(out.attention, last_k=2, axis="received")
+    avg = enc.average_attention(out.attention, last_k=2)
     assert avg.shape == (1, 5)
     assert np.allclose(avg.sum(axis=1), 1.0)
     assert (avg >= 0).all()
 
 
-def test_average_attention_given_is_anchor_row():
-    state = tiny_state()
-    out = enc.forward(state, np.array([[2, 3, 4]]))
-    avg = enc.average_attention(out.attention, last_k=1, axis="given")
-    manual = out.attention[-1][:, :, 0, :].mean(axis=1)
-    assert np.allclose(avg, manual)
-    assert np.allclose(avg.sum(axis=1), 1.0)
+def test_backward_d_avg_matches_finite_differences():
+    """backward's d_avg is the gradient of <d_avg, average_attention(...)>,
+    also for a layer before the last_k window."""
+    state = tiny_state(layers=3)  # last_k=2 leaves layer 0 outside the window
+    ids = np.array([[2, 3, 4, 5, 6], [6, 5, 4, 3, 2]])
+    d_avg = np.random.default_rng(5).normal(size=ids.shape)
 
+    def value():
+        attention = enc.forward(state, ids).attention
+        return float((d_avg * enc.average_attention(attention, last_k=2)).sum())
 
-def test_average_attention_backward_is_exact_adjoint():
-    """<d_avg, avg(A)> must equal <backward(d_avg), A> for the linear map."""
-    rng = np.random.default_rng(3)
-    layers, last_k, H, n, B = 3, 2, 2, 5, 2
-    attention = [rng.random((B, H, n, n)) for _ in range(layers)]
-    for axis in ("received", "given"):
-        d_avg = rng.normal(size=(B, n))
-        avg = enc.average_attention(attention, last_k, axis)
-        d_att = enc.average_attention_backward(d_avg, layers, last_k, H, n, axis)
-        lhs = float((d_avg * avg).sum())
-        rhs = sum(
-            float((g * A).sum())
-            for g, A in zip(d_att, attention)
-            if g is not None
-        )
-        assert abs(lhs - rhs) < 1e-10
-        assert d_att[0] is None  # layers before the window carry no gradient
+    fwd = enc.forward(state, ids)
+    grads = enc.backward(state, fwd, np.zeros_like(fwd.features), d_avg)
+    for block in ("L0.Wq", "L0.W1", "L1.Wk", "L1.ln1_g", "L2.Wq", "L2.W1", "emb"):
+        param, grad = state.params[block].reshape(-1), grads[block].reshape(-1)
+        for c in np.unique(np.linspace(0, param.size - 1, 12).astype(int)):
+            orig = param[c]
+            param[c] = orig + FD_STEP
+            up = value()
+            param[c] = orig - FD_STEP
+            down = value()
+            param[c] = orig
+            fd = (up - down) / (2 * FD_STEP)
+            err = abs(grad[c] - fd) / max(abs(grad[c]), abs(fd), 1e-6)
+            assert err < GRADCHECK_TOLERANCE, (block, c, grad[c], fd)
 
 
 def test_backward_covers_every_parameter():

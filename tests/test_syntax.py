@@ -114,21 +114,6 @@ def test_chain_path_is_the_whole_chain():
     assert result.path == [0, 1, 2, 3, 4, 5]
 
 
-def test_disconnected_raises_with_components():
-    tokens = [
-        Token(0, "a", ROOT, "root"),
-        Token(1, "b", 0, "dep"),
-        Token(2, "c", ROOT, "root"),
-        Token(3, "d", 2, "dep"),
-    ]
-    inst = Instance(id="frag", tokens=tokens, subj=(0, 0), obj=(3, 3),
-                    relation="r", fragmented=True)
-    graph = syntax.build_graph(inst)
-    with pytest.raises(syntax.NoPathError) as err:
-        syntax.extract_sdp(graph, 0, 3)
-    assert err.value.component_s != err.value.component_o
-
-
 def test_disconnected_fallback_keeps_endpoints():
     tokens = [
         Token(0, "a", ROOT, "root"),
@@ -137,7 +122,7 @@ def test_disconnected_fallback_keeps_endpoints():
     inst = Instance(id="frag2", tokens=tokens, subj=(0, 0), obj=(1, 1),
                     relation="r", fragmented=True)
     graph = syntax.build_graph(inst)
-    result = syntax.extract_sdp(graph, 0, 1, allow_fallback=True)
+    result = syntax.extract_sdp(graph, 0, 1)
     assert result.fallback
     assert result.token_set == [0, 1]
 
