@@ -39,7 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text):
+    """argparse type for a count: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 class _Log:
@@ -376,8 +383,8 @@ def build_parser() -> _Parser:
                        help="verify analytic gradients against finite differences")
     p.add_argument("--config", help="JSON TrainConfig (default: small reference)")
     p.add_argument("--data", help="corpus directory (default: synthesize)")
-    p.add_argument("--instances", type=int, default=3)
-    p.add_argument("--coords", type=int, default=25, help="coordinates per block")
+    p.add_argument("--instances", type=_positive_int, default=3)
+    p.add_argument("--coords", type=_positive_int, default=25, help="coordinates per block")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gradcheck)
@@ -411,8 +418,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (corpus.ConfigError, corpus.ParseError, corpus.ValidationError,
-            FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # corpus's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

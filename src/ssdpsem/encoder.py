@@ -48,8 +48,6 @@ class EncoderConfig:
     d_model: int = 64
     d_ff: int = 128
     max_len: int = 64
-    vocab_size: int = 0
-    n_relations: int = 0
     last_k: int = 3
 
     def __post_init__(self):
@@ -73,20 +71,21 @@ class ModelState:
     float64 buffer laid out in ``sorted(names)`` order, the order of the
     checkpoint body.  ``grads`` holds views of the same shapes into
     ``grad_flat``, a second buffer with that layout which ``backward``
-    writes into; they are listed in the order backward fills them, which is
-    the order gradcheck reports.  ``workspace`` keeps a training step's
-    buffers between steps: the forward cache, the backward temporaries and
-    ``_weight_grad``'s products, each grown to the largest batch seen
-    (``trainer.train`` empties it when it returns).  The constructor copies
-    the given arrays into a fresh buffer, so a state never shares memory
-    with another.
+    writes into; ``grads`` follows the order of ``params``, which is the
+    order gradcheck reports.  The vocabulary and the relation label set
+    fix the sizes of ``emb`` and the classifier.  ``workspace`` keeps a
+    training step's buffers between steps: the forward cache, the backward
+    temporaries and ``_weight_grad``'s products, each grown to the largest
+    batch seen (``trainer.train`` empties it when it returns).  The
+    constructor copies the given arrays into a fresh buffer, so a state
+    never shares memory with another.
     """
 
     config: EncoderConfig
     seed: int
     vocab: list[str]  # id -> surface; includes specials
     params: dict[str, np.ndarray]
-    relations: list[str] = field(default_factory=list)  # ordered label set
+    relations: list[str]  # ordered label set
     token_to_id: dict[str, int] = field(init=False, repr=False)
     flat: np.ndarray = field(init=False, repr=False)
     grad_flat: np.ndarray = field(init=False, repr=False)
@@ -100,8 +99,7 @@ class ModelState:
         for k, view in views.items():
             view[...] = self.params[k]
         self.params = views
-        self.grad_flat, grads = _buffer(shapes)
-        self.grads = {k: grads[k] for k in _param_shapes(self.config)}
+        self.grad_flat, self.grads = _buffer(shapes)
         self.workspace = {}
 
     def copy(self):
@@ -138,18 +136,18 @@ def _slot(workspace, key, shape):
     return buf[:size].reshape(shape)
 
 
-def _param_shapes(config):
-    """Every parameter's name and shape for this config, in the order
-    backward produces the gradients: per layer from the last one down,
-    then the embedding and the head."""
-    d, ff, R = config.d_model, config.d_ff, config.n_relations
-    layer = {"ln2_g": (d,), "ln2_b": (d,), "W2": (ff, d), "b2": (d,), "W1": (d, ff),
-             "b1": (ff,), "ln1_g": (d,), "ln1_b": (d,), "Wo": (d, d), "bo": (d,),
-             "Wq": (d, d), "bq": (d,), "Wk": (d, d), "bk": (d,), "Wv": (d, d), "bv": (d,)}
-    shapes = {f"L{ell}.{name}": shape for ell in reversed(range(config.layers))
+def _param_shapes(config, n_words, n_labels):
+    """Every parameter's name and shape, in the order ``init_state`` draws
+    them: the embedding, each layer from L0 up, the pooling head and the
+    classifier."""
+    d, ff = config.d_model, config.d_ff
+    layer = {"Wq": (d, d), "bq": (d,), "Wk": (d, d), "bk": (d,), "Wv": (d, d), "bv": (d,),
+             "Wo": (d, d), "bo": (d,), "ln1_g": (d,), "ln1_b": (d,), "W1": (d, ff),
+             "b1": (ff,), "W2": (ff, d), "b2": (d,), "ln2_g": (d,), "ln2_b": (d,)}
+    shapes = {f"L{ell}.{name}": shape for ell in range(config.layers)
               for name, shape in layer.items()}
-    return {**shapes, "emb": (config.vocab_size, d), "saib.W": (2 * d,), "saib.b": (1,),
-            "clf.W": (d, R), "clf.b": (R,)}
+    return {"emb": (n_words, d), **shapes, "saib.W": (2 * d,), "saib.b": (1,),
+            "clf.W": (d, n_labels), "clf.b": (n_labels,)}
 
 
 def build_vocab(instances):
@@ -167,34 +165,19 @@ def encode_tokens(state: ModelState, surfaces):
     return np.array([state.token_to_id.get(s, unk) for s in surfaces], dtype=np.int64)
 
 
-def init_state(config: EncoderConfig, vocab, seed: int, relations=()) -> ModelState:
-    """Seeded init: uniform scaled by 1/sqrt(fan_in); layernorm at identity."""
-    config = EncoderConfig(**{**asdict(config), "vocab_size": len(vocab)})
+def init_state(config: EncoderConfig, vocab, seed: int, relations) -> ModelState:
+    """Seeded init in ``_param_shapes`` order: ``emb`` and every ``W*`` block
+    uniform in +-1/sqrt(fan_in) (fan_in is d_model for ``emb``, the first
+    dimension otherwise); layernorm gains at one, every other block zero."""
     rng = np.random.default_rng(seed)
-    d, ff = config.d_model, config.d_ff
-
-    def u(fan_in, *shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    params = {"emb": u(d, len(vocab), d)}
-    for ell in range(config.layers):
-        p = f"L{ell}."
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            params[p + name] = u(d, d, d)
-            params[p + name.replace("W", "b")] = np.zeros(d)
-        params[p + "ln1_g"] = np.ones(d)
-        params[p + "ln1_b"] = np.zeros(d)
-        params[p + "W1"] = u(d, d, ff)
-        params[p + "b1"] = np.zeros(ff)
-        params[p + "W2"] = u(ff, ff, d)
-        params[p + "b2"] = np.zeros(d)
-        params[p + "ln2_g"] = np.ones(d)
-        params[p + "ln2_b"] = np.zeros(d)
-    params["saib.W"] = u(2 * d, 2 * d)
-    params["saib.b"] = np.zeros(1)
-    params["clf.W"] = u(d, d, config.n_relations)
-    params["clf.b"] = np.zeros(config.n_relations)
+    params = {}
+    for name, shape in _param_shapes(config, len(vocab), len(relations)).items():
+        kind = name.rsplit(".", 1)[-1]
+        if kind == "emb" or kind.startswith("W"):
+            bound = 1.0 / np.sqrt(config.d_model if kind == "emb" else shape[0])
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.full(shape, 1.0 if kind.endswith("_g") else 0.0)
     return ModelState(
         config=config, seed=seed, vocab=list(vocab), params=params, relations=list(relations)
     )
@@ -460,7 +443,7 @@ def save_checkpoint(state: ModelState, path):
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint; a truncated file, trailing bytes, or a header that
     is malformed or whose arrays (name, shape, dtype) do not match its
-    config raise ValueError naming the path."""
+    config, vocabulary and relations raise ValueError naming the path."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -472,14 +455,16 @@ def load_checkpoint(path) -> ModelState:
         try:
             header = json.loads(blob.decode("utf-8"))
             config = EncoderConfig(**header["config"])
-            specs, seed, vocab = header["arrays"], header["seed"], header["vocab"]
+            specs, seed = header["arrays"], header["seed"]
+            vocab, relations = header["vocab"], header["relations"]
+            shapes = _param_shapes(config, len(vocab), len(relations))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path}: unreadable checkpoint header: {type(exc).__name__}: {exc}") from exc
-        shapes = _param_shapes(config)
         if specs != [{"name": k, "shape": list(shapes[k]), "dtype": "float64"}
                      for k in sorted(shapes)]:
-            raise ValueError(f"{path}: checkpoint arrays do not match its config")
+            raise ValueError(
+                f"{path}: checkpoint arrays do not match its config, vocabulary and relations")
         body = fh.read(8 * sum(math.prod(s["shape"]) for s in specs))
         params, end = {}, 0
         for spec in specs:
@@ -496,5 +481,5 @@ def load_checkpoint(path) -> ModelState:
         seed=seed,
         vocab=vocab,
         params=params,
-        relations=header.get("relations", []),
+        relations=relations,
     )

@@ -146,19 +146,10 @@ def relation_head(params, features):
     return alpha_ib, pooled, enc.softmax(pooled @ params["clf.W"] + params["clf.b"])
 
 
-def re_loss(pooled, Wc, bc, gold):
-    """Softmax cross-entropy over relations from the pooled feature.
-
-    pooled: (B, d); gold: (B,) int labels.
-    Returns (mean loss, d_pooled, dWc, dbc, probs).
-    """
-    pooled = np.atleast_2d(np.asarray(pooled, dtype=np.float64))
-    probs = enc.softmax(pooled @ Wc + bc)
-    return (*re_loss_from_probs(pooled, probs, Wc, gold), probs)
-
-
-def re_loss_from_probs(pooled, probs, Wc, gold):
-    """Cross-entropy and its gradients given the classifier's probs (B, R).
+def re_loss(pooled, probs, Wc, gold):
+    """Softmax cross-entropy over relations and its gradients, given the
+    pooled feature (B, d), the classifier's probs (B, R) and its weight Wc
+    (d, R); gold: (B,) int labels.
 
     Returns (mean loss, d_pooled, dWc, dbc).
     """
@@ -195,7 +186,7 @@ def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchR
     fwd = enc.forward(state, ids, state.workspace)
 
     alpha_ib, pooled, probs = relation_head(p, fwd.features)
-    l_re, d_pooled, dWc, dbc = re_loss_from_probs(pooled, probs, p["clf.W"], gold)
+    l_re, d_pooled, dWc, dbc = re_loss(pooled, probs, p["clf.W"], gold)
 
     d_alpha_ib = np.zeros_like(alpha_ib)
     d_features = np.zeros_like(fwd.features)

@@ -53,17 +53,15 @@ class TrainConfig:
         if self.lambda_asp < 0:
             raise ConfigError("lambda_asp must be >= 0")
         # run the encoder checks now, not after annotating the data
-        self.encoder_config(0, 0)
+        self.encoder_config()
 
-    def encoder_config(self, vocab_size, n_relations):
+    def encoder_config(self):
         return enc.EncoderConfig(
             layers=self.layers,
             heads=self.heads,
             d_model=self.d_model,
             d_ff=self.d_ff,
             max_len=self.max_len,
-            vocab_size=vocab_size,
-            n_relations=n_relations,
             last_k=self.last_k,
         )
 
@@ -179,9 +177,7 @@ def _collate(encoded, batch):
 
 def init_from_config(config: TrainConfig, prepared_train, relations):
     vocab = enc.build_vocab([pi.augmented for pi in prepared_train])
-    return enc.init_state(
-        config.encoder_config(len(vocab), len(relations)), vocab, config.seed, relations
-    )
+    return enc.init_state(config.encoder_config(), vocab, config.seed, relations)
 
 
 def _prepare(config: TrainConfig, prepared, relations):

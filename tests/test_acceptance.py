@@ -205,8 +205,7 @@ def test_criterion_5_saib_sparsification(capsys):
     wins = 0
     for seed in range(20):
         vocab = [enc.PAD, enc.UNK] + [f"w{i}" for i in range(8)]
-        cfg = enc.EncoderConfig(layers=2, heads=2, d_model=8, d_ff=16, max_len=16,
-                                vocab_size=len(vocab), n_relations=3, last_k=2)
+        cfg = enc.EncoderConfig(layers=2, heads=2, d_model=8, d_ff=16, max_len=16, last_k=2)
         state = enc.init_state(cfg, vocab, seed, relations=["a", "b", "c"])
         ids = rng.integers(2, len(vocab), size=(1, 6))
         before = after = None

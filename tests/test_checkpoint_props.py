@@ -22,7 +22,6 @@ def states(draw):
         d_model=heads * draw(st.integers(1, 4)),
         d_ff=draw(st.integers(1, 8)),
         max_len=draw(st.integers(1, 64)),
-        n_relations=n_relations,
         last_k=draw(st.integers(1, 3)),
     )
     words = draw(st.lists(st.text(min_size=1, max_size=6), max_size=8, unique=True))

@@ -51,6 +51,20 @@ def test_missing_required_argument_exits_one(capsys):
     assert run([]) == 1
 
 
+def test_missing_flag_is_named(capsys):
+    assert run(["train", "--out", "x"]) == 1
+    err = capsys.readouterr().err
+    assert "ssdp train: error: the following arguments are required: --config, --data" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--instances", "0"), ("--coords", "0"), ("--instances", "-1"), ("--coords", "-3"),
+])
+def test_gradcheck_count_below_one_exits_one(tmp_path, capsys, flag, value):
+    assert run(["gradcheck", flag, value, "--out", str(tmp_path / "gc")]) == 1
+    assert f"argument {flag}: must be a positive integer, got '{value}'" in capsys.readouterr().err
+
+
 def test_synth_writes_manifest_and_splits(data_dir):
     names = {p.name for p in data_dir.iterdir()}
     assert {"manifest.json", "train.jsonl", "dev.jsonl", "test.jsonl",
@@ -195,8 +209,11 @@ def test_corrupt_checkpoint_exits_one(tmp_path, data_dir, capsys):
     lambda h: h["config"].update(heads="2"),
     lambda h: h["config"].update(d_ff=float(h["config"]["d_ff"])),
     lambda h: h["config"].update(last_k=float(h["config"]["last_k"])),
+    lambda h: h["vocab"].append("extra-word"),
+    lambda h: h["relations"].append("extra_relation"),
+    lambda h: h["config"].update(vocab_size=len(h["vocab"]), n_relations=len(h["relations"])),
 ], ids=["reversed-shape", "unknown-config-key", "no-config", "str-heads", "float-d_ff",
-        "float-last_k"])
+        "float-last_k", "extra-vocab-word", "extra-relation", "pre-change-config"])
 def test_edited_checkpoint_header_exits_one(tmp_path, train_dir, data_dir, capsys, edit):
     blob = (train_dir / "model.ckpt").read_bytes()
     start = len(encoder._MAGIC) + 8

@@ -13,13 +13,42 @@ from ssdpsem.trainer import FD_STEP, GRADCHECK_TOLERANCE
 
 
 def tiny_state(layers=2, heads=2, d_model=8, d_ff=16, vocab_extra=("a", "b", "c"),
-               n_relations=3, seed=0):
+               seed=0):
     vocab = [enc.PAD, enc.UNK] + list(vocab_extra) + ["positive", "negative"]
     config = enc.EncoderConfig(
-        layers=layers, heads=heads, d_model=d_model, d_ff=d_ff, max_len=16,
-        vocab_size=len(vocab), n_relations=n_relations, last_k=2,
+        layers=layers, heads=heads, d_model=d_model, d_ff=d_ff, max_len=16, last_k=2,
     )
     return enc.init_state(config, vocab, seed, relations=["r0", "r1", "r2"])
+
+
+def test_init_draws_in_the_parents_order():
+    """init_state's weights, bit for bit, against the explicit draw sequence
+    the checkpoint body has always held: emb, then per layer Wq, Wk, Wv, Wo,
+    W1, W2, then saib.W and clf.W, each uniform in +-1/sqrt(fan_in)."""
+    state = tiny_state(seed=3)
+    cfg = state.config
+    d, ff, V, R = cfg.d_model, cfg.d_ff, len(state.vocab), len(state.relations)
+    rng = np.random.default_rng(3)
+
+    def u(fan_in, *shape):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    expected = {"emb": u(d, V, d)}
+    for ell in range(cfg.layers):
+        p = f"L{ell}."
+        for name in ("Wq", "Wk", "Wv", "Wo"):
+            expected[p + name] = u(d, d, d)
+            expected[p + name.replace("W", "b")] = np.zeros(d)
+        expected[p + "ln1_g"], expected[p + "ln1_b"] = np.ones(d), np.zeros(d)
+        expected[p + "W1"], expected[p + "b1"] = u(d, d, ff), np.zeros(ff)
+        expected[p + "W2"], expected[p + "b2"] = u(ff, ff, d), np.zeros(d)
+        expected[p + "ln2_g"], expected[p + "ln2_b"] = np.ones(d), np.zeros(d)
+    expected["saib.W"], expected["saib.b"] = u(2 * d, 2 * d), np.zeros(1)
+    expected["clf.W"], expected["clf.b"] = u(d, d, R), np.zeros(R)
+    assert cfg.layers == 2
+    reference = np.concatenate([expected[k].ravel() for k in sorted(expected)])
+    assert state.flat.tobytes() == reference.tobytes()
 
 
 def test_config_validation():
@@ -215,6 +244,7 @@ def test_params_and_grads_are_views_into_one_buffer_each():
     _assert_views_in_sorted_order(state.params, state.flat)
     _assert_views_in_sorted_order(state.grads, state.grad_flat)
     assert set(state.grads) == set(state.params)
+    assert list(state.grads) == list(state.params)
     out = enc.forward(state, np.array([[2, 3, 4, 5]]))
     assert enc.backward(state, out, np.ones_like(out.features)) is state.grads
     _assert_views_in_sorted_order(state.grads, state.grad_flat)

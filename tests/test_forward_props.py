@@ -23,7 +23,6 @@ def batches(draw):
         d_model=heads * draw(st.integers(1, 16)),
         d_ff=draw(st.integers(1, 128)),
         max_len=64,
-        n_relations=2,
     )
     vocab = [enc.PAD, enc.UNK] + [f"w{i}" for i in range(draw(st.integers(0, 30)))]
     state = enc.init_state(config, vocab, draw(st.integers(0, 2**32 - 1)), ["a", "b"])

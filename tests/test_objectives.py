@@ -217,7 +217,7 @@ def test_re_loss_uniform_classifier_gives_log_R():
     pooled = np.zeros((2, 4))
     Wc = np.zeros((4, 8))
     bc = np.zeros(8)
-    loss, *_ = obj.re_loss(pooled, Wc, bc, np.array([3, 5]))
+    loss, *_ = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, np.array([3, 5]))
     assert loss == pytest.approx(np.log(8), abs=1e-12)
 
 
@@ -225,7 +225,7 @@ def test_re_loss_confident_correct_prediction_near_zero():
     pooled = np.array([[1.0]])
     Wc = np.array([[50.0, -50.0]])
     bc = np.zeros(2)
-    loss, *_ = obj.re_loss(pooled, Wc, bc, np.array([0]))
+    loss, *_ = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, np.array([0]))
     assert loss < 1e-10
 
 
@@ -235,16 +235,16 @@ def test_re_loss_gradients_match_finite_differences():
     Wc = rng.normal(size=(4, 5))
     bc = rng.normal(size=5)
     gold = np.array([0, 2, 4])
-    _, d_pooled, dWc, dbc, _ = obj.re_loss(pooled, Wc, bc, gold)
+    _, d_pooled, dWc, dbc = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, gold)
     step = 1e-7
     for arr, grad in ((pooled, d_pooled), (Wc, dWc), (bc, dbc)):
         flat, gflat = arr.reshape(-1), grad.reshape(-1)
         for idx in range(0, flat.size, 3):
             orig = flat[idx]
             flat[idx] = orig + step
-            up = obj.re_loss(pooled, Wc, bc, gold)[0]
+            up = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, gold)[0]
             flat[idx] = orig - step
-            down = obj.re_loss(pooled, Wc, bc, gold)[0]
+            down = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, gold)[0]
             flat[idx] = orig
             assert gflat[idx] == pytest.approx((up - down) / (2 * step), abs=1e-5)
 
