@@ -76,15 +76,17 @@ def _read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_data_dir(data_dir: Path):
+def _load_data_dir(data_dir: Path, *required):
+    """The manifest and the splits present; a ``required`` one missing is an error."""
     manifest = corpus.manifest_from_dict(_read_json(data_dir / "manifest.json"))
     splits = {}
     for split in manifest.split_sizes:
         path = data_dir / f"{split}.jsonl"
         if path.exists():
             splits[split] = corpus.read_jsonl(path)
-    if not splits:
-        raise corpus.ConfigError(f"no split files found under {data_dir}")
+    for split in required:
+        if split not in splits:
+            raise corpus.ConfigError(f"{data_dir}: no {split!r} split ({split}.jsonl)")
     return manifest, splits
 
 
@@ -164,9 +166,7 @@ def cmd_train(args):
     out = Path(args.out)
     log = _Log(out)
     config = _train_config(_read_json(args.config), args.config, args.seed)
-    manifest, splits = _load_data_dir(Path(args.data))
-    if "train" not in splits:
-        raise corpus.ConfigError("data directory lacks a train split")
+    manifest, splits = _load_data_dir(Path(args.data), "train")
     (out / "config.json").write_text(
         json.dumps(vars(config).copy(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -225,7 +225,7 @@ def cmd_ablate(args):
     if not isinstance(grid, list) or not grid:
         raise corpus.ConfigError("grid file must hold a non-empty JSON list of configs")
     configs = [_train_config(rec, f"{args.grid}: grid entry {i}") for i, rec in enumerate(grid)]
-    manifest, splits = _load_data_dir(Path(args.data))
+    manifest, splits = _load_data_dir(Path(args.data), "train", args.eval_split)
     lexicon = sentiment.load_lexicon(args.lexicon)
     results = evalkit.ablation_grid(
         configs, splits, manifest.relations, manifest.entity_types,
@@ -248,7 +248,7 @@ def cmd_gradcheck(args):
         config = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32,
                                      seed=args.seed)
     if args.data:
-        manifest, splits = _load_data_dir(Path(args.data))
+        manifest, splits = _load_data_dir(Path(args.data), "train")
         instances = splits["train"][: args.instances]
         relations = manifest.relations
     else:

@@ -93,7 +93,8 @@ def saib_attention(features, anchor, W, b):
     """
     features = np.asarray(features, dtype=np.float64)
     d = features.shape[-1]
-    scores = features @ W[:d] + (anchor @ W[d:])[:, None] + b[0]
+    scores = (np.matmul(features, W[:d][:, None])[..., 0]
+              + np.matmul(anchor[:, None, :], W[d:][:, None])[:, 0] + b[0])
     return enc.softmax(scores), scores
 
 
@@ -140,10 +141,14 @@ def relation_head(params, features):
     features: (B, n, d) encoder output whose row 0, the sentiment token,
     conditions the pooling scores.
     Returns (alpha_ib (B, n), pooled (B, d), probs (B, R)).
+    Batch-invariant: each product is a per-row slice of a stacked matmul,
+    so a row's outputs are bit-identical whatever rows share its batch
+    (``ssdp inspect`` runs one row, ``ssdp eval`` 64).
     """
     alpha_ib, _ = saib_attention(features, features[:, 0], params["saib.W"], params["saib.b"])
-    pooled = np.einsum("bn,bnd->bd", alpha_ib, features)
-    return alpha_ib, pooled, enc.softmax(pooled @ params["clf.W"] + params["clf.b"])
+    pooled = np.matmul(alpha_ib[:, None, :], features)[:, 0]
+    logits = np.matmul(pooled[:, None, :], params["clf.W"])[:, 0] + params["clf.b"]
+    return alpha_ib, pooled, enc.softmax(logits)
 
 
 def re_loss(pooled, probs, Wc, gold):
@@ -163,72 +168,62 @@ def re_loss(pooled, probs, Wc, gold):
     return loss, d_logits @ Wc.T, pooled.T @ d_logits, d_logits.sum(axis=0)
 
 
+def relation_head_backward(params, features, alpha_ib, pooled, probs, gold, terms):
+    """Backward of ``relation_head`` for its terms in ``terms``: the relation
+    cross-entropy ("re") and the pooling entropy ("ib").
+
+    Returns (l_re, l_ib, d_features (B, n, d), grads of saib.W, saib.b
+    and, with "re", clf.W and clf.b).
+    """
+    l_re = l_ib = 0.0
+    d_alpha, d_features, grads = np.zeros_like(alpha_ib), 0.0, {}
+    if "re" in terms:
+        l_re, d_pooled, grads["clf.W"], grads["clf.b"] = re_loss(
+            pooled, probs, params["clf.W"], gold)
+        d_alpha = np.einsum("bd,bnd->bn", d_pooled, features)
+        d_features = alpha_ib[:, :, None] * d_pooled[:, None, :]
+    if "ib" in terms:
+        l_ib, d_alpha_ent = saib_entropy_loss(alpha_ib)
+        d_alpha = d_alpha + d_alpha_ent
+    df, d_anchor, grads["saib.W"], grads["saib.b"] = saib_attention_backward(
+        d_alpha, alpha_ib, features, features[:, 0], params["saib.W"])
+    d_features = d_features + df
+    d_features[:, 0, :] += d_anchor
+    return l_re, l_ib, d_features, grads
+
+
 @dataclass
 class BatchResult:
     breakdown: LossBreakdown
     grads: dict
-    probs: np.ndarray  # (B, R)
-    alpha_ib: np.ndarray  # (B, n)
-    alpha_avg: np.ndarray  # (B, n)
     asp_fallbacks: int
 
 
 def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchResult:
-    """Joint forward/backward over one same-length batch.
+    """Joint forward/backward over one same-length batch: the encoder, the
+    relation head and its backward, the KLD term, then the encoder backward.
 
     ``terms`` is the set of loss terms summed into the total, a subset of
     ("re", "asp", "ib"): training passes ``MODE_TERMS[config.mode]``, the
     gradient check one term at a time.  ``config`` is the run's
     ``TrainConfig``; the KLD term reads its ``lambda_asp`` and
-    ``asp_epsilon``.
+    ``asp_epsilon``.  With ``value_only`` the encoder backward is skipped
+    and ``grads`` is empty; otherwise it is ``state.grads``.
     """
     p = state.params
     fwd = enc.forward(state, ids, state.workspace)
-
     alpha_ib, pooled, probs = relation_head(p, fwd.features)
-    l_re, d_pooled, dWc, dbc = re_loss(pooled, probs, p["clf.W"], gold)
-
-    d_alpha_ib = np.zeros_like(alpha_ib)
-    d_features = np.zeros_like(fwd.features)
-    if "re" in terms:
-        d_alpha_ib += np.einsum("bd,bnd->bn", d_pooled, fwd.features)
-        d_features += alpha_ib[:, :, None] * d_pooled[:, None, :]
-    else:
-        l_re, dWc, dbc = 0.0, np.zeros_like(dWc), np.zeros_like(dbc)
-
-    l_ib = 0.0
-    if "ib" in terms:
-        l_ib, d_alpha_ent = saib_entropy_loss(alpha_ib)
-        d_alpha_ib = d_alpha_ib + d_alpha_ent
-
-    df, d_sen, dW_saib, db_saib = saib_attention_backward(
-        d_alpha_ib, alpha_ib, fwd.features, fwd.features[:, 0], p["saib.W"]
-    )
-    d_features = d_features + df
-    d_features[:, 0, :] += d_sen
-
-    alpha_avg = enc.average_attention(fwd.attention, state.config.last_k)
-    l_asp = 0.0
-    d_alpha_avg = None
-    fallbacks = 0
+    l_re, l_ib, d_features, head_grads = relation_head_backward(
+        p, fwd.features, alpha_ib, pooled, probs, gold, terms)
+    l_asp, d_alpha_avg, fallbacks = 0.0, None, 0
     if "asp" in terms:
         l_asp, d_alpha_avg, fallbacks = asp_loss(
-            alpha_avg, Q, config.lambda_asp, config.asp_epsilon)
-
+            enc.average_attention(fwd.attention, state.config.last_k), Q,
+            config.lambda_asp, config.asp_epsilon)
     breakdown = total_loss(float(l_re), float(l_asp), float(l_ib))
-    if value_only:
-        grads = {}
-    else:
+    grads = {}
+    if not value_only:
         grads = enc.backward(state, fwd, d_features, d_alpha_avg)
-        grads["saib.W"] += dW_saib
-        grads["saib.b"] += db_saib
-        grads["clf.W"] += dWc
-        grads["clf.b"] += dbc
-    return BatchResult(
-        breakdown=breakdown,
-        grads=grads,
-        probs=probs,
-        alpha_ib=alpha_ib,
-        alpha_avg=alpha_avg,
-        asp_fallbacks=fallbacks,
-    )
+        for name, g in head_grads.items():
+            grads[name] += g
+    return BatchResult(breakdown=breakdown, grads=grads, asp_fallbacks=fallbacks)

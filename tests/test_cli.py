@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -352,6 +353,31 @@ def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkey
     assert "grid entry 1" in err and key in err
 
 
+@pytest.mark.parametrize("command, extra, split", [
+    ("gradcheck", [], "train"),
+    ("ablate", [], "train"),
+    ("ablate", ["--eval-split", "bogus"], "bogus"),
+])
+def test_missing_split_exits_one_before_training(tmp_path, data_dir, monkeypatch, capsys,
+                                                 command, extra, split):
+    calls = []
+    monkeypatch.setattr(cli.trainer, "train", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli.trainer, "gradcheck", lambda *a, **k: calls.append(a))
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("manifest.json", "train.jsonl", "dev.jsonl", "test.jsonl"):
+        if name != f"{split}.jsonl":
+            shutil.copy(data_dir / name, data / name)
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "o"), *extra]
+    if command == "ablate":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"epochs": 1}]), encoding="utf-8")
+        argv += ["--grid", str(grid)]
+    assert run(argv) == 1
+    assert calls == []
+    assert f"{data}: no '{split}' split" in capsys.readouterr().err
+
+
 def _relabel(src, dst, old, new):
     """Copy a corpus directory, renaming relation label ``old`` to ``new``."""
     dst.mkdir()
@@ -407,12 +433,17 @@ def test_train_is_byte_identical_across_thread_counts(tmp_path):
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     src = str(Path(ssdpsem.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    instance = json.loads((data / "test.jsonl").read_text(encoding="utf-8")
+                          .splitlines()[0])["id"]
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
-        subprocess.run([sys.executable, "-m", "ssdpsem.cli", "train", "--config", str(cfg),
-                        "--data", str(data), "--out", str(out)],
-                       env=dict(env, SSDP_THREADS=threads), check=True, timeout=300,
-                       capture_output=True)
-        outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "model.ckpt")])
+        for argv in (["train", "--config", str(cfg), "--data", str(data), "--out", str(out)],
+                     ["inspect", "--instance", instance, "--checkpoint", str(out / "model.ckpt"),
+                      "--data", str(data / "test.jsonl"), "--out", str(out / "inspect")]):
+            subprocess.run([sys.executable, "-m", "ssdpsem.cli", *argv],
+                           env=dict(env, SSDP_THREADS=threads), check=True, timeout=300,
+                           capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("metrics.csv", "model.ckpt", f"inspect/attention_{instance}.csv")])
     assert outputs[0] == outputs[1]

@@ -214,3 +214,18 @@ def test_export_attention_round_trip(tmp_path, state_and_prepared):
     svg = svg_path.read_text(encoding="utf-8")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<rect") == 2 * len(rows)
+
+
+def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
+                                                                  state_and_prepared):
+    """`ssdp inspect` runs one instance, `ssdp eval` batches of 64; both must
+    report the same attention, bit for bit."""
+    state, prepared = state_and_prepared
+    _, _, alpha_ib, alpha_avg = evalkit.predict(state, prepared, batch_size=64)
+    for i, instance in enumerate(prepared):
+        evalkit.export_attention(state, instance, tmp_path / "att.csv")
+        with open(tmp_path / "att.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for key, batched in (("alpha_ib", alpha_ib[i]), ("alpha_avg", alpha_avg[i])):
+            alone = np.array([float(r[key]) for r in rows])
+            assert alone.tobytes() == batched.tobytes(), f"{key}, instance {i}"

@@ -252,10 +252,15 @@ def test_re_loss_gradients_match_finite_differences():
 def test_one_hot_pooling_selects_token_feature():
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(1, 5, 4))
-    alpha = np.zeros((1, 5))
-    alpha[0, 3] = 1.0
-    pooled = np.einsum("bn,bnd->bd", alpha, feats)
-    assert np.allclose(pooled[0], feats[0, 3])
+    feats[0, :, 0] = 0.0
+    feats[0, 3, 0] = 1.0
+    W = np.zeros(8)
+    W[0] = 1000.0  # token 3 outscores the rest by 1000, and exp(-1000) is 0.0 in float64
+    params = {"saib.W": W, "saib.b": np.zeros(1),
+              "clf.W": rng.normal(size=(4, 3)), "clf.b": np.zeros(3)}
+    alpha, pooled, _ = obj.relation_head(params, feats)
+    assert alpha.tolist() == [[0.0, 0.0, 0.0, 1.0, 0.0]]
+    assert pooled.tobytes() == feats[:, 3].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +312,3 @@ def test_value_only_leaves_the_gradient_buffer_untouched():
     ids, Q, gold = make_batch(state, B=3, n=6)
     obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True)
     assert state.grad_flat.tobytes() == before.tobytes()
-
-
-def test_batch_losses_alpha_shapes():
-    state = tiny_state()
-    ids, Q, gold = make_batch(state, B=3, n=6)
-    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
-    assert out.probs.shape == (3, len(state.relations))
-    assert np.allclose(out.probs.sum(axis=1), 1.0)
-    assert out.alpha_ib.shape == (3, 6)
-    assert out.alpha_avg.shape == (3, 6)
-    assert np.allclose(out.alpha_avg.sum(axis=1), 1.0)
