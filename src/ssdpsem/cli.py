@@ -50,22 +50,23 @@ def _positive_int(text):
 
 
 class _Log:
-    """Tee messages to stdout and the run directory's log file."""
+    """Make the run directory and tee messages to stdout and its log.txt.
 
-    def __init__(self, out_dir: Path | None):
-        self.fh = None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            self.fh = open(out_dir / "log.txt", "w", encoding="utf-8")
+    Commands make one only once their input is read, so bad input leaves no
+    directory; the log is created at the first message and holds no open
+    file between messages.
+    """
+
+    def __init__(self, out_dir: Path):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.path = out_dir / "log.txt"
+        self.mode = "w"
 
     def __call__(self, msg):
         print(msg)
-        if self.fh:
-            self.fh.write(msg + "\n")
-
-    def close(self):
-        if self.fh:
-            self.fh.close()
+        with open(self.path, self.mode, encoding="utf-8") as fh:
+            fh.write(msg + "\n")
+        self.mode = "a"
 
 
 def _f(x):
@@ -111,11 +112,11 @@ def _train_config(rec, where, seed_override=None) -> trainer.TrainConfig:
 
 def cmd_synth(args):
     out = Path(args.out)
-    log = _Log(out)
     manifest = corpus.default_manifest(
         seed=args.seed, train=args.train, dev=args.dev, test=args.test
     )
     splits = corpus.synthesize_corpus(manifest, args.coupling)
+    log = _Log(out)
     (out / "manifest.json").write_text(
         json.dumps(corpus.manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -124,13 +125,11 @@ def cmd_synth(args):
         corpus.write_jsonl(instances, out / f"{split}.jsonl")
         log(f"wrote {split}: {len(instances)} instances")
     log(f"coupling {_f(args.coupling)} seed {args.seed}")
-    log.close()
     return 0
 
 
 def cmd_annotate(args):
     out = Path(args.out)
-    log = _Log(out)
     if args.conllu:
         if not args.sidecar:
             raise corpus.ConfigError("--conllu requires --sidecar")
@@ -141,6 +140,7 @@ def cmd_annotate(args):
         raise corpus.ConfigError("provide --conllu/--sidecar or --jsonl")
     lexicon = sentiment.load_lexicon(args.lexicon)
     prepared, stats = pipeline.annotate(instances, lexicon, args.variant)
+    log = _Log(out)
     corpus.write_jsonl([p.augmented for p in prepared], out / "annotated.jsonl")
     (out / "annotate_stats.json").write_text(
         json.dumps(
@@ -158,20 +158,19 @@ def cmd_annotate(args):
     )
     log(f"annotated {stats.instances} instances "
         f"({stats.sdp_fallbacks} SDP fallbacks, {stats.tag_stats.ties} tag ties)")
-    log.close()
     return 0
 
 
 def cmd_train(args):
     out = Path(args.out)
-    log = _Log(out)
     config = _train_config(_read_json(args.config), args.config, args.seed)
     manifest, splits = _load_data_dir(Path(args.data), "train")
-    (out / "config.json").write_text(
-        json.dumps(vars(config).copy(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     prepared, _ = pipeline.annotate(
         splits["train"], sentiment.load_lexicon(args.lexicon), config.isl_variant
+    )
+    log = _Log(out)
+    (out / "config.json").write_text(
+        json.dumps(vars(config).copy(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     record = trainer.train(
         config,
@@ -187,13 +186,11 @@ def cmd_train(args):
         )
     log(f"asp fallbacks {record.asp_fallbacks}")
     log(f"wall time {_f(record.wall_time)} s")
-    log.close()
     return 0
 
 
 def cmd_eval(args):
     out = Path(args.out)
-    log = _Log(out)
     state = encoder.load_checkpoint(args.checkpoint)
     instances = corpus.read_jsonl(args.split)
     lexicon = sentiment.load_lexicon(args.lexicon)
@@ -204,6 +201,7 @@ def cmd_eval(args):
         entity_types, no_relation = manifest.entity_types, manifest.no_relation_label
     report = evalkit.evaluate(state, prepared, entity_types, no_relation)
     text = evalkit.report_to_text(report, state.relations)
+    log = _Log(out)
     (out / "report.txt").write_text(text, encoding="utf-8")
     rows = ["relation,precision,recall,f1,tp,fp,fn"]
     for label in state.relations:
@@ -214,13 +212,11 @@ def cmd_eval(args):
         )
     (out / "per_relation.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     log(text.rstrip("\n"))
-    log.close()
     return 0
 
 
 def cmd_ablate(args):
     out = Path(args.out)
-    log = _Log(out)
     grid = _read_json(args.grid)
     if not isinstance(grid, list) or not grid:
         raise corpus.ConfigError("grid file must hold a non-empty JSON list of configs")
@@ -233,15 +229,14 @@ def cmd_ablate(args):
         no_relation=manifest.no_relation_label,
     )
     csv_text = evalkit.grid_to_csv(results)
+    log = _Log(out)
     (out / "grid.csv").write_text(csv_text, encoding="utf-8")
     log(csv_text.rstrip("\n"))
-    log.close()
     return 0
 
 
 def cmd_gradcheck(args):
     out = Path(args.out)
-    log = _Log(out)
     if args.config:
         config = _train_config(_read_json(args.config), args.config, args.seed)
     else:
@@ -259,6 +254,7 @@ def cmd_gradcheck(args):
     prepared, _ = pipeline.annotate(instances, sentiment.load_lexicon(), config.isl_variant)
     report = trainer.gradcheck(config, prepared, relations,
                                max_coords_per_block=args.coords)
+    log = _Log(out)
     lines = [
         f"{e.term} {e.block} max_rel_err {e.max_rel_err:.3e} coords {e.coords_checked} "
         f"kinks {e.kinks_skipped} {'ok' if e.passed else 'FAIL'}"
@@ -271,7 +267,6 @@ def cmd_gradcheck(args):
     (out / "gradcheck.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     log(f"gradcheck {verdict}: max relative error {report.max_rel_err:.3e} "
         f"over {len(report.entries)} blocks")
-    log.close()
     if not report.passed:
         raise RuntimeError("gradient check failed; see gradcheck.txt")
     return 0
@@ -279,7 +274,6 @@ def cmd_gradcheck(args):
 
 def cmd_inspect(args):
     out = Path(args.out)
-    log = _Log(out)
     state = encoder.load_checkpoint(args.checkpoint)
     instances = corpus.read_jsonl(args.data)
     matches = [i for i in instances if i.id == args.instance]
@@ -287,6 +281,7 @@ def cmd_inspect(args):
         raise corpus.ConfigError(f"instance id {args.instance!r} not found in {args.data}")
     lexicon = sentiment.load_lexicon(args.lexicon)
     prepared = pipeline.annotate_instance(matches[0], lexicon, args.variant)
+    log = _Log(out)
     csv_path = out / f"attention_{args.instance}.csv"
     svg_path = out / f"attention_{args.instance}.svg"
     a_avg, a_ib = evalkit.export_attention(state, prepared, csv_path, svg_path)
@@ -294,7 +289,6 @@ def cmd_inspect(args):
     log(f"instance {args.instance}: {len(prepared.augmented.tokens)} tokens")
     log(f"marked attention mass {_f(mass)}")
     log(f"wrote {csv_path.name} and {svg_path.name}")
-    log.close()
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 
 ROOT = -1
@@ -30,8 +31,12 @@ class ConfigError(ValueError):
     """Bad generation or training configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
+    """One word of a sentence.  Slotted, so it has no per-token ``__dict__``;
+    the readers intern ``surface`` and ``deprel``, so a loaded corpus holds
+    each distinct string once.  Nothing hashes or mutates a token."""
+
     index: int
     surface: str
     head: int  # parent token index, or ROOT (-1)
@@ -161,7 +166,8 @@ def read_conllu(conllu_path, sidecar_path):
         tokens = []
         for idx, form, head, deprel in rows:
             # CoNLL-U is 1-based with head 0 = root
-            tokens.append(Token(idx - 1, form, head - 1 if head > 0 else ROOT, deprel))
+            tokens.append(Token(idx - 1, sys.intern(form), head - 1 if head > 0 else ROOT,
+                                sys.intern(deprel)))
         roots = sum(1 for t in tokens if t.head == ROOT)
         inst = Instance(
             id=sid,
@@ -206,16 +212,23 @@ def _span(rec, key):
     return tuple(span)
 
 
+# the element type of each per-token list; a bool is not an int
+_TOKEN_LISTS = {"tokens": str, "heads": int, "deprels": str}
+
+
 def instance_from_dict(rec):
-    for key in ("tokens", "heads", "deprels"):
-        if not isinstance(rec[key], list):
-            raise ParseError(f"{key} must be a list, got {type(rec[key]).__name__}")
-    for key in ("heads", "deprels"):
-        if len(rec[key]) != len(rec["tokens"]):
-            raise ParseError(f"{key} has {len(rec[key])} entries for "
+    for key, kind in _TOKEN_LISTS.items():
+        values = rec[key]
+        if not isinstance(values, list):
+            raise ParseError(f"{key} must be a list, got {type(values).__name__}")
+        for i, v in enumerate(values):
+            if type(v) is not kind:
+                raise ParseError(f"{key}[{i}] must be {kind.__name__}, got {v!r}")
+        if len(values) != len(rec["tokens"]):
+            raise ParseError(f"{key} has {len(values)} entries for "
                              f"{len(rec['tokens'])} tokens")
     tokens = [
-        Token(i, s, h, d)
+        Token(i, sys.intern(s), h, sys.intern(d))
         for i, (s, h, d) in enumerate(zip(rec["tokens"], rec["heads"], rec["deprels"]))
     ]
     return Instance(

@@ -35,21 +35,27 @@ def _prf(tp, fp, fn):
     return p, r, f1
 
 
-def predict(state, prepared, batch_size=64):
+def predict(state, prepared, batch_size=16):
     """Batched inference grouped by sequence length.
 
     Returns per-instance lists in input order: predicted relation index,
     gold index, pooling attention alpha_ib and averaged attention alpha_avg.
+    A row's outputs are bit-identical whatever rows share its batch, so
+    ``batch_size`` sets only the memory held: the default is training's,
+    and every batch's forward reuses one workspace local to the call
+    (``state.workspace`` is left alone).
     """
     encoded = trainer.encode_prepared(state, prepared)
     preds = [None] * len(encoded)
     alpha_ib = [None] * len(encoded)
     alpha_avg = [None] * len(encoded)
+    workspace = {}
     for chunk in trainer.make_batches(encoded, batch_size, range(len(encoded))):
         ids, _, _ = trainer._collate(encoded, chunk)
-        fwd = enc.forward(state, ids)
+        fwd = enc.forward(state, ids, workspace)
         a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
         a_avg = enc.average_attention(fwd.attention, state.config.last_k)
+        del fwd  # its cache views the workspace: a slot the next batch grows is then freed
         for row, i in enumerate(chunk):
             preds[i] = int(np.argmax(probs[row]))
             alpha_ib[i] = a_ib[row]

@@ -143,7 +143,7 @@ def relation_head(params, features):
     Returns (alpha_ib (B, n), pooled (B, d), probs (B, R)).
     Batch-invariant: each product is a per-row slice of a stacked matmul,
     so a row's outputs are bit-identical whatever rows share its batch
-    (``ssdp inspect`` runs one row, ``ssdp eval`` 64).
+    (``ssdp inspect`` runs one row, ``ssdp eval`` up to 16).
     """
     alpha_ib, _ = saib_attention(features, features[:, 0], params["saib.W"], params["saib.b"])
     pooled = np.matmul(alpha_ib[:, None, :], features)[:, 0]

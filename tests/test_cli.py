@@ -278,6 +278,21 @@ def test_jsonl_record_with_a_non_list_exits_one(tmp_path, data_dir, capsys, key,
     assert f"{bad}:2: {key} must be a list, got {kind}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("tokens", 7, "str"), ("deprels", None, "str"),
+    ("heads", "2", "int"), ("heads", True, "int"), ("heads", 1.0, "int"),
+])
+def test_jsonl_record_with_a_wrong_typed_element_exits_one(tmp_path, data_dir, capsys,
+                                                          key, value, kind):
+    lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    rec[key][2] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n", encoding="utf-8")
+    assert run(["sdp", "dump", "--jsonl", str(bad)]) == 1
+    assert f"{bad}:2: {key}[2] must be {kind}, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("heads", "2"), ("lr", [0.001])])
 def test_train_rejects_wrong_typed_config_value(tmp_path, data_dir, capsys, key, value):
     cfg = tmp_path / "config.json"
@@ -376,6 +391,7 @@ def test_missing_split_exits_one_before_training(tmp_path, data_dir, monkeypatch
     assert run(argv) == 1
     assert calls == []
     assert f"{data}: no '{split}' split" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "log.txt").exists()
 
 
 def _relabel(src, dst, old, new):

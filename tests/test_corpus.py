@@ -125,6 +125,20 @@ def test_jsonl_round_trip(tmp_path, small_splits):
         assert (a.subj, a.obj, a.relation, a.sentiment) == (b.subj, b.obj, b.relation, b.sentiment)
 
 
+def test_readers_hold_one_string_per_distinct_surface_and_deprel(tmp_path, small_splits):
+    path = tmp_path / "c.jsonl"
+    corpus.write_jsonl(small_splits["train"] + small_splits["dev"], path)
+    read = corpus.read_jsonl(path) + corpus.read_conllu(*write_pair(tmp_path))
+    tokens = [t for inst in read for t in inst.tokens]
+    for name in ("surface", "deprel"):
+        values = [getattr(t, name) for t in tokens]
+        assert len({id(v) for v in values}) == len(set(values)), name
+
+
+def test_token_has_no_instance_dict():
+    assert not hasattr(Token(0, "a", -1, "root"), "__dict__")
+
+
 def test_read_jsonl_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": 1\n', encoding="utf-8")

@@ -2,11 +2,12 @@
 
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssdpsem import evalkit, objectives, pipeline, trainer
+from ssdpsem import corpus, evalkit, objectives, pipeline, trainer
 
 
 RELATIONS = ["no_relation", "a_rel", "b_rel", "c_rel"]
@@ -218,8 +219,8 @@ def test_export_attention_round_trip(tmp_path, state_and_prepared):
 
 def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
                                                                   state_and_prepared):
-    """`ssdp inspect` runs one instance, `ssdp eval` batches of 64; both must
-    report the same attention, bit for bit."""
+    """`ssdp inspect` runs one instance, `ssdp eval` batches of several; both
+    must report the same attention, bit for bit."""
     state, prepared = state_and_prepared
     _, _, alpha_ib, alpha_avg = evalkit.predict(state, prepared, batch_size=64)
     for i, instance in enumerate(prepared):
@@ -229,3 +230,44 @@ def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
         for key, batched in (("alpha_ib", alpha_ib[i]), ("alpha_avg", alpha_avg[i])):
             alone = np.array([float(r[key]) for r in rows])
             assert alone.tobytes() == batched.tobytes(), f"{key}, instance {i}"
+
+
+def test_predict_batch_size_changes_no_output_and_leaves_the_step_workspace(
+        state_and_prepared):
+    state, prepared = state_and_prepared
+    state, prepared = state.copy(), prepared * 8  # so some lengths fill several batches
+    encoded = trainer.encode_prepared(state, prepared)
+    order = range(len(encoded))
+    assert len(trainer.make_batches(encoded, 16, order)) > len(
+        trainer.make_batches(encoded, 64, order))
+    ids, Q, gold = trainer._collate(encoded, [0])
+    objectives.batch_losses(state, ids, Q, gold, ("re",), trainer.TrainConfig())
+    before = {key: (buf, buf.copy()) for key, buf in state.workspace.items()}
+    small, large = (evalkit.predict(state, prepared, batch_size=b) for b in (16, 64))
+    assert small[:2] == large[:2]
+    for a, b in zip(small[2] + small[3], large[2] + large[3]):
+        assert a.tobytes() == b.tobytes()
+    assert state.workspace.keys() == before.keys()
+    for key, (buf, copy) in before.items():
+        assert state.workspace[key] is buf and buf.tobytes() == copy.tobytes(), key
+
+
+# tracemalloc's peak for the evaluation below before eval batches were
+# capped at training's size and given a reused workspace (batches of up to
+# 64 rows, each with fresh arrays, the previous batch's cache still alive)
+PEAK_MIB_BEFORE = 50.96
+
+
+def test_evaluate_holds_under_half_the_memory_of_64_row_batches(lexicon):
+    manifest = corpus.default_manifest(seed=11, train=1, dev=1, test=400)
+    test = corpus.synthesize_corpus(manifest, 0.9)["test"]
+    prepared, _ = pipeline.annotate(test, lexicon, "ISL")
+    state = trainer.init_from_config(trainer.TrainConfig(seed=0), prepared,
+                                     manifest.relations)  # the 4 x 4 x 64 default
+    tracemalloc.start()
+    try:
+        evalkit.evaluate(state, prepared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < PEAK_MIB_BEFORE / 2
