@@ -77,18 +77,16 @@ def _read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_data_dir(data_dir: Path, *required):
-    """The manifest and the splits present; a ``required`` one missing is an error."""
+def _load_data_dir(data_dir: Path, *names):
+    """The manifest and the named splits, each of which must exist; with no
+    names, every split present."""
     manifest = corpus.manifest_from_dict(_read_json(data_dir / "manifest.json"))
-    splits = {}
-    for split in manifest.split_sizes:
-        path = data_dir / f"{split}.jsonl"
-        if path.exists():
-            splits[split] = corpus.read_jsonl(path)
-    for split in required:
-        if split not in splits:
+    paths = {split: data_dir / f"{split}.jsonl" for split in names or manifest.split_sizes}
+    for split in names:
+        if not paths[split].exists():
             raise corpus.ConfigError(f"{data_dir}: no {split!r} split ({split}.jsonl)")
-    return manifest, splits
+    return manifest, {split: corpus.read_jsonl(path) for split, path in paths.items()
+                      if path.exists()}
 
 
 def _train_config(rec, where, seed_override=None) -> trainer.TrainConfig:

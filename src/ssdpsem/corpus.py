@@ -148,8 +148,7 @@ def read_conllu(conllu_path, sidecar_path):
     """
     sentences = _parse_conllu_sentences(conllu_path)
     sidecar = list(_parse_lines(sidecar_path, lambda row: {
-        **row, "subj": _span(row, "subj"), "obj": _span(row, "obj"),
-        "relation": row["relation"],
+        **row, "subj": _span(row, "subj"), "obj": _span(row, "obj"), "relation": _relation(row),
     }))
     if len(sidecar) != len(sentences):
         raise ParseError(
@@ -212,6 +211,13 @@ def _span(rec, key):
     return tuple(span)
 
 
+def _relation(rec):
+    relation = rec["relation"]
+    if not isinstance(relation, str):
+        raise ParseError(f"relation must be str, got {relation!r}")
+    return relation
+
+
 # the element type of each per-token list; a bool is not an int
 _TOKEN_LISTS = {"tokens": str, "heads": int, "deprels": str}
 
@@ -236,7 +242,7 @@ def instance_from_dict(rec):
         tokens=tokens,
         subj=_span(rec, "subj"),
         obj=_span(rec, "obj"),
-        relation=rec["relation"],
+        relation=_relation(rec),
         sentiment=rec.get("sentiment"),
         fragmented=rec.get("fragmented", False),
     )

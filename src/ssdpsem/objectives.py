@@ -194,9 +194,14 @@ def relation_head_backward(params, features, alpha_ib, pooled, probs, gold, term
 
 @dataclass
 class BatchResult:
+    """The batch's losses, its gradients (``state.grads``, or empty with
+    ``value_only``), its ASP fallback count, and the encoder ``forward``
+    it ran, valid until the next forward on ``state.workspace``."""
+
     breakdown: LossBreakdown
     grads: dict
     asp_fallbacks: int
+    forward: enc.ForwardResult
 
 
 def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchResult:
@@ -205,7 +210,7 @@ def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchR
 
     ``terms`` is the set of loss terms summed into the total, a subset of
     ("re", "asp", "ib"): training passes ``MODE_TERMS[config.mode]``, the
-    gradient check one term at a time.  ``config`` is the run's
+    gradient check each term alone and all three.  ``config`` is the run's
     ``TrainConfig``; the KLD term reads its ``lambda_asp`` and
     ``asp_epsilon``.  With ``value_only`` the encoder backward is skipped
     and ``grads`` is empty; otherwise it is ``state.grads``.
@@ -226,4 +231,4 @@ def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchR
         grads = enc.backward(state, fwd, d_features, d_alpha_avg)
         for name, g in head_grads.items():
             grads[name] += g
-    return BatchResult(breakdown=breakdown, grads=grads, asp_fallbacks=fallbacks)
+    return BatchResult(breakdown=breakdown, grads=grads, asp_fallbacks=fallbacks, forward=fwd)

@@ -222,6 +222,7 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
             rows.append(f"{step},{b.l_re:.6f},{b.l_asp:.6f},{b.l_ib:.6f},{b.total:.6f}")
             sums += (b.l_re, b.l_asp, b.l_ib, b.total)
             fallbacks += result.asp_fallbacks
+            del result  # its forward would pin the slots a later, longer batch regrows
             n_batches += 1
             step += 1
         means = sums / max(n_batches, 1)
@@ -278,19 +279,20 @@ class GradCheckReport:
     def max_rel_err(self):
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
-    def failures(self):
-        return [e for e in self.entries if not e.passed]
+
+# each reported term (a LossBreakdown field) and the terms its gradient sums
+_TERM_SETS = {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
+              "total": ("re", "asp", "ib")}
 
 
-def _loss_value(state, ids, Q, gold, terms, config):
-    return objectives.batch_losses(
-        state, ids, Q, gold, terms, config, value_only=True).breakdown.total
-
-
-def _relu_pattern(state, ids):
-    """Sign pattern of every feed-forward pre-activation, for kink detection."""
-    fwd = enc.forward(state, ids)
-    return tuple((layer["f1"] > 0).tobytes() for layer in fwd.cache["layers"])
+def _probe(state, ids, Q, gold, config):
+    """One value-only forward: every term's loss, and the sign pattern of
+    each feed-forward pre-activation, read before the next forward
+    overwrites the workspace."""
+    result = objectives.batch_losses(state, ids, Q, gold, _TERM_SETS["total"], config,
+                                     value_only=True)
+    layers = result.forward.cache["layers"]
+    return result.breakdown, b"".join((c["f1"] > 0).tobytes() for c in layers)
 
 
 def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
@@ -299,11 +301,14 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
 
     Checks each loss term in isolation plus their sum, whatever
     ``config.mode`` is; ``config`` supplies the KLD term's weight and
-    smoothing.  Coordinates are subsampled with an even deterministic
-    stride when a block exceeds ``max_coords_per_block`` (pass None to
-    check everything).
-    ``analytic_override`` lets tests corrupt a gradient block (negative
-    control).
+    smoothing.  The four analytic gradients are computed and copied first;
+    then one probe pair per coordinate, at +h and -h, serves all four
+    terms (a one-term total equals that term's value bit for bit).
+    Coordinates are subsampled with an even deterministic stride when a
+    block exceeds ``max_coords_per_block`` (pass None to check
+    everything).  Entries are term-major, blocks in ``state.params`` order.
+    ``analytic_override(term, grads)`` lets tests corrupt a gradient block
+    (negative control).
 
     Central differences are undefined across a ReLU kink: when a
     pre-activation sits within the step of zero, the two probe points lie
@@ -313,52 +318,37 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
     two probes are therefore skipped and counted in ``kinks_skipped``
     instead of reported as errors.
     """
-    report = GradCheckReport()
-    term_sets = {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
-                 "total": ("re", "asp", "ib")}
-    for term_name, terms in term_sets.items():
-        analytic = objectives.batch_losses(state, ids, Q, gold, terms, config).grads
-        if analytic_override is not None:
-            analytic = analytic_override(term_name, analytic)
-        for block, grad in analytic.items():
-            flat = grad.reshape(-1)
-            size = flat.size
-            if size == 0:
-                continue
-            if max_coords_per_block is not None and size > max_coords_per_block:
-                coords = np.linspace(0, size - 1, max_coords_per_block).astype(int)
-                coords = np.unique(coords)
-            else:
-                coords = np.arange(size)
-            pflat = state.params[block].reshape(-1)
-            max_err = 0.0
-            kinks = 0
-            checked = 0
-            for c in coords:
-                orig = pflat[c]
-                pflat[c] = orig + FD_STEP
-                up = _loss_value(state, ids, Q, gold, terms, config)
-                pflat[c] = orig - FD_STEP
-                down = _loss_value(state, ids, Q, gold, terms, config)
-                pflat[c] = orig
-                fd = (up - down) / (2 * FD_STEP)
-                a = flat[c]
+    analytic = {}
+    for name, terms in _TERM_SETS.items():
+        grads = objectives.batch_losses(state, ids, Q, gold, terms, config).grads
+        grads = {block: g.copy() for block, g in grads.items()}
+        analytic[name] = grads if analytic_override is None else analytic_override(name, grads)
+    rows = []  # per block, one entry per term
+    for block, param in state.params.items():
+        if max_coords_per_block is not None and param.size > max_coords_per_block:
+            coords = np.unique(np.linspace(0, param.size - 1, max_coords_per_block).astype(int))
+        else:
+            coords = np.arange(param.size)
+        row = [GradCheckEntry(name, block, 0.0, 0) for name in _TERM_SETS]
+        rows.append(row)
+        pflat = param.reshape(-1)
+        for c in coords:
+            orig = pflat[c]
+            pflat[c] = orig + FD_STEP
+            up, pattern_up = _probe(state, ids, Q, gold, config)
+            pflat[c] = orig - FD_STEP
+            down, pattern_down = _probe(state, ids, Q, gold, config)
+            pflat[c] = orig
+            for e in row:
+                fd = (getattr(up, e.term) - getattr(down, e.term)) / (2 * FD_STEP)
+                a = analytic[e.term][block].flat[c]
                 err = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
-                if err >= GRADCHECK_TOLERANCE:
-                    pflat[c] = orig + FD_STEP
-                    pattern_up = _relu_pattern(state, ids)
-                    pflat[c] = orig - FD_STEP
-                    pattern_down = _relu_pattern(state, ids)
-                    pflat[c] = orig
-                    if pattern_up != pattern_down:
-                        kinks += 1
-                        continue
-                checked += 1
-                max_err = max(max_err, err)
-            report.entries.append(
-                GradCheckEntry(term_name, block, max_err, checked, kinks)
-            )
-    return report
+                if err >= GRADCHECK_TOLERANCE and pattern_up != pattern_down:
+                    e.kinks_skipped += 1
+                else:
+                    e.max_rel_err = max(e.max_rel_err, err)
+                    e.coords_checked += 1
+    return GradCheckReport([e for term_entries in zip(*rows) for e in term_entries])
 
 
 def gradcheck(config: TrainConfig, prepared, relations,

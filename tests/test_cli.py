@@ -242,7 +242,8 @@ def test_jsonl_record_without_heads_exits_one(tmp_path, data_dir, capsys):
 @pytest.mark.parametrize("edit, message", [
     (lambda rec: [1, 2], "expected a JSON object, got list"),
     (lambda rec: dict(rec, obj=[0]), "obj must be a [start, end] pair"),
-], ids=["not-an-object", "one-element-span"])
+    (lambda rec: dict(rec, relation=["profit_of"]), "relation must be str, got ['profit_of']"),
+], ids=["not-an-object", "one-element-span", "list-relation"])
 def test_malformed_jsonl_record_exits_one(tmp_path, data_dir, capsys, edit, message):
     lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
     bad = tmp_path / "bad.jsonl"
@@ -392,6 +393,19 @@ def test_missing_split_exits_one_before_training(tmp_path, data_dir, monkeypatch
     assert calls == []
     assert f"{data}: no '{split}' split" in capsys.readouterr().err
     assert not (tmp_path / "o" / "log.txt").exists()
+
+
+def test_train_and_ablate_read_only_the_splits_they_use(tmp_path, data_dir):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "dev.jsonl").write_text("not json\n", encoding="utf-8")
+    cfg = {"epochs": 1, "layers": 2, "heads": 2, "d_model": 16, "d_ff": 32, "batch_size": 8}
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    (tmp_path / "grid.json").write_text(json.dumps([cfg]), encoding="utf-8")
+    assert run(["train", "--config", str(tmp_path / "config.json"), "--data", str(data),
+                "--out", str(tmp_path / "t")]) == 0
+    assert run(["ablate", "--grid", str(tmp_path / "grid.json"), "--data", str(data),
+                "--out", str(tmp_path / "a")]) == 0
 
 
 def _relabel(src, dst, old, new):

@@ -81,7 +81,8 @@ def test_read_conllu_sidecar_count_mismatch(tmp_path):
     ([1], "expected a JSON object, got list"),
     ({"subj": [0], "obj": [1, 1], "relation": "r"}, "subj must be a [start, end] pair"),
     ({"subj": [0, 0], "obj": [1, 1]}, "missing key 'relation'"),
-], ids=["not-an-object", "one-element-span", "no-relation"])
+    ({"subj": [0, 0], "obj": [1, 1], "relation": ["r"]}, "relation must be str, got ['r']"),
+], ids=["not-an-object", "one-element-span", "no-relation", "list-relation"])
 def test_read_conllu_malformed_sidecar_row_names_line(tmp_path, second, message):
     conllu, sidecar = write_pair(tmp_path, sidecar_rows=[
         {"subj": [0, 0], "obj": [2, 2], "relation": "r"}, second])

@@ -302,6 +302,16 @@ def test_batch_losses_value_only_skips_grads():
     assert np.isfinite(out.breakdown.total)
 
 
+def test_joint_value_only_terms_equal_the_one_term_totals_exactly():
+    """gradcheck reads every term's finite difference from one joint probe."""
+    state = tiny_state()
+    ids, Q, gold = make_batch(state)
+    joint = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True).breakdown
+    for name, term in (("l_re", "re"), ("l_asp", "asp"), ("l_ib", "ib")):
+        alone = obj.batch_losses(state, ids, Q, gold, (term,), CONFIG, value_only=True)
+        assert getattr(joint, name) == alone.breakdown.total, name
+
+
 def test_value_only_leaves_the_gradient_buffer_untouched():
     """gradcheck reads the analytic gradients while its probes run."""
     state = tiny_state()

@@ -2,6 +2,7 @@
 
 import random
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -197,7 +198,7 @@ def test_gradcheck_passes_on_synthetic_instances(small_train, small_manifest):
     cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
     report = trainer.gradcheck(cfg, small_train[:2], small_manifest.relations,
                                max_coords_per_block=6)
-    assert report.passed, report.failures()
+    assert report.passed, [e for e in report.entries if not e.passed]
     assert report.max_rel_err < trainer.GRADCHECK_TOLERANCE
     terms = {e.term for e in report.entries}
     assert terms == {"l_re", "l_asp", "l_ib", "total"}
@@ -220,9 +221,124 @@ def test_gradcheck_negative_control_catches_corruption(small_train, small_manife
         state, ids[None, :], Q[None, :], np.array([gold]), cfg,
         max_coords_per_block=4, analytic_override=corrupt,
     )
-    failing = {(e.term, e.block) for e in report.failures()}
+    failing = {(e.term, e.block) for e in report.entries if not e.passed}
     assert ("l_re", "clf.W") in failing
     assert not report.passed
+
+
+def _one_instance_batch(small_train, small_manifest):
+    cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
+    prepared = small_train[:1]
+    state = trainer.init_from_config(cfg, prepared, small_manifest.relations)
+    ids, Q, gold = trainer.encode_prepared(state, prepared)[0]
+    return cfg, state, (ids[None, :], Q[None, :], np.array([gold]))
+
+
+def test_gradcheck_runs_one_probe_pair_per_coordinate(small_train, small_manifest,
+                                                     monkeypatch):
+    """Four analytic forwards, then two per coordinate, serving all four terms."""
+    cfg, state, batch = _one_instance_batch(small_train, small_manifest)
+    calls = []
+    forward = enc.forward
+    monkeypatch.setattr(enc, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    report = trainer.gradcheck_batch(state, *batch, cfg, max_coords_per_block=4)
+    probed = sum(e.coords_checked + e.kinks_skipped for e in report.entries
+                 if e.term == "total")
+    assert probed == sum(min(param.size, 4) for param in state.params.values())
+    assert len(calls) == 4 + 2 * probed
+
+
+def _reference_gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,
+                               analytic_override=None):
+    """The check as one probe pair per term and coordinate, with the ReLU
+    patterns of a coordinate recomputed by two fresh forwards on a mismatch."""
+    def value(terms):
+        return obj.batch_losses(state, ids, Q, gold, terms, config,
+                                value_only=True).breakdown.total
+
+    def pattern():
+        return tuple((c["f1"] > 0).tobytes() for c in enc.forward(state, ids).cache["layers"])
+
+    entries = []
+    for term_name, terms in {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
+                             "total": ("re", "asp", "ib")}.items():
+        analytic = obj.batch_losses(state, ids, Q, gold, terms, config).grads
+        if analytic_override is not None:
+            analytic = analytic_override(term_name, analytic)
+        for block, grad in analytic.items():
+            flat = grad.reshape(-1)
+            coords = np.unique(np.linspace(0, flat.size - 1, max_coords_per_block)
+                               .astype(int)) if flat.size > max_coords_per_block \
+                else np.arange(flat.size)
+            pflat = state.params[block].reshape(-1)
+            max_err, kinks, checked = 0.0, 0, 0
+            for c in coords:
+                orig = pflat[c]
+                pflat[c] = orig + trainer.FD_STEP
+                up = value(terms)
+                pflat[c] = orig - trainer.FD_STEP
+                down = value(terms)
+                pflat[c] = orig
+                fd = (up - down) / (2 * trainer.FD_STEP)
+                a = flat[c]
+                err = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
+                if err >= trainer.GRADCHECK_TOLERANCE:
+                    pflat[c] = orig + trainer.FD_STEP
+                    pattern_up = pattern()
+                    pflat[c] = orig - trainer.FD_STEP
+                    pattern_down = pattern()
+                    pflat[c] = orig
+                    if pattern_up != pattern_down:
+                        kinks += 1
+                        continue
+                checked += 1
+                max_err = max(max_err, err)
+            entries.append((term_name, block, repr(max_err), checked, kinks))
+    return entries
+
+
+def _corrupt_l_re_clf(term, grads):
+    if term == "l_re":
+        grads = dict(grads)
+        grads["clf.W"] = grads["clf.W"] + 0.5
+    return grads
+
+
+@pytest.mark.parametrize("override", [None, _corrupt_l_re_clf], ids=["plain", "override"])
+def test_gradcheck_batch_equals_the_per_term_reference_bit_for_bit(
+        small_train, small_manifest, override):
+    cfg, state, batch = _one_instance_batch(small_train, small_manifest)
+    # plant a kink: one L0 pre-activation at zero, so most upstream probes cross it
+    f1 = enc.forward(state, batch[0]).cache["layers"][0]["f1"]
+    state.params["L0.b1"][0] -= f1[0, 1, 0]
+    expected = _reference_gradcheck_batch(state, *batch, cfg, 4, override)
+    report = trainer.gradcheck_batch(state, *batch, cfg, max_coords_per_block=4,
+                                     analytic_override=override)
+    got = [(e.term, e.block, repr(e.max_rel_err), e.coords_checked, e.kinks_skipped)
+           for e in report.entries]
+    assert got == expected
+    assert sum(e.kinks_skipped for e in report.entries) > 0
+    assert (override is None) == report.passed
+
+
+def test_train_drops_each_step_result_before_the_next(small_train, small_manifest,
+                                                      monkeypatch):
+    """A BatchResult holds its forward, whose cache views the workspace slots:
+    kept into the next step, it would pin the old buffer of a slot that a
+    longer batch regrows."""
+    refs, live = [], []
+    batch_losses = obj.batch_losses
+
+    def spy(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        result = batch_losses(*args, **kwargs)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(obj, "batch_losses", spy)
+    trainer.train(trainer.TrainConfig(epochs=1, seed=0, **SMALL), small_train[:24],
+                  small_manifest.relations)
+    assert len(live) > 1 and max(live) == 0
 
 
 def test_divergence_raises_with_step(small_train, small_manifest):
