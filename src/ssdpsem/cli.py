@@ -74,13 +74,25 @@ def _f(x):
 
 
 def _read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise corpus.ConfigError(f"{path}: bad JSON: {exc}") from exc
+
+
+def _read_manifest(path):
+    rec = _read_json(path)
+    try:
+        return corpus.manifest_from_dict(rec)
+    except ValueError as exc:
+        raise corpus.ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_data_dir(data_dir: Path, *names):
     """The manifest and the named splits, each of which must exist; with no
     names, every split present."""
-    manifest = corpus.manifest_from_dict(_read_json(data_dir / "manifest.json"))
+    manifest = _read_manifest(data_dir / "manifest.json")
     paths = {split: data_dir / f"{split}.jsonl" for split in names or manifest.split_sizes}
     for split in names:
         if not paths[split].exists():
@@ -192,10 +204,11 @@ def cmd_eval(args):
     state = encoder.load_checkpoint(args.checkpoint)
     instances = corpus.read_jsonl(args.split)
     lexicon = sentiment.load_lexicon(args.lexicon)
-    prepared, _ = pipeline.annotate(instances, lexicon, args.variant)
+    # prediction never reads the label signal, so any variant gives the same report
+    prepared, _ = pipeline.annotate(instances, lexicon, "ISL")
     entity_types, no_relation = None, "no_relation"
     if args.manifest:
-        manifest = corpus.manifest_from_dict(_read_json(args.manifest))
+        manifest = _read_manifest(args.manifest)
         entity_types, no_relation = manifest.entity_types, manifest.no_relation_label
     report = evalkit.evaluate(state, prepared, entity_types, no_relation)
     text = evalkit.report_to_text(report, state.relations)
@@ -357,7 +370,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True, help="JSONL file of instances")
     p.add_argument("--manifest", help="manifest.json for entity-pair buckets")
-    p.add_argument("--variant", default="ISL", choices=["EPL", "SPL", "ISL"])
     p.add_argument("--lexicon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

@@ -105,7 +105,8 @@ class CorpusManifest:
 
 
 def _parse_conllu_sentences(path):
-    """Yield (sent_id, tokens) per blank-line-separated sentence."""
+    """The (sent_id, rows) of each blank-line-separated sentence, as a list;
+    a row is (id, form, head, deprel) with the file's 1-based numbering."""
     sentences = []
     sent_id = None
     rows = []
@@ -258,13 +259,37 @@ def manifest_to_dict(manifest: CorpusManifest):
     }
 
 
+# each manifest key: (test of its JSON value, what the test asks for)
+_MANIFEST_KEYS = {
+    "relations": (lambda v: isinstance(v, list) and all(type(r) is str for r in v),
+                  "a list of str"),
+    "entity_types": (lambda v: isinstance(v, dict) and all(
+        isinstance(p, list) and len(p) == 2 for p in v.values()),
+        "an object of [subj type, obj type] lists"),
+    "split_sizes": (lambda v: isinstance(v, dict) and all(type(n) is int for n in v.values()),
+                    "an object of ints"),
+    "seed": (lambda v: type(v) is int, "int"),
+    "no_relation_label": (lambda v: type(v) is str, "str"),
+}
+
+
 def manifest_from_dict(rec) -> CorpusManifest:
+    """The manifest a JSON record holds; a record of the wrong shape raises
+    ConfigError naming the key."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"expected a JSON object, got {type(rec).__name__}")
+    rec = {"no_relation_label": "no_relation", **rec}
+    for key, (ok, kind) in _MANIFEST_KEYS.items():
+        if key not in rec:
+            raise ConfigError(f"missing key {key!r}")
+        if not ok(rec[key]):
+            raise ConfigError(f"{key} must be {kind}, got {rec[key]!r}")
     return CorpusManifest(
-        relations=list(rec["relations"]),
+        relations=rec["relations"],
         entity_types={r: tuple(pair) for r, pair in rec["entity_types"].items()},
-        split_sizes=dict(rec["split_sizes"]),
-        seed=int(rec["seed"]),
-        no_relation_label=rec.get("no_relation_label", "no_relation"),
+        split_sizes=rec["split_sizes"],
+        seed=rec["seed"],
+        no_relation_label=rec["no_relation_label"],
     ).validate()
 
 

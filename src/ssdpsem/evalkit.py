@@ -158,23 +158,20 @@ def ablation_grid(configs, splits, relations, entity_types=None, eval_split="tes
                   lexicon=None, no_relation="no_relation"):
     """Train and evaluate one run per config; returns [(config, EvalReport)].
 
-    splits is {name: [Instance]} of raw instances.  Each (split,
-    isl_variant) pair is annotated once for the whole grid.
+    splits is {name: [Instance]} of raw instances.  The train split is
+    annotated once per isl_variant, the eval split once for the whole grid:
+    prediction never reads the label signal.
     """
     lexicon = lexicon or sentiment.load_lexicon()
-    annotated = {}
-
-    def prepared(split, variant):
-        if (split, variant) not in annotated:
-            annotated[split, variant], _ = pipeline.annotate(splits[split], lexicon, variant)
-        return annotated[split, variant]
-
+    train = {}
+    eval_prepared, _ = pipeline.annotate(splits[eval_split], lexicon, "ISL")
     results = []
     for config in configs:
-        record = trainer.train(config, prepared("train", config.isl_variant), relations)
-        report = evaluate(record.state, prepared(eval_split, config.isl_variant),
-                          entity_types, no_relation)
-        results.append((config, report))
+        if config.isl_variant not in train:
+            train[config.isl_variant], _ = pipeline.annotate(splits["train"], lexicon,
+                                                             config.isl_variant)
+        record = trainer.train(config, train[config.isl_variant], relations)
+        results.append((config, evaluate(record.state, eval_prepared, entity_types, no_relation)))
     return results
 
 

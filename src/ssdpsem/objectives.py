@@ -168,28 +168,20 @@ def re_loss(pooled, probs, Wc, gold):
     return loss, d_logits @ Wc.T, pooled.T @ d_logits, d_logits.sum(axis=0)
 
 
-def relation_head_backward(params, features, alpha_ib, pooled, probs, gold, terms):
-    """Backward of ``relation_head`` for its terms in ``terms``: the relation
-    cross-entropy ("re") and the pooling entropy ("ib").
-
-    Returns (l_re, l_ib, d_features (B, n, d), grads of saib.W, saib.b
-    and, with "re", clf.W and clf.b).
+def relation_head_backward(params, features, alpha_ib, d_pooled, d_alpha):
+    """Backward of ``relation_head`` from the gradients on its outputs:
+    d_pooled (B, d), None when no term reads it, and d_alpha (B, n) or 0.0.
+    Returns (d_features (B, n, d), sentiment row included, d saib.W, d saib.b).
     """
-    l_re = l_ib = 0.0
-    d_alpha, d_features, grads = np.zeros_like(alpha_ib), 0.0, {}
-    if "re" in terms:
-        l_re, d_pooled, grads["clf.W"], grads["clf.b"] = re_loss(
-            pooled, probs, params["clf.W"], gold)
-        d_alpha = np.einsum("bd,bnd->bn", d_pooled, features)
+    d_features = 0.0
+    if d_pooled is not None:
+        d_alpha = np.einsum("bd,bnd->bn", d_pooled, features) + d_alpha
         d_features = alpha_ib[:, :, None] * d_pooled[:, None, :]
-    if "ib" in terms:
-        l_ib, d_alpha_ent = saib_entropy_loss(alpha_ib)
-        d_alpha = d_alpha + d_alpha_ent
-    df, d_anchor, grads["saib.W"], grads["saib.b"] = saib_attention_backward(
+    df, d_anchor, dW, db = saib_attention_backward(
         d_alpha, alpha_ib, features, features[:, 0], params["saib.W"])
     d_features = d_features + df
     d_features[:, 0, :] += d_anchor
-    return l_re, l_ib, d_features, grads
+    return d_features, dW, db
 
 
 @dataclass
@@ -205,30 +197,37 @@ class BatchResult:
 
 
 def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchResult:
-    """Joint forward/backward over one same-length batch: the encoder, the
-    relation head and its backward, the KLD term, then the encoder backward.
+    """Joint forward/backward over one same-length batch: the encoder and
+    the relation head, each term's value and gradient on the head output it
+    reads, then the head and encoder backwards.
 
     ``terms`` is the set of loss terms summed into the total, a subset of
     ("re", "asp", "ib"): training passes ``MODE_TERMS[config.mode]``, the
     gradient check each term alone and all three.  ``config`` is the run's
     ``TrainConfig``; the KLD term reads its ``lambda_asp`` and
-    ``asp_epsilon``.  With ``value_only`` the encoder backward is skipped
-    and ``grads`` is empty; otherwise it is ``state.grads``.
+    ``asp_epsilon``.  With ``value_only`` no backward runs and ``grads`` is
+    empty; otherwise it is ``state.grads``.
     """
     p = state.params
     fwd = enc.forward(state, ids, state.workspace)
     alpha_ib, pooled, probs = relation_head(p, fwd.features)
-    l_re, l_ib, d_features, head_grads = relation_head_backward(
-        p, fwd.features, alpha_ib, pooled, probs, gold, terms)
-    l_asp, d_alpha_avg, fallbacks = 0.0, None, 0
+    l_re = l_asp = l_ib = d_alpha = 0.0
+    d_pooled, d_alpha_avg, fallbacks, head_grads = None, None, 0, {}
+    if "re" in terms:
+        l_re, d_pooled, head_grads["clf.W"], head_grads["clf.b"] = re_loss(
+            pooled, probs, p["clf.W"], gold)
+    if "ib" in terms:
+        l_ib, d_alpha = saib_entropy_loss(alpha_ib)
     if "asp" in terms:
         l_asp, d_alpha_avg, fallbacks = asp_loss(
             enc.average_attention(fwd.attention, state.config.last_k), Q,
             config.lambda_asp, config.asp_epsilon)
     breakdown = total_loss(float(l_re), float(l_asp), float(l_ib))
-    grads = {}
-    if not value_only:
-        grads = enc.backward(state, fwd, d_features, d_alpha_avg)
-        for name, g in head_grads.items():
-            grads[name] += g
+    if value_only:
+        return BatchResult(breakdown=breakdown, grads={}, asp_fallbacks=fallbacks, forward=fwd)
+    d_features, head_grads["saib.W"], head_grads["saib.b"] = relation_head_backward(
+        p, fwd.features, alpha_ib, d_pooled, d_alpha)
+    grads = enc.backward(state, fwd, d_features, d_alpha_avg)
+    for name, g in head_grads.items():
+        grads[name] += g
     return BatchResult(breakdown=breakdown, grads=grads, asp_fallbacks=fallbacks, forward=fwd)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 from .corpus import NEGATIVE, POSITIVE, ROOT, Instance, ParseError, Token
 
@@ -44,27 +45,29 @@ class TagStats:
 
 
 def load_lexicon(path=None) -> SentimentLexicon:
-    """Read a word<TAB>polarity lexicon; defaults to the bundled one."""
-    if path is None:
-        text = resources.files("ssdpsem.data").joinpath("financial_lexicon.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    """Read a word<TAB>polarity lexicon; defaults to the bundled one.  A bad
+    line raises ParseError naming the file and the line."""
+    path = (resources.files("ssdpsem.data").joinpath("financial_lexicon.tsv") if path is None
+            else Path(path))
+    text = path.read_text(encoding="utf-8")
     pos, neg = set(), set()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError(f"lexicon line {lineno}: expected word<TAB>polarity")
+            raise ParseError(f"{path}: lexicon line {lineno}: expected word<TAB>polarity")
         word, polarity = parts[0].strip().lower(), parts[1].strip().lower()
         if polarity == POSITIVE:
             pos.add(word)
         elif polarity == NEGATIVE:
             neg.add(word)
         else:
-            raise ParseError(f"lexicon line {lineno}: unknown polarity {polarity!r}")
-    return SentimentLexicon(frozenset(pos), frozenset(neg))
+            raise ParseError(f"{path}: lexicon line {lineno}: unknown polarity {polarity!r}")
+    try:
+        return SentimentLexicon(frozenset(pos), frozenset(neg))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def classify(instance: Instance, lexicon: SentimentLexicon, stats: TagStats | None = None):

@@ -120,6 +120,14 @@ def test_eval_writes_report(tmp_path, data_dir, train_dir):
     assert per_rel[0] == "relation,precision,recall,f1,tp,fp,fn"
 
 
+def test_eval_takes_no_variant(tmp_path, data_dir, train_dir, capsys):
+    """Prediction never reads the label signal, so eval offers no variant."""
+    assert run(["eval", "--checkpoint", str(train_dir / "model.ckpt"),
+                "--split", str(data_dir / "test.jsonl"), "--variant", "SPL",
+                "--out", str(tmp_path / "o")]) == 1
+    assert "unrecognized arguments: --variant SPL" in capsys.readouterr().err
+
+
 def test_annotate_from_jsonl(tmp_path, data_dir):
     out = tmp_path / "ann"
     assert run(["annotate", "--jsonl", str(data_dir / "dev.jsonl"),
@@ -406,6 +414,66 @@ def test_train_and_ablate_read_only_the_splits_they_use(tmp_path, data_dir):
                 "--out", str(tmp_path / "t")]) == 0
     assert run(["ablate", "--grid", str(tmp_path / "grid.json"), "--data", str(data),
                 "--out", str(tmp_path / "a")]) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: [m], "expected a JSON object, got list"),
+    (lambda m: {k: v for k, v in m.items() if k != "entity_types"}, "missing key 'entity_types'"),
+    (lambda m: dict(m, relations="profit_of"), "relations must be a list of str"),
+    (lambda m: dict(m, relations=[1, 2]), "relations must be a list of str"),
+    (lambda m: dict(m, entity_types=[]), "entity_types must be an object of"),
+    (lambda m: dict(m, entity_types={r: [*p, "X"] for r, p in m["entity_types"].items()}),
+     "entity_types must be an object of"),
+    (lambda m: dict(m, split_sizes={"train": "48"}), "split_sizes must be an object of ints"),
+    (lambda m: dict(m, seed="5"), "seed must be int, got '5'"),
+    (lambda m: dict(m, seed=5.0), "seed must be int, got 5.0"),
+    (lambda m: dict(m, no_relation_label=["x"]), "no_relation_label must be str"),
+], ids=["list", "no-entity_types", "str-relations", "int-relation", "list-entity_types",
+        "3-list-entity_type", "str-split_size", "str-seed", "float-seed",
+        "list-no_relation_label"])
+def test_malformed_manifest_exits_one(tmp_path, data_dir, train_dir, capsys, edit, message):
+    manifest = json.loads((data_dir / "manifest.json").read_text(encoding="utf-8"))
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "manifest.json").write_text(json.dumps(edit(manifest)), encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    for argv in (["train", "--config", str(cfg), "--data", str(data)],
+                 ["eval", "--checkpoint", str(train_dir / "model.ckpt"),
+                  "--split", str(data / "test.jsonl"),
+                  "--manifest", str(data / "manifest.json")]):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert f"{data / 'manifest.json'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "grid", "manifest"])
+def test_malformed_json_file_is_named(tmp_path, data_dir, capsys, kind):
+    cfg, grid = tmp_path / "config.json", tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    grid.write_text(json.dumps([{"epochs": 1}]), encoding="utf-8")
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    bad = {"config": cfg, "grid": grid, "manifest": data / "manifest.json"}[kind]
+    bad.write_text("{\n", encoding="utf-8")
+    argv = (["ablate", "--grid", str(grid)] if kind == "grid"
+            else ["train", "--config", str(cfg)])
+    assert run([*argv, "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {bad}: bad JSON: Expecting property name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gain\tpositive\nloss negative\n", "lexicon line 2: expected word<TAB>polarity"),
+    ("gain\tpositive\ngain\tnegative\n", "lexicon cue sets overlap: ['gain']"),
+], ids=["no-tab", "overlap"])
+def test_malformed_lexicon_is_named(tmp_path, data_dir, capsys, text, message):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(text, encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--data", str(data_dir),
+                "--lexicon", str(lexicon), "--out", str(tmp_path / "o")]) == 1
+    assert f"{lexicon}: {message}" in capsys.readouterr().err
 
 
 def _relabel(src, dst, old, new):

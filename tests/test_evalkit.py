@@ -161,23 +161,25 @@ def test_ablation_grid_shape_and_determinism(small_splits, small_manifest, lexic
     assert lines[2] == lines[3]  # identical configs -> identical rows
 
 
-def test_ablation_grid_annotates_each_split_and_variant_once(small_splits, small_manifest,
-                                                             lexicon, monkeypatch):
+def test_ablation_grid_annotates_train_per_variant_and_the_eval_split_once(
+        small_splits, small_manifest, lexicon, monkeypatch):
     base = dict(epochs=1, layers=2, heads=2, d_model=16, d_ff=32, batch_size=8, seed=0)
     configs = [trainer.TrainConfig(mode=mode, isl_variant=variant, **base)
-               for variant in ("ISL", "SPL") for mode in ("baseline", "asp")]
+               for variant in ("ISL", "SPL", "EPL") for mode in ("baseline", "asp")]
     calls = []
     annotate = pipeline.annotate
 
     def counting(instances, lex, variant):
-        calls.append(variant)
+        calls.append(("test" if instances is small_splits["test"] else "train", variant))
         return annotate(instances, lex, variant)
 
     monkeypatch.setattr(pipeline, "annotate", counting)
     results = evalkit.ablation_grid(configs, small_splits, small_manifest.relations,
                                     lexicon=lexicon)
-    assert sorted(calls) == ["ISL", "ISL", "SPL", "SPL"]
-    # the same reports as one fresh train + annotate + evaluate per config
+    assert sorted(calls) == [("test", "ISL"), ("train", "EPL"), ("train", "ISL"),
+                             ("train", "SPL")]
+    # the same reports as one fresh train + annotate + evaluate per config: the
+    # eval split's label signal, whatever its variant, never reaches prediction
     monkeypatch.setattr(pipeline, "annotate", annotate)
     for config, report in results[1::2]:
         train, _ = pipeline.annotate(small_splits["train"], lexicon, config.isl_variant)

@@ -294,12 +294,67 @@ def test_batch_losses_mode_gating():
     assert base.breakdown.l_re == pytest.approx(both.breakdown.l_re)
 
 
-def test_batch_losses_value_only_skips_grads():
+def test_batch_losses_value_only_skips_grads(monkeypatch):
+    """A value-only probe costs one forward: neither backward runs."""
     state = tiny_state()
     ids, Q, gold = make_batch(state)
+    calls = {"relation_head_backward": 0, "backward": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counted(obj, "relation_head_backward")
+    counted(enc, "backward")
     out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True)
     assert out.grads == {}
     assert np.isfinite(out.breakdown.total)
+    assert calls == {"relation_head_backward": 0, "backward": 0}
+    obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
+    assert calls == {"relation_head_backward": 1, "backward": 1}
+
+
+def _reference_batch_grads(state, ids, Q, gold, terms, config):
+    """The batch gradients composed as a head backward that owns the RE and
+    entropy terms, with the KLD term and the encoder backward after it."""
+    p = state.params
+    fwd = enc.forward(state, ids, state.workspace)
+    alpha_ib, pooled, probs = obj.relation_head(p, fwd.features)
+    d_alpha, d_features, head_grads = np.zeros_like(alpha_ib), 0.0, {}
+    if "re" in terms:
+        _, d_pooled, head_grads["clf.W"], head_grads["clf.b"] = obj.re_loss(
+            pooled, probs, p["clf.W"], gold)
+        d_alpha = np.einsum("bd,bnd->bn", d_pooled, fwd.features)
+        d_features = alpha_ib[:, :, None] * d_pooled[:, None, :]
+    if "ib" in terms:
+        d_alpha = d_alpha + obj.saib_entropy_loss(alpha_ib)[1]
+    df, d_anchor, head_grads["saib.W"], head_grads["saib.b"] = obj.saib_attention_backward(
+        d_alpha, alpha_ib, fwd.features, fwd.features[:, 0], p["saib.W"])
+    d_features = d_features + df
+    d_features[:, 0, :] += d_anchor
+    d_alpha_avg = None
+    if "asp" in terms:
+        _, d_alpha_avg, _ = obj.asp_loss(enc.average_attention(fwd.attention, state.config.last_k),
+                                         Q, config.lambda_asp, config.asp_epsilon)
+    grads = enc.backward(state, fwd, d_features, d_alpha_avg)
+    for name, g in head_grads.items():
+        grads[name] += g
+    return {name: g.tobytes() for name, g in grads.items()}
+
+
+@pytest.mark.parametrize("terms", sorted({*obj.MODE_TERMS.values(), ("re",), ("asp",), ("ib",)}),
+                         ids="+".join)
+def test_batch_grads_equal_the_reference_composition_bit_for_bit(terms):
+    state = tiny_state()
+    ids, Q, gold = make_batch(state, B=3, n=6)
+    expected = _reference_batch_grads(state, ids, Q, gold, terms, CONFIG)
+    got = obj.batch_losses(state, ids, Q, gold, terms, CONFIG).grads
+    assert {name: g.tobytes() for name, g in got.items()} == expected
 
 
 def test_joint_value_only_terms_equal_the_one_term_totals_exactly():
