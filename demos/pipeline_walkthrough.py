@@ -4,8 +4,10 @@ Shows, step by step, what the library does to a raw dependency-parsed
 instance before any model sees it:
 
   1. synthesize a sentence with a gold relation and gold sentiment,
-  2. extract the shortest dependency path between the entity heads,
-  3. prepend the sentiment token and shift every annotation by one,
+  2. tag the sentiment and prepend it as a token, which moves every
+     head and span index up by one,
+  3. extract the shortest dependency path between the entity heads of
+     that augmented sentence,
   4. build the three label variants (EPL / SPL / ISL) and the
      normalized distribution q = Q / sum(Q) that the auxiliary loss
      (objectives.asp_loss) derives and trains toward.
@@ -34,25 +36,25 @@ def main():
     print(f"object span:  {inst.obj} -> {' '.join(t.surface for t in inst.tokens[inst.obj[0]:inst.obj[1] + 1])}")
     print(f"gold sentiment: {inst.sentiment}")
 
-    result, subj_head, obj_head = syntax.sdp_for_instance(inst)
-    show("Shortest dependency path")
-    print(f"entity heads: {subj_head} ({inst.tokens[subj_head].surface}) "
-          f"-> {obj_head} ({inst.tokens[obj_head].surface})")
-    print("path:", " -> ".join(f"{i}:{inst.tokens[i].surface}" for i in result.path))
-    print("note: cue adjectives and tail segments hang OFF this path; the")
-    print("relation-bearing noun sits ON it.")
-
     lexicon = sentiment.load_lexicon()
     prepared = pipeline.annotate_instance(inst, lexicon, "ISL")
     aug = prepared.augmented
     show("After sentiment-token insertion",
          " ".join(t.surface for t in aug.tokens))
-    print(f"position 0 is now {aug.tokens[0].surface!r}; every head/span index "
-          "moved up by one.")
+    print(f"position 0 is now {aug.tokens[0].surface!r}, a leaf on the root; every "
+          "head/span index moved up by one.")
+
+    result, subj_head, obj_head = syntax.sdp_for_instance(aug)
+    show("Shortest dependency path (augmented indices)")
+    print(f"entity heads: {subj_head} ({aug.tokens[subj_head].surface}) "
+          f"-> {obj_head} ({aug.tokens[obj_head].surface})")
+    print("path:", " -> ".join(f"{i}:{aug.tokens[i].surface}" for i in result.path))
+    print("note: cue adjectives, tail segments and the sentiment token hang OFF")
+    print("this path; the relation-bearing noun sits ON it.")
 
     show("Label variants (marked positions)")
     for variant in ("EPL", "SPL", "ISL"):
-        sig = labels.build_signal(aug, prepared.sdp_positions, variant)
+        sig = labels.build_signal(aug, result.token_set, variant)
         marked = [i for i, v in enumerate(sig.Q) if v]
         words = " ".join(aug.tokens[i].surface for i in marked)
         print(f"{variant}: {marked}  ({words})")

@@ -149,7 +149,8 @@ def cmd_annotate(args):
     else:
         raise corpus.ConfigError("provide --conllu/--sidecar or --jsonl")
     lexicon = sentiment.load_lexicon(args.lexicon)
-    prepared, stats = pipeline.annotate(instances, lexicon, args.variant)
+    # the output holds no label signal, so any variant writes the same files
+    prepared, stats = pipeline.annotate(instances, lexicon, "ISL")
     log = _Log(out)
     corpus.write_jsonl([p.augmented for p in prepared], out / "annotated.jsonl")
     (out / "annotate_stats.json").write_text(
@@ -349,11 +350,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("annotate",
-                       help="tag sentiment, extract SDPs, build label signals")
+                       help="write the augmented instances and annotation stats")
     p.add_argument("--conllu", help="CoNLL-U treebank file")
     p.add_argument("--sidecar", help="JSONL sidecar with spans/relations")
     p.add_argument("--jsonl", help="instances as JSONL (alternative input)")
-    p.add_argument("--variant", default="ISL", choices=["EPL", "SPL", "ISL"])
     p.add_argument("--lexicon", help="sentiment lexicon TSV (default: bundled)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)

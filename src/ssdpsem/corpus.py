@@ -56,7 +56,7 @@ class Instance:
     def __len__(self):
         return len(self.tokens)
 
-    def validate(self, relations=None):
+    def validate(self):
         n = len(self.tokens)
         if n == 0:
             raise ValidationError(f"{self.id}: empty sentence")
@@ -79,8 +79,6 @@ class Instance:
             raise ValidationError(f"{self.id}: overlapping entity spans")
         if self.sentiment is not None and self.sentiment not in (POSITIVE, NEGATIVE):
             raise ValidationError(f"{self.id}: bad sentiment {self.sentiment!r}")
-        if relations is not None and self.relation not in relations:
-            raise ValidationError(f"{self.id}: unknown relation {self.relation!r}")
         return self
 
 
@@ -144,25 +142,40 @@ def read_conllu(conllu_path, sidecar_path):
     """Read a CoNLL-U file plus its JSONL sidecar of spans and labels.
 
     Sidecar rows are line-delimited JSON with at least ``subj``, ``obj``
-    and ``relation``; they pair with sentences by ``id`` when both sides
-    carry one, else positionally.
+    and ``relation``.  When the rows carry an ``id`` they pair with
+    sentences strictly by id (a sentence's id is its ``sent_id``, else its
+    0-based position): an id on two rows, or a sentence that no row names,
+    is a ParseError.  Rows without ids pair positionally.
     """
     sentences = _parse_conllu_sentences(conllu_path)
-    sidecar = list(_parse_lines(sidecar_path, lambda row: {
-        **row, "subj": _span(row, "subj"), "obj": _span(row, "obj"), "relation": _relation(row),
-    }))
+    by_id = {}
+
+    def parse_row(row):
+        row = {**row, "subj": _span(row, "subj"), "obj": _span(row, "obj"),
+               "relation": _relation(row)}
+        if "id" in row:
+            rid = str(row["id"])
+            if rid in by_id:
+                raise ParseError(f"sidecar id {rid!r} repeats an earlier row")
+            by_id[rid] = row
+        return row
+
+    sidecar = list(_parse_lines(sidecar_path, parse_row))
     if len(sidecar) != len(sentences):
         raise ParseError(
             f"{sidecar_path}: {len(sidecar)} sidecar rows for {len(sentences)} sentences"
         )
-    by_id = {}
-    for row in sidecar:
-        if "id" in row:
-            by_id[str(row["id"])] = row
+    keyed = bool(by_id)
     instances = []
     for pos, (sent_id, rows) in enumerate(sentences):
         sid = sent_id if sent_id is not None else str(pos)
-        row = by_id.get(sid, sidecar[pos])
+        if not keyed:
+            row = sidecar[pos]
+        elif sid in by_id:
+            row = by_id.pop(sid)  # each row pairs with one sentence
+        else:
+            raise ParseError(f"{sidecar_path}: no unpaired sidecar row has id {sid!r} "
+                             f"(sentence {pos + 1} of {conllu_path})")
         tokens = []
         for idx, form, head, deprel in rows:
             # CoNLL-U is 1-based with head 0 = root
@@ -284,6 +297,9 @@ def manifest_from_dict(rec) -> CorpusManifest:
             raise ConfigError(f"missing key {key!r}")
         if not ok(rec[key]):
             raise ConfigError(f"{key} must be {kind}, got {rec[key]!r}")
+    if rec["no_relation_label"] not in rec["relations"]:
+        raise ConfigError(f"no_relation_label {rec['no_relation_label']!r} is not one of "
+                          f"the relations")
     return CorpusManifest(
         relations=rec["relations"],
         entity_types={r: tuple(pair) for r, pair in rec["entity_types"].items()},

@@ -30,19 +30,10 @@ PAD, UNK = "<pad>", "<unk>"
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def check_field_types(config):
-    """Raise ConfigError for the first field of the dataclass ``config``
-    whose value is not of its annotated type; run by ``EncoderConfig`` and
-    ``trainer.TrainConfig`` before their value checks."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-            raise ConfigError(
-                f"{f.name} must be of type {f.type}, got {type(value).__name__} {value!r}")
-
-
 @dataclass
 class EncoderConfig:
+    """The six architecture keys; ``trainer.TrainConfig`` extends it."""
+
     layers: int = 4
     heads: int = 4
     d_model: int = 64
@@ -51,7 +42,13 @@ class EncoderConfig:
     last_k: int = 3
 
     def __post_init__(self):
-        check_field_types(self)
+        """Raise ConfigError for the first field, subclass fields included,
+        whose value is not of its annotated type, then check the ranges."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(
+                    f"{f.name} must be of type {f.type}, got {type(value).__name__} {value!r}")
         for name in ("layers", "heads", "d_model", "d_ff", "max_len", "last_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

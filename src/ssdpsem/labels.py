@@ -31,10 +31,8 @@ class IslSignal:
 
 
 def build_signal(augmented: Instance, sdp_positions, variant: str) -> IslSignal:
-    """Construct the indicator over an augmented (sentiment-inserted) instance.
-
-    ``sdp_positions`` must already be re-based to augmented indices.
-    """
+    """Construct the indicator over an augmented (sentiment-inserted)
+    instance from the SDP token set found on that same instance."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown signal variant {variant!r}")
     n = len(augmented.tokens)

@@ -24,27 +24,26 @@ class AnnotateStats:
 
 @dataclass
 class PreparedInstance:
-    raw: Instance
     augmented: Instance  # sentiment token prepended, indices re-based
     sdp_positions: list[int]  # augmented indices
     signal: labels.IslSignal
 
 
 def annotate_instance(inst, lexicon, variant, stats=None) -> PreparedInstance:
+    """Tag, prepend the sentiment token, then read the SDP and the signal
+    off the augmented instance, so every index is an augmented one.  The
+    token is a leaf on the root, so the SDP is the raw one shifted by one."""
     if inst.tokens and inst.tokens[0].deprel == sentiment.SENTIMENT_DEPREL:
         raise ValueError(f"{inst.id}: already starts with a sentiment token; pass raw input")
     tag = sentiment.classify(inst, lexicon, stats.tag_stats if stats else None)
-    sdp, _, _ = syntax.sdp_for_instance(inst)
     augmented = sentiment.insert_sentiment_token(inst, tag)
-    sdp_positions = sentiment.shift_positions(sdp.token_set)
-    signal = labels.build_signal(augmented, sdp_positions, variant)
+    sdp, _, _ = syntax.sdp_for_instance(augmented)
+    signal = labels.build_signal(augmented, sdp.token_set, variant)
     if stats is not None:
         stats.instances += 1
         stats.sdp_fallbacks += int(sdp.fallback)
         stats.fragments += int(inst.fragmented)
-    return PreparedInstance(
-        raw=inst, augmented=augmented, sdp_positions=sdp_positions, signal=signal
-    )
+    return PreparedInstance(augmented=augmented, sdp_positions=sdp.token_set, signal=signal)
 
 
 def annotate(instances, lexicon, variant) -> tuple[list[PreparedInstance], AnnotateStats]:

@@ -31,12 +31,6 @@ class SentimentLexicon:
 
 
 @dataclass
-class SentimentTag:
-    value: str  # "positive" | "negative"
-    source: str  # "gold" | "lexicon"
-
-
-@dataclass
 class TagStats:
     """Telemetry for lexicon fallbacks."""
 
@@ -70,10 +64,11 @@ def load_lexicon(path=None) -> SentimentLexicon:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def classify(instance: Instance, lexicon: SentimentLexicon, stats: TagStats | None = None):
-    """Gold tag when present, else lexicon majority vote (tie -> positive)."""
+def classify(instance: Instance, lexicon: SentimentLexicon, stats: TagStats | None = None) -> str:
+    """``"positive"`` or ``"negative"``: the gold tag when present, else a
+    lexicon majority vote (tie -> positive)."""
     if instance.sentiment is not None:
-        return SentimentTag(instance.sentiment, "gold")
+        return instance.sentiment
     pos_hits = neg_hits = 0
     for tok in instance.tokens:
         surface = tok.surface.lower()
@@ -86,18 +81,19 @@ def classify(instance: Instance, lexicon: SentimentLexicon, stats: TagStats | No
             stats.no_hits += 1
         else:
             stats.ties += 1
-    value = NEGATIVE if neg_hits > pos_hits else POSITIVE
-    return SentimentTag(value, "lexicon")
+    return NEGATIVE if neg_hits > pos_hits else POSITIVE
 
 
-def insert_sentiment_token(instance: Instance, tag: SentimentTag) -> Instance:
-    """Prepend the sentiment token; all indices (heads, spans) shift by +1.
+def insert_sentiment_token(instance: Instance, tag: str) -> Instance:
+    """Prepend the sentiment token ``tag``; all indices (heads, spans) shift
+    by +1.
 
-    The inserted token attaches to the sentence root so the augmented
-    structure stays a single tree.
+    The inserted token is a leaf attached to the (first) sentence root, so
+    the augmented structure keeps the raw one's connected components, and no
+    path between two other tokens passes through it.
     """
     root_pos = next((t.index for t in instance.tokens if t.head == ROOT), 0)
-    tokens = [Token(0, tag.value, root_pos + 1, SENTIMENT_DEPREL)]
+    tokens = [Token(0, tag, root_pos + 1, SENTIMENT_DEPREL)]
     for tok in instance.tokens:
         head = ROOT if tok.head == ROOT else tok.head + 1
         tokens.append(Token(tok.index + 1, tok.surface, head, tok.deprel))
@@ -110,8 +106,3 @@ def insert_sentiment_token(instance: Instance, tag: SentimentTag) -> Instance:
         sentiment=instance.sentiment,
         fragmented=instance.fragmented,
     )
-
-
-def shift_positions(positions, offset=1):
-    """Re-base an index collection after sentiment insertion."""
-    return [p + offset for p in positions]

@@ -40,7 +40,7 @@ def build_graph(instance: Instance) -> DepGraph:
     return DepGraph(n=n, adj=adj)
 
 
-def entity_head(instance: Instance, span: tuple[int, int], graph: DepGraph) -> int:
+def entity_head(instance: Instance, span: tuple[int, int]) -> int:
     """Anchor token of a span: the one whose parent lies outside the span.
 
     Several such tokens (fragments) resolve to the lowest index; a span with
@@ -89,7 +89,6 @@ def extract_sdp(graph: DepGraph, s: int, o: int) -> SdpResult:
 
 def sdp_for_instance(instance: Instance) -> tuple[SdpResult, int, int]:
     """Convenience wrapper: graph, entity anchors, SDP with fragment fallback."""
-    graph = build_graph(instance)
-    s = entity_head(instance, instance.subj, graph)
-    o = entity_head(instance, instance.obj, graph)
-    return extract_sdp(graph, s, o), s, o
+    s = entity_head(instance, instance.subj)
+    o = entity_head(instance, instance.obj)
+    return extract_sdp(build_graph(instance), s, o), s, o

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .labels import VARIANTS
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(enc.EncoderConfig):
+    """The six encoder keys it inherits, then the training keys."""
+
     epochs: int = 10
     batch_size: int = 16
     lr: float = 1e-3
@@ -31,15 +33,9 @@ class TrainConfig:
     isl_variant: str = "ISL"  # EPL | SPL | ISL
     lambda_asp: float = 1.0
     asp_epsilon: float = 1e-8
-    layers: int = 4
-    heads: int = 4
-    d_model: int = 64
-    d_ff: int = 128
-    max_len: int = 64
-    last_k: int = 3
 
     def __post_init__(self):
-        enc.check_field_types(self)
+        super().__post_init__()
         if self.mode not in objectives.MODE_TERMS:
             raise ConfigError(f"mode must be one of {tuple(objectives.MODE_TERMS)}, "
                               f"got {self.mode!r}")
@@ -52,18 +48,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.lambda_asp < 0:
             raise ConfigError("lambda_asp must be >= 0")
-        # run the encoder checks now, not after annotating the data
-        self.encoder_config()
 
     def encoder_config(self):
-        return enc.EncoderConfig(
-            layers=self.layers,
-            heads=self.heads,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            max_len=self.max_len,
-            last_k=self.last_k,
-        )
+        return enc.EncoderConfig(**{f.name: getattr(self, f.name)
+                                    for f in fields(enc.EncoderConfig)})
 
 
 @dataclass
@@ -138,13 +126,14 @@ def encode_prepared(state, prepared):
     max_len = state.config.max_len
     out = []
     for pi in prepared:
-        if pi.raw.relation not in rel_to_idx:
-            raise ValueError(f"{pi.raw.id}: relation {pi.raw.relation!r} is not a model label")
-        if len(pi.augmented.tokens) > max_len:
-            raise ValueError(f"{pi.raw.id}: sequence length {len(pi.augmented.tokens)} "
+        inst = pi.augmented
+        if inst.relation not in rel_to_idx:
+            raise ValueError(f"{inst.id}: relation {inst.relation!r} is not a model label")
+        if len(inst.tokens) > max_len:
+            raise ValueError(f"{inst.id}: sequence length {len(inst.tokens)} "
                              f"exceeds max_len {max_len}")
-        ids = enc.encode_tokens(state, [t.surface for t in pi.augmented.tokens])
-        out.append((ids, pi.signal.Q, rel_to_idx[pi.raw.relation]))
+        ids = enc.encode_tokens(state, [t.surface for t in inst.tokens])
+        out.append((ids, pi.signal.Q, rel_to_idx[inst.relation]))
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -121,23 +123,46 @@ def test_eval_writes_report(tmp_path, data_dir, train_dir):
 
 
 def test_eval_takes_no_variant(tmp_path, data_dir, train_dir, capsys):
-    """Prediction never reads the label signal, so eval offers no variant."""
-    assert run(["eval", "--checkpoint", str(train_dir / "model.ckpt"),
-                "--split", str(data_dir / "test.jsonl"), "--variant", "SPL",
-                "--out", str(tmp_path / "o")]) == 1
-    assert "unrecognized arguments: --variant SPL" in capsys.readouterr().err
+    """Prediction never reads the label signal and annotate's output holds
+    none, so neither command offers a variant."""
+    for argv in (["eval", "--checkpoint", str(train_dir / "model.ckpt"),
+                  "--split", str(data_dir / "test.jsonl")],
+                 ["annotate", "--jsonl", str(data_dir / "dev.jsonl")]):
+        assert run([*argv, "--variant", "SPL", "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --variant SPL" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_annotate_from_jsonl(tmp_path, data_dir):
     out = tmp_path / "ann"
-    assert run(["annotate", "--jsonl", str(data_dir / "dev.jsonl"),
-                "--variant", "SPL", "--out", str(out)]) == 0
+    assert run(["annotate", "--jsonl", str(data_dir / "dev.jsonl"), "--out", str(out)]) == 0
     stats = json.loads((out / "annotate_stats.json").read_text(encoding="utf-8"))
     assert stats["instances"] == 16
     lines = (out / "annotated.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 16
     first = json.loads(lines[0])
     assert first["tokens"][0] in ("positive", "negative")
+
+
+def readme_commands():
+    """Each ``ssdp ...`` line of README's fenced blocks, with its backslash
+    continuations joined, as an argument list after ``ssdp``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.split()[:1] == ["ssdp"]:
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    """A flag removed from the CLI cannot stay in README's examples."""
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} >= {"synth", "annotate", "train", "eval",
+                                              "gradcheck", "inspect", "sdp"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
 
 
 def test_annotate_requires_an_input(tmp_path, capsys):
@@ -428,9 +453,11 @@ def test_train_and_ablate_read_only_the_splits_they_use(tmp_path, data_dir):
     (lambda m: dict(m, seed="5"), "seed must be int, got '5'"),
     (lambda m: dict(m, seed=5.0), "seed must be int, got 5.0"),
     (lambda m: dict(m, no_relation_label=["x"]), "no_relation_label must be str"),
+    (lambda m: dict(m, no_relation_label="no_relaton"),
+     "no_relation_label 'no_relaton' is not one of the relations"),
 ], ids=["list", "no-entity_types", "str-relations", "int-relation", "list-entity_types",
         "3-list-entity_type", "str-split_size", "str-seed", "float-seed",
-        "list-no_relation_label"])
+        "list-no_relation_label", "unknown-no_relation_label"])
 def test_malformed_manifest_exits_one(tmp_path, data_dir, train_dir, capsys, edit, message):
     manifest = json.loads((data_dir / "manifest.json").read_text(encoding="utf-8"))
     data = tmp_path / "data"

@@ -101,6 +101,30 @@ def test_read_conllu_positional_sidecar_match(tmp_path):
     assert instances[1].relation == "loss_of"
 
 
+def test_read_conllu_pairs_sidecar_rows_by_id(tmp_path):
+    rows = [
+        {"id": "ex2", "subj": [0, 0], "obj": [1, 1], "relation": "loss_of"},
+        {"id": "ex1", "subj": [0, 0], "obj": [2, 2], "relation": "profit_of"},
+    ]
+    instances = corpus.read_conllu(*write_pair(tmp_path, sidecar_rows=rows))
+    assert [(i.id, i.relation) for i in instances] == [("ex1", "profit_of"),
+                                                       ("ex2", "loss_of")]
+
+
+@pytest.mark.parametrize("second_id, message", [
+    ("ex3", "{sidecar}: no unpaired sidecar row has id 'ex2'"),
+    ("ex1", "{sidecar}:2: sidecar id 'ex1' repeats an earlier row"),
+], ids=["sentence-without-its-id", "repeated-id"])
+def test_read_conllu_sidecar_ids_pair_one_to_one(tmp_path, second_id, message):
+    conllu, sidecar = write_pair(tmp_path, sidecar_rows=[
+        {"id": "ex1", "subj": [0, 0], "obj": [2, 2], "relation": "profit_of"},
+        {"id": second_id, "subj": [0, 0], "obj": [1, 1], "relation": "loss_of"},
+    ])
+    with pytest.raises(ParseError) as err:
+        corpus.read_conllu(conllu, sidecar)
+    assert message.format(sidecar=sidecar) in str(err.value)
+
+
 def test_validate_rejects_bad_spans_and_heads():
     tokens = [Token(0, "a", -1, "root"), Token(1, "b", 0, "dep")]
     with pytest.raises(ValidationError, match="out of bounds"):
@@ -169,7 +193,8 @@ def test_synthesis_split_sizes_and_validity(small_manifest, small_splits):
         instances = small_splits[split]
         assert len(instances) == size
         for inst in instances:
-            inst.validate(relations=small_manifest.relations)
+            inst.validate()
+            assert inst.relation in small_manifest.relations
 
 
 def test_synthetic_trees_are_single_rooted_and_projective(small_splits):
@@ -191,8 +216,7 @@ def test_lexicon_recovers_gold_sentiment(small_splits, lexicon):
     hits = total = 0
     for inst in itertools.chain.from_iterable(small_splits.values()):
         blind = Instance(inst.id, inst.tokens, inst.subj, inst.obj, inst.relation)
-        tag = sentiment.classify(blind, lexicon)
-        hits += tag.value == inst.sentiment
+        hits += sentiment.classify(blind, lexicon) == inst.sentiment
         total += 1
     assert hits / total >= 0.95
 

@@ -106,7 +106,7 @@ def test_macro_f1_invariant_under_label_permutation(state_and_prepared, small_ma
 
 def test_perfect_predictions_give_ones(state_and_prepared, small_manifest):
     state, prepared = state_and_prepared
-    golds = [p.raw.relation for p in prepared]
+    golds = [p.augmented.relation for p in prepared]
     idx = {r: i for i, r in enumerate(state.relations)}
     gold_idx = [idx[g] for g in golds]
     p, r, f1 = evalkit.micro_scores(gold_idx, gold_idx, state.relations)

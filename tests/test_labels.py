@@ -1,12 +1,15 @@
 """Label-signal construction: the EPL ⊆ SPL ⊆ ISL hierarchy of binary marks."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ssdpsem import labels, pipeline, sentiment
+from ssdpsem import labels, pipeline, sentiment, syntax
 from ssdpsem.corpus import ROOT, Instance, Token
 
 
@@ -85,3 +88,37 @@ def test_annotate_caches_signal_on_instance(small_splits, lexicon):
     for p in prepared:
         # sentiment insertion shifted the SDP by one
         assert all(q >= 1 for q in p.sdp_positions)
+
+
+def random_forest_instance(rng, n):
+    """A forest of 1-4 trees over n tokens, with two disjoint entity spans:
+    tokens join in a random order, the first few as roots, each later one
+    under a random earlier one."""
+    order = rng.sample(range(n), n)
+    roots = rng.randint(1, 4)
+    heads = {t: ROOT for t in order[:roots]}
+    for k, t in enumerate(order[roots:], roots):
+        heads[t] = order[rng.randrange(k)]
+    cut = rng.randrange(1, n)
+    s_lo = rng.randrange(cut)
+    o_lo = rng.randrange(cut, n)
+    return Instance(
+        id=f"forest{n}", tokens=[Token(i, f"w{i}", heads[i], "dep") for i in range(n)],
+        subj=(s_lo, rng.randrange(s_lo, cut)), obj=(o_lo, rng.randrange(o_lo, n)),
+        relation="r", fragmented=roots != 1,
+    ).validate()
+
+
+def test_annotate_sdp_is_the_raw_sdp_shifted_by_one(small_splits, lexicon):
+    """The sentiment token is a leaf on the root, so the SDP read off the
+    augmented instance is the raw one, one index up, with the same
+    fallbacks."""
+    rng = random.Random(11)
+    forests = [random_forest_instance(rng, rng.randint(2, 16)) for _ in range(400)]
+    for instances in (list(itertools.chain(*small_splits.values())), forests):
+        prepared, stats = pipeline.annotate(instances, lexicon, "ISL")
+        raw = [syntax.sdp_for_instance(inst)[0] for inst in instances]
+        assert [p.sdp_positions for p in prepared] == [[q + 1 for q in r.token_set]
+                                                       for r in raw]
+        assert stats.sdp_fallbacks == sum(r.fallback for r in raw)
+    assert 0 < stats.sdp_fallbacks < len(forests)

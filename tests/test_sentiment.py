@@ -39,30 +39,28 @@ def test_load_lexicon_rejects_unknown_polarity(tmp_path):
 
 def test_gold_label_takes_priority(lexicon):
     inst = make_instance(["fell", "down", "sharply"], sentiment_label="positive")
-    tag = sentiment.classify(inst, lexicon)
-    assert tag.value == "positive"
-    assert tag.source == "gold"
+    assert sentiment.classify(inst, lexicon) == "positive"
 
 
 def test_majority_vote_positive(lexicon):
     tag = sentiment.classify(make_instance(["profits", "rose", "up", "today"]), lexicon)
-    assert (tag.value, tag.source) == ("positive", "lexicon")
+    assert tag == "positive"
 
 
 def test_majority_vote_negative(lexicon):
     tag = sentiment.classify(make_instance(["losses", "and", "decline"]), lexicon)
-    assert tag.value == "negative"
+    assert tag == "negative"
 
 
 def test_vote_is_case_insensitive(lexicon):
     tag = sentiment.classify(make_instance(["Losses", "DECLINE", "x"]), lexicon)
-    assert tag.value == "negative"
+    assert tag == "negative"
 
 
 def test_tie_defaults_positive_and_counts(lexicon):
     stats = sentiment.TagStats()
     tag = sentiment.classify(make_instance(["rose", "fell"]), lexicon, stats)
-    assert tag.value == "positive"
+    assert tag == "positive"
     assert stats.ties == 1
     assert stats.no_hits == 0
 
@@ -70,13 +68,13 @@ def test_tie_defaults_positive_and_counts(lexicon):
 def test_no_hits_defaults_positive_and_counts(lexicon):
     stats = sentiment.TagStats()
     tag = sentiment.classify(make_instance(["the", "cat", "sat"]), lexicon, stats)
-    assert tag.value == "positive"
+    assert tag == "positive"
     assert stats.no_hits == 1
 
 
 def test_insert_sentiment_token_shifts_everything():
     inst = make_instance(["a", "b", "c", "d", "e"])
-    augmented = sentiment.insert_sentiment_token(inst, sentiment.SentimentTag("positive", "lexicon"))
+    augmented = sentiment.insert_sentiment_token(inst, "positive")
     assert len(augmented.tokens) == 6
     assert augmented.tokens[0].surface == "positive"
     assert augmented.tokens[0].head == 1  # attaches to the shifted root
@@ -90,11 +88,7 @@ def test_insert_sentiment_token_shifts_everything():
 
 def test_insert_preserves_structure_for_negative():
     inst = make_instance(["x", "y"])
-    augmented = sentiment.insert_sentiment_token(inst, sentiment.SentimentTag("negative", "gold"))
+    augmented = sentiment.insert_sentiment_token(inst, "negative")
     assert augmented.tokens[0].surface == "negative"
     assert augmented.tokens[2].head == 1
 
-
-def test_shift_positions():
-    assert sentiment.shift_positions([0, 2, 4]) == [1, 3, 5]
-    assert sentiment.shift_positions([], 1) == []

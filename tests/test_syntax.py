@@ -142,8 +142,7 @@ def test_entity_head_is_span_exit():
         Token(3, "rose", ROOT, "root"),
     ]
     inst = Instance(id="h", tokens=tokens, subj=(0, 2), obj=(3, 3), relation="r")
-    graph = syntax.build_graph(inst)
-    assert syntax.entity_head(inst, (0, 2), graph) == 2
+    assert syntax.entity_head(inst, (0, 2)) == 2
 
 
 def test_entity_head_tie_breaks_to_lowest_index():
@@ -154,9 +153,8 @@ def test_entity_head_tie_breaks_to_lowest_index():
         Token(3, "root", ROOT, "root"),
     ]
     inst = Instance(id="tie", tokens=tokens, subj=(0, 1), obj=(2, 2), relation="r")
-    graph = syntax.build_graph(inst)
     # both 0 and 1 exit the span (their head 3 is outside)
-    assert syntax.entity_head(inst, (0, 1), graph) == 0
+    assert syntax.entity_head(inst, (0, 1)) == 0
 
 
 def test_figure_style_template_sdp_isolates_key_terms():

@@ -32,6 +32,17 @@ def test_config_validation():
         trainer.TrainConfig(mode="+ASP+SAIB")
 
 
+def test_train_config_extends_the_encoder_config():
+    """The encoder keys are declared once; encoder_config copies just them."""
+    cfg = trainer.TrainConfig(heads=2, d_model=16, seed=3)
+    assert isinstance(cfg, enc.EncoderConfig)
+    assert cfg.encoder_config() == enc.EncoderConfig(heads=2, d_model=16)
+    with pytest.raises(ValueError, match="not divisible"):
+        trainer.TrainConfig(heads=3, d_model=8)
+    with pytest.raises(ConfigError, match="lr must be of type float, got str"):
+        trainer.TrainConfig(lr="0.1")
+
+
 def test_readme_config_table_lists_every_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## TrainConfig keys", 1)[1].split("\n## ", 1)[0]
