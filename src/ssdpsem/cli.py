@@ -91,26 +91,39 @@ def _read_manifest(path):
 
 def _load_data_dir(data_dir: Path, *names):
     """The manifest and the named splits, each of which must exist; with no
-    names, every split present."""
+    names, every split present.  Every split's relations are the manifest's."""
     manifest = _read_manifest(data_dir / "manifest.json")
     paths = {split: data_dir / f"{split}.jsonl" for split in names or manifest.split_sizes}
     for split in names:
         if not paths[split].exists():
             raise corpus.ConfigError(f"{data_dir}: no {split!r} split ({split}.jsonl)")
-    return manifest, {split: corpus.read_jsonl(path) for split, path in paths.items()
-                      if path.exists()}
+    splits = {split: corpus.read_jsonl(path) for split, path in paths.items() if path.exists()}
+    for split, instances in splits.items():
+        bad = next((i for i in instances if i.relation not in manifest.relations), None)
+        if bad:
+            raise corpus.ConfigError(f"{paths[split]}: {bad.id}: relation {bad.relation!r} is "
+                                     f"not one of the relations of {data_dir}/manifest.json")
+    return manifest, splits
+
+
+def _naming(where, fn, *args, **kwargs):
+    """fn(*args, **kwargs), naming ``where``, the files behind the model and
+    its data, in a ConfigError it raises: an instance the model cannot take."""
+    try:
+        return fn(*args, **kwargs)
+    except corpus.ConfigError as exc:
+        raise corpus.ConfigError(f"{where}: {exc}") from exc
 
 
 def _train_config(rec, where, seed_override=None) -> trainer.TrainConfig:
     """Build and fully validate one TrainConfig; errors name ``where``."""
-    if not isinstance(rec, dict):
-        raise corpus.ConfigError(f"{where}: expected a JSON object of TrainConfig keys")
-    unknown = set(rec) - set(trainer.TrainConfig.__dataclass_fields__)
-    if unknown:
-        raise corpus.ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
-    if seed_override is not None:
-        rec = {**rec, "seed": seed_override}
     try:
+        rec = corpus._checked(rec, {}, corpus.ConfigError)
+        unknown = set(rec) - set(trainer.TrainConfig.__dataclass_fields__)
+        if unknown:
+            raise corpus.ConfigError(f"unknown config keys {sorted(unknown)}")
+        if seed_override is not None:
+            rec["seed"] = seed_override
         return trainer.TrainConfig(**rec)
     except ValueError as exc:
         raise corpus.ConfigError(f"{where}: {exc}") from exc
@@ -183,13 +196,8 @@ def cmd_train(args):
     (out / "config.json").write_text(
         json.dumps(vars(config).copy(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    record = trainer.train(
-        config,
-        prepared,
-        manifest.relations,
-        checkpoint_path=out / "model.ckpt",
-        metrics_path=out / "metrics.csv",
-    )
+    record = _naming(args.config, trainer.train, config, prepared, manifest.relations,
+                     checkpoint_path=out / "model.ckpt", metrics_path=out / "metrics.csv")
     for row in record.epoch_losses:
         log(
             f"epoch {row['epoch']} l_re {_f(row['l_re'])} l_asp {_f(row['l_asp'])} "
@@ -211,7 +219,8 @@ def cmd_eval(args):
     if args.manifest:
         manifest = _read_manifest(args.manifest)
         entity_types, no_relation = manifest.entity_types, manifest.no_relation_label
-    report = evalkit.evaluate(state, prepared, entity_types, no_relation)
+    report = _naming(f"{args.split} with {args.checkpoint}", evalkit.evaluate,
+                     state, prepared, entity_types, no_relation)
     text = evalkit.report_to_text(report, state.relations)
     log = _Log(out)
     (out / "report.txt").write_text(text, encoding="utf-8")
@@ -231,15 +240,13 @@ def cmd_ablate(args):
     out = Path(args.out)
     grid = _read_json(args.grid)
     if not isinstance(grid, list) or not grid:
-        raise corpus.ConfigError("grid file must hold a non-empty JSON list of configs")
+        raise corpus.ConfigError(f"{args.grid}: expected a non-empty JSON list of configs")
     configs = [_train_config(rec, f"{args.grid}: grid entry {i}") for i, rec in enumerate(grid)]
     manifest, splits = _load_data_dir(Path(args.data), "train", args.eval_split)
     lexicon = sentiment.load_lexicon(args.lexicon)
-    results = evalkit.ablation_grid(
-        configs, splits, manifest.relations, manifest.entity_types,
-        eval_split=args.eval_split, lexicon=lexicon,
-        no_relation=manifest.no_relation_label,
-    )
+    results = _naming(args.grid, evalkit.ablation_grid, configs, splits, manifest.relations,
+                      manifest.entity_types, eval_split=args.eval_split, lexicon=lexicon,
+                      no_relation=manifest.no_relation_label)
     csv_text = evalkit.grid_to_csv(results)
     log = _Log(out)
     (out / "grid.csv").write_text(csv_text, encoding="utf-8")
@@ -264,8 +271,8 @@ def cmd_gradcheck(args):
         instances = corpus.synthesize_corpus(manifest, 0.9)["train"]
         relations = manifest.relations
     prepared, _ = pipeline.annotate(instances, sentiment.load_lexicon(), config.isl_variant)
-    report = trainer.gradcheck(config, prepared, relations,
-                               max_coords_per_block=args.coords)
+    report = _naming(args.config or args.data, trainer.gradcheck, config, prepared,
+                     relations, max_coords_per_block=args.coords)
     log = _Log(out)
     lines = [
         f"{e.term} {e.block} max_rel_err {e.max_rel_err:.3e} coords {e.coords_checked} "
@@ -296,7 +303,8 @@ def cmd_inspect(args):
     log = _Log(out)
     csv_path = out / f"attention_{args.instance}.csv"
     svg_path = out / f"attention_{args.instance}.svg"
-    a_avg, a_ib = evalkit.export_attention(state, prepared, csv_path, svg_path)
+    a_avg, a_ib = _naming(f"{args.data} with {args.checkpoint}", evalkit.export_attention,
+                          state, prepared, csv_path, svg_path)
     mass = float((a_avg * prepared.signal.Q).sum())
     log(f"instance {args.instance}: {len(prepared.augmented.tokens)} tokens")
     log(f"marked attention mass {_f(mass)}")

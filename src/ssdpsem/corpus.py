@@ -2,14 +2,15 @@
 
 An Instance is one sentence with its dependency analysis, the two entity
 spans, a relation label, and an optional gold sentiment.  Dependency heads
-use -1 as the ROOT sentinel throughout (CoNLL-U's 0-based head column is
-converted on read).
+are 0-based with -1 as the ROOT sentinel (CoNLL-U's head column, 1-based
+with 0 for the root, is converted on read).
 """
 
 from __future__ import annotations
 
 import json
 import random
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -77,8 +78,6 @@ class Instance:
                 raise ValidationError(f"{self.id}: {name} span {lo}..{hi} out of bounds (n={n})")
         if not (self.subj[1] < self.obj[0] or self.obj[1] < self.subj[0]):
             raise ValidationError(f"{self.id}: overlapping entity spans")
-        if self.sentiment is not None and self.sentiment not in (POSITIVE, NEGATIVE):
-            raise ValidationError(f"{self.id}: bad sentiment {self.sentiment!r}")
         return self
 
 
@@ -103,19 +102,19 @@ class CorpusManifest:
 
 
 def _parse_conllu_sentences(path):
-    """The (sent_id, rows) of each blank-line-separated sentence, as a list;
-    a row is (id, form, head, deprel) with the file's 1-based numbering."""
-    sentences = []
-    sent_id = None
-    rows = []
+    """(first line, sent_id, rows) of each blank-line-separated sentence, as
+    a list; a row is (form, 0-based head or ROOT, deprel).  Ids must run
+    1..n and heads be >= 0, else ParseError names the token's line."""
+    sentences, start, sent_id, rows = [], None, None, []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 if rows:
-                    sentences.append((sent_id, rows))
-                    sent_id, rows = None, []
+                    sentences.append((start, sent_id, rows))
+                    start, sent_id, rows = None, None, []
                 continue
+            start = start or lineno
             if line.startswith("#"):
                 if line[1:].strip().startswith("sent_id"):
                     _, _, value = line.partition("=")
@@ -132,28 +131,33 @@ def _parse_conllu_sentences(path):
                 head = int(cols[6])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer id/head field") from exc
-            rows.append((idx, cols[1], head, cols[7]))
+            if idx != len(rows) + 1:
+                raise ParseError(f"{path}:{lineno}: token id {idx}, expected {len(rows) + 1}")
+            if head < 0:
+                raise ParseError(f"{path}:{lineno}: head {head} is negative")
+            rows.append((cols[1], head - 1, cols[7]))
     if rows:
-        sentences.append((sent_id, rows))
+        sentences.append((start, sent_id, rows))
     return sentences
 
 
 def read_conllu(conllu_path, sidecar_path):
-    """Read a CoNLL-U file plus its JSONL sidecar of spans and labels.
+    """Read a CoNLL-U file plus its JSONL sidecar of spans and labels: each
+    sentence and its row are read as one JSONL record.
 
-    Sidecar rows are line-delimited JSON with at least ``subj``, ``obj``
-    and ``relation``.  When the rows carry an ``id`` they pair with
-    sentences strictly by id (a sentence's id is its ``sent_id``, else its
-    0-based position): an id on two rows, or a sentence that no row names,
-    is a ParseError.  Rows without ids pair positionally.
+    Sidecar rows hold at least ``subj``, ``obj`` and ``relation``.  When
+    the rows carry an ``id`` they pair with sentences strictly by id (a
+    sentence's id is its ``sent_id``, else its 0-based position): an id on
+    two rows, or a sentence that no row names, is a ParseError.  Rows
+    without ids pair positionally.
     """
     sentences = _parse_conllu_sentences(conllu_path)
     by_id = {}
 
     def parse_row(row):
-        row = {**row, "subj": _span(row, "subj"), "obj": _span(row, "obj"),
-               "relation": _relation(row)}
-        if "id" in row:
+        row = _checked(row, _SIDECAR_KEYS, ParseError, id=None, sentiment=None,
+                       fragmented=False)
+        if row["id"] is not None:
             rid = str(row["id"])
             if rid in by_id:
                 raise ParseError(f"sidecar id {rid!r} repeats an earlier row")
@@ -167,7 +171,7 @@ def read_conllu(conllu_path, sidecar_path):
         )
     keyed = bool(by_id)
     instances = []
-    for pos, (sent_id, rows) in enumerate(sentences):
+    for pos, (line, sent_id, rows) in enumerate(sentences):
         sid = sent_id if sent_id is not None else str(pos)
         if not keyed:
             row = sidecar[pos]
@@ -176,23 +180,13 @@ def read_conllu(conllu_path, sidecar_path):
         else:
             raise ParseError(f"{sidecar_path}: no unpaired sidecar row has id {sid!r} "
                              f"(sentence {pos + 1} of {conllu_path})")
-        tokens = []
-        for idx, form, head, deprel in rows:
-            # CoNLL-U is 1-based with head 0 = root
-            tokens.append(Token(idx - 1, sys.intern(form), head - 1 if head > 0 else ROOT,
-                                sys.intern(deprel)))
-        roots = sum(1 for t in tokens if t.head == ROOT)
-        inst = Instance(
-            id=sid,
-            tokens=tokens,
-            subj=row["subj"],
-            obj=row["obj"],
-            relation=row["relation"],
-            sentiment=row.get("sentiment"),
-            fragmented=roots != 1,
-        )
-        inst.validate()
-        instances.append(inst)
+        forms, heads, deprels = (list(col) for col in zip(*rows))
+        rec = {**row, "id": sid, "tokens": forms, "heads": heads, "deprels": deprels,
+               "fragmented": heads.count(ROOT) != 1}
+        try:
+            instances.append(instance_from_dict(rec).validate())
+        except ValueError as exc:
+            raise ParseError(f"{conllu_path}:{line} (sidecar {sidecar_path}): {exc}") from exc
     return instances
 
 
@@ -217,26 +211,41 @@ def instance_to_dict(inst):
     return rec
 
 
-def _span(rec, key):
-    span = rec[key]
-    if not (isinstance(span, list) and len(span) == 2
-            and all(isinstance(i, int) and not isinstance(i, bool) for i in span)):
-        raise ParseError(f"{key} must be a [start, end] pair of token indices, got {span!r}")
-    return tuple(span)
-
-
-def _relation(rec):
-    relation = rec["relation"]
-    if not isinstance(relation, str):
-        raise ParseError(f"relation must be str, got {relation!r}")
-    return relation
+def _checked(rec, table, error, **defaults):
+    """``rec``, a JSON object, with ``defaults`` filled in; ``error`` names
+    its first key that is missing or fails its test.  ``table`` maps each
+    key to (test of its JSON value, what the test asks for)."""
+    if not isinstance(rec, dict):
+        raise error(f"expected a JSON object, got {type(rec).__name__}")
+    rec = {**defaults, **rec}
+    for key, (ok, kind) in table.items():
+        if key not in rec:
+            raise error(f"missing key {key!r}")
+        if not ok(rec[key]):
+            raise error(f"{key} must be {kind}, got {reprlib.repr(rec[key])}")
+    return rec
 
 
 # the element type of each per-token list; a bool is not an int
 _TOKEN_LISTS = {"tokens": str, "heads": int, "deprels": str}
 
+_SPAN = (lambda v: type(v) is list and len(v) == 2 and all(type(i) is int for i in v),
+         "a [start, end] pair of token indices")
+# a CoNLL-U sidecar row: the keys of a record that its sentence does not hold
+_SIDECAR_KEYS = {
+    "id": (lambda v: v is None or type(v) in (str, int), "a str or an int"),
+    "subj": _SPAN, "obj": _SPAN,
+    "relation": (lambda v: type(v) is str, "str"),
+    "sentiment": (lambda v: v in (None, POSITIVE, NEGATIVE), "null, 'positive' or 'negative'"),
+    "fragmented": (lambda v: type(v) is bool, "a JSON bool"),
+}
+# the token lists' elements are checked in instance_from_dict
+_RECORD_KEYS = {**_SIDECAR_KEYS, "id": (lambda v: type(v) in (str, int), "a str or an int"),
+                **dict.fromkeys(_TOKEN_LISTS, (lambda v: True, "a list"))}
+
 
 def instance_from_dict(rec):
+    rec = _checked(rec, _RECORD_KEYS, ParseError, sentiment=None, fragmented=False)
     for key, kind in _TOKEN_LISTS.items():
         values = rec[key]
         if not isinstance(values, list):
@@ -251,15 +260,9 @@ def instance_from_dict(rec):
         Token(i, sys.intern(s), h, sys.intern(d))
         for i, (s, h, d) in enumerate(zip(rec["tokens"], rec["heads"], rec["deprels"]))
     ]
-    return Instance(
-        id=str(rec["id"]),
-        tokens=tokens,
-        subj=_span(rec, "subj"),
-        obj=_span(rec, "obj"),
-        relation=_relation(rec),
-        sentiment=rec.get("sentiment"),
-        fragmented=rec.get("fragmented", False),
-    )
+    return Instance(id=str(rec["id"]), tokens=tokens, subj=tuple(rec["subj"]),
+                    obj=tuple(rec["obj"]), relation=rec["relation"],
+                    sentiment=rec["sentiment"], fragmented=rec["fragmented"])
 
 
 def manifest_to_dict(manifest: CorpusManifest):
@@ -289,14 +292,7 @@ _MANIFEST_KEYS = {
 def manifest_from_dict(rec) -> CorpusManifest:
     """The manifest a JSON record holds; a record of the wrong shape raises
     ConfigError naming the key."""
-    if not isinstance(rec, dict):
-        raise ConfigError(f"expected a JSON object, got {type(rec).__name__}")
-    rec = {"no_relation_label": "no_relation", **rec}
-    for key, (ok, kind) in _MANIFEST_KEYS.items():
-        if key not in rec:
-            raise ConfigError(f"missing key {key!r}")
-        if not ok(rec[key]):
-            raise ConfigError(f"{key} must be {kind}, got {rec[key]!r}")
+    rec = _checked(rec, _MANIFEST_KEYS, ConfigError, no_relation_label="no_relation")
     if rec["no_relation_label"] not in rec["relations"]:
         raise ConfigError(f"no_relation_label {rec['no_relation_label']!r} is not one of "
                           f"the relations")
@@ -316,8 +312,8 @@ def write_jsonl(instances, path):
 
 
 def _parse_lines(path, parse):
-    """parse(record) for each non-blank line, which must hold a JSON object;
-    a bad line, a missing key or a ParseError from parse names path:line."""
+    """parse(record) for each non-blank line of JSON; a line that is not
+    JSON, or a ValueError from parse, raises ParseError naming path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -326,20 +322,15 @@ def _parse_lines(path, parse):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ParseError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}"
-                )
             try:
-                yield parse(rec)
-            except KeyError as exc:
-                raise ParseError(f"{path}:{lineno}: missing key {exc}") from exc
-            except ParseError as exc:
+                rec = parse(rec)
+            except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            yield rec
 
 
 def read_jsonl(path):
-    return [inst.validate() for inst in _parse_lines(path, instance_from_dict)]
+    return list(_parse_lines(path, lambda rec: instance_from_dict(rec).validate()))
 
 
 # ---------------------------------------------------------------------------

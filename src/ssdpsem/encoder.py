@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .corpus import ConfigError
+from .corpus import ConfigError, _checked
 
 LN_EPS = 1e-5
 
@@ -437,6 +437,19 @@ def save_checkpoint(state: ModelState, path):
         fh.write(state.flat.tobytes())
 
 
+def _distinct_strs(v):
+    return type(v) is list and all(type(s) is str for s in v) and len(set(v)) == len(v)
+
+
+# the header keys the arrays do not check, as a corpus._checked key table
+_HEADER_KEYS = {
+    "seed": (lambda v: type(v) is int, "int"),
+    "vocab": (lambda v: _distinct_strs(v) and v[:2] == [PAD, UNK],
+              f"distinct strs, {PAD!r} and {UNK!r} first"),
+    "relations": (_distinct_strs, "distinct strs"),
+}
+
+
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint; a truncated file, trailing bytes, or a header that
     is malformed or whose arrays (name, shape, dtype) do not match its
@@ -450,7 +463,7 @@ def load_checkpoint(path) -> ModelState:
         if len(blob) != size:
             raise ValueError(f"{path}: truncated checkpoint header")
         try:
-            header = json.loads(blob.decode("utf-8"))
+            header = _checked(json.loads(blob.decode("utf-8")), _HEADER_KEYS, ValueError)
             config = EncoderConfig(**header["config"])
             specs, seed = header["arrays"], header["seed"]
             vocab, relations = header["vocab"], header["relations"]

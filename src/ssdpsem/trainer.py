@@ -46,8 +46,9 @@ class TrainConfig(enc.EncoderConfig):
         for name in ("epochs", "batch_size", "lr", "asp_epsilon"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.lambda_asp < 0:
-            raise ConfigError("lambda_asp must be >= 0")
+        for name in ("lambda_asp", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
     def encoder_config(self):
         return enc.EncoderConfig(**{f.name: getattr(self, f.name)
@@ -121,17 +122,18 @@ def make_optimizer(config: TrainConfig):
 
 
 def encode_prepared(state, prepared):
-    """Token ids, label indicators, and gold index per prepared instance."""
+    """Token ids, label indicators, and gold index per prepared instance; an
+    instance the model cannot take raises ConfigError."""
     rel_to_idx = {r: i for i, r in enumerate(state.relations)}
     max_len = state.config.max_len
     out = []
     for pi in prepared:
         inst = pi.augmented
         if inst.relation not in rel_to_idx:
-            raise ValueError(f"{inst.id}: relation {inst.relation!r} is not a model label")
+            raise ConfigError(f"{inst.id}: relation {inst.relation!r} is not a model label")
         if len(inst.tokens) > max_len:
-            raise ValueError(f"{inst.id}: sequence length {len(inst.tokens)} "
-                             f"exceeds max_len {max_len}")
+            raise ConfigError(f"{inst.id}: sequence length {len(inst.tokens)} "
+                              f"exceeds max_len {max_len}")
         ids = enc.encode_tokens(state, [t.surface for t in inst.tokens])
         out.append((ids, pi.signal.Q, rel_to_idx[inst.relation]))
     return out

@@ -246,8 +246,12 @@ def test_corrupt_checkpoint_exits_one(tmp_path, data_dir, capsys):
     lambda h: h["vocab"].append("extra-word"),
     lambda h: h["relations"].append("extra_relation"),
     lambda h: h["config"].update(vocab_size=len(h["vocab"]), n_relations=len(h["relations"])),
+    lambda h: h["vocab"].__setitem__(1, "extra-word"),
+    lambda h: h.update(seed="x"),
+    lambda h: h["relations"].__setitem__(1, h["relations"][0]),
 ], ids=["reversed-shape", "unknown-config-key", "no-config", "str-heads", "float-d_ff",
-        "float-last_k", "extra-vocab-word", "extra-relation", "pre-change-config"])
+        "float-last_k", "extra-vocab-word", "extra-relation", "pre-change-config",
+        "no-unk", "str-seed", "repeated-relation"])
 def test_edited_checkpoint_header_exits_one(tmp_path, train_dir, data_dir, capsys, edit):
     blob = (train_dir / "model.ckpt").read_bytes()
     start = len(encoder._MAGIC) + 8
@@ -276,7 +280,18 @@ def test_jsonl_record_without_heads_exits_one(tmp_path, data_dir, capsys):
     (lambda rec: [1, 2], "expected a JSON object, got list"),
     (lambda rec: dict(rec, obj=[0]), "obj must be a [start, end] pair"),
     (lambda rec: dict(rec, relation=["profit_of"]), "relation must be str, got ['profit_of']"),
-], ids=["not-an-object", "one-element-span", "list-relation"])
+    (lambda rec: dict(rec, fragmented=[1]), "fragmented must be a JSON bool, got [1]"),
+    (lambda rec: dict(rec, fragmented=None), "fragmented must be a JSON bool, got None"),
+    (lambda rec: dict(rec, fragmented="x"), "fragmented must be a JSON bool, got 'x'"),
+    (lambda rec: dict(rec, fragmented="1"), "fragmented must be a JSON bool, got '1'"),
+    (lambda rec: dict(rec, fragmented=1), "fragmented must be a JSON bool, got 1"),
+    (lambda rec: dict(rec, fragmented=0.0), "fragmented must be a JSON bool, got 0.0"),
+    (lambda rec: dict(rec, id=None), "id must be a str or an int, got None"),
+    (lambda rec: dict(rec, sentiment=0),
+     "sentiment must be null, 'positive' or 'negative', got 0"),
+], ids=["not-an-object", "one-element-span", "list-relation", "list-fragmented",
+        "null-fragmented", "str-fragmented", "digit-fragmented", "int-fragmented",
+        "float-fragmented", "null-id", "int-sentiment"])
 def test_malformed_jsonl_record_exits_one(tmp_path, data_dir, capsys, edit, message):
     lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
     bad = tmp_path / "bad.jsonl"
@@ -387,6 +402,7 @@ def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, ca
     ({"mode": "+asp"}, "mode"),
     ({"alternate_tasks": False}, "alternate_tasks"),
     ({"last_k": 0}, "last_k"),
+    ({"seed": -1}, "seed"),
 ])
 def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkeypatch,
                                                       capsys, bad, key):
@@ -472,6 +488,21 @@ def test_malformed_manifest_exits_one(tmp_path, data_dir, train_dir, capsys, edi
         assert run([*argv, "--out", str(tmp_path / "o")]) == 1
         assert f"{data / 'manifest.json'}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def test_split_relation_outside_the_manifest_names_both_files(tmp_path, data_dir, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    manifest["relations"].remove("profit_of")
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--data", str(data),
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{data / 'train.jsonl'}: " in err and "relation 'profit_of'" in err
+    assert str(data / "manifest.json") in err
 
 
 @pytest.mark.parametrize("kind", ["config", "grid", "manifest"])

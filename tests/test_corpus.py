@@ -82,7 +82,14 @@ def test_read_conllu_sidecar_count_mismatch(tmp_path):
     ({"subj": [0], "obj": [1, 1], "relation": "r"}, "subj must be a [start, end] pair"),
     ({"subj": [0, 0], "obj": [1, 1]}, "missing key 'relation'"),
     ({"subj": [0, 0], "obj": [1, 1], "relation": ["r"]}, "relation must be str, got ['r']"),
-], ids=["not-an-object", "one-element-span", "no-relation", "list-relation"])
+    ({"subj": [0, 0], "obj": [1, 1], "relation": "r", "sentiment": 0},
+     "sentiment must be null, 'positive' or 'negative', got 0"),
+    ({"subj": [0, 0], "obj": [1, 1], "relation": "r", "fragmented": "x"},
+     "fragmented must be a JSON bool, got 'x'"),
+    ({"id": [1], "subj": [0, 0], "obj": [1, 1], "relation": "r"},
+     "id must be a str or an int, got [1]"),
+], ids=["not-an-object", "one-element-span", "no-relation", "list-relation", "int-sentiment",
+        "str-fragmented", "list-id"])
 def test_read_conllu_malformed_sidecar_row_names_line(tmp_path, second, message):
     conllu, sidecar = write_pair(tmp_path, sidecar_rows=[
         {"subj": [0, 0], "obj": [2, 2], "relation": "r"}, second])
@@ -123,6 +130,36 @@ def test_read_conllu_sidecar_ids_pair_one_to_one(tmp_path, second_id, message):
     with pytest.raises(ParseError) as err:
         corpus.read_conllu(conllu, sidecar)
     assert message.format(sidecar=sidecar) in str(err.value)
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ([("1", "2"), ("2", "0"), ("5", "2")], 4, "token id 5, expected 3"),
+    ([("1", "2"), ("1", "0"), ("2", "2")], 3, "token id 1, expected 2"),
+    ([("0", "2"), ("1", "0"), ("2", "2")], 2, "token id 0, expected 1"),
+    ([("1", "2"), ("2", "0"), ("3", "-3")], 4, "head -3 is negative"),
+], ids=["gap", "repeat", "from-zero", "negative-head"])
+def test_read_conllu_checks_ids_and_heads(tmp_path, rows, line, message):
+    conllu = "# sent_id = ex1\n" + "".join(
+        f"{tok_id}\tw\t_\t_\t_\t_\t{head}\tdep\t_\t_\n" for tok_id, head in rows)
+    pair = write_pair(tmp_path, conllu=conllu,
+                      sidecar_rows=[{"subj": [0, 0], "obj": [2, 2], "relation": "r"}])
+    with pytest.raises(ParseError) as err:
+        corpus.read_conllu(*pair)
+    assert f"{pair[0]}:{line}: {message}" in str(err.value)
+
+
+def test_read_conllu_reads_a_split_as_read_jsonl_does(tmp_path, small_splits):
+    instances = small_splits["dev"]
+    corpus.write_jsonl(instances, tmp_path / "dev.jsonl")
+    conllu = "".join(
+        f"# sent_id = {inst.id}\n" + "".join(
+            f"{t.index + 1}\t{t.surface}\t_\t_\t_\t_\t{t.head + 1}\t{t.deprel}\t_\t_\n"
+            for t in inst.tokens) + "\n"
+        for inst in instances)
+    rows = [{"id": inst.id, "subj": list(inst.subj), "obj": list(inst.obj),
+             "relation": inst.relation, "sentiment": inst.sentiment} for inst in instances]
+    pair = write_pair(tmp_path, conllu=conllu, sidecar_rows=rows)
+    assert corpus.read_conllu(*pair) == corpus.read_jsonl(tmp_path / "dev.jsonl")
 
 
 def test_validate_rejects_bad_spans_and_heads():
