@@ -6,6 +6,9 @@ file, line, key or instance; 2 runtime failure.
 All floats in logs are printed with six decimals so runs diff cleanly.
 The SSDP_THREADS environment variable caps the numeric-backend thread
 count (0 or unset = automatic); it must be applied before numpy loads.
+Only the commands that annotate, train or evaluate load numpy, and they
+import the modules that use it when they run: synth, sdp dump, --help
+and bad flags never load it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ def _apply_thread_cap():
 _apply_thread_cap()
 
 
-from . import corpus, encoder, evalkit, pipeline, sentiment, syntax, trainer  # noqa: E402
+# the numpy-free modules; each command imports the numeric ones it uses
+from . import corpus, sentiment, syntax  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +78,10 @@ def _f(x):
 
 
 def _read_json(path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise corpus.ConfigError(f"{path}: not UTF-8") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,16 +96,34 @@ def _read_manifest(path):
         raise corpus.ConfigError(f"{path}: {exc}") from exc
 
 
+def _raw(path, instances):
+    """``instances``, read from ``path``; one that is already annotated (a
+    record of ``ssdp annotate`` output) raises ConfigError naming the file."""
+    from . import pipeline
+
+    for inst in instances:
+        try:
+            pipeline.check_raw(inst)
+        except ValueError as exc:
+            raise corpus.ConfigError(f"{path}: {exc}") from exc
+    return instances
+
+
 def _load_data_dir(data_dir: Path, *names):
-    """The manifest and the named splits, each of which must exist; with no
-    names, every split present.  Every split's relations are the manifest's."""
+    """The manifest and the named splits, each of which must exist and hold
+    instances; with no names, every split present.  Every split is raw
+    input, and its relations are the manifest's."""
     manifest = _read_manifest(data_dir / "manifest.json")
     paths = {split: data_dir / f"{split}.jsonl" for split in names or manifest.split_sizes}
     for split in names:
         if not paths[split].exists():
             raise corpus.ConfigError(f"{data_dir}: no {split!r} split ({split}.jsonl)")
     splits = {split: corpus.read_jsonl(path) for split, path in paths.items() if path.exists()}
+    for split in names:
+        if not splits[split]:
+            raise corpus.ConfigError(f"{paths[split]}: no instances")
     for split, instances in splits.items():
+        _raw(paths[split], instances)
         bad = next((i for i in instances if i.relation not in manifest.relations), None)
         if bad:
             raise corpus.ConfigError(f"{paths[split]}: {bad.id}: relation {bad.relation!r} is "
@@ -115,8 +140,10 @@ def _naming(where, fn, *args, **kwargs):
         raise corpus.ConfigError(f"{where}: {exc}") from exc
 
 
-def _train_config(rec, where, seed_override=None) -> trainer.TrainConfig:
+def _train_config(rec, where, seed_override=None):
     """Build and fully validate one TrainConfig; errors name ``where``."""
+    from . import trainer
+
     try:
         rec = corpus._checked(rec, {}, corpus.ConfigError)
         unknown = set(rec) - set(trainer.TrainConfig.__dataclass_fields__)
@@ -152,13 +179,15 @@ def cmd_synth(args):
 
 
 def cmd_annotate(args):
+    from . import pipeline
+
     out = Path(args.out)
     if args.conllu:
         if not args.sidecar:
             raise corpus.ConfigError("--conllu requires --sidecar")
-        instances = corpus.read_conllu(args.conllu, args.sidecar)
+        instances = _raw(args.conllu, corpus.read_conllu(args.conllu, args.sidecar))
     elif args.jsonl:
-        instances = corpus.read_jsonl(args.jsonl)
+        instances = _raw(args.jsonl, corpus.read_jsonl(args.jsonl))
     else:
         raise corpus.ConfigError("provide --conllu/--sidecar or --jsonl")
     lexicon = sentiment.load_lexicon(args.lexicon)
@@ -186,6 +215,8 @@ def cmd_annotate(args):
 
 
 def cmd_train(args):
+    from . import pipeline, trainer
+
     out = Path(args.out)
     config = _train_config(_read_json(args.config), args.config, args.seed)
     manifest, splits = _load_data_dir(Path(args.data), "train")
@@ -209,9 +240,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    from . import encoder, evalkit, pipeline
+
     out = Path(args.out)
     state = encoder.load_checkpoint(args.checkpoint)
-    instances = corpus.read_jsonl(args.split)
+    instances = _raw(args.split, corpus.read_jsonl(args.split))
     lexicon = sentiment.load_lexicon(args.lexicon)
     # prediction never reads the label signal, so any variant gives the same report
     prepared, _ = pipeline.annotate(instances, lexicon, "ISL")
@@ -237,6 +270,8 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
+    from . import evalkit
+
     out = Path(args.out)
     grid = _read_json(args.grid)
     if not isinstance(grid, list) or not grid:
@@ -255,6 +290,8 @@ def cmd_ablate(args):
 
 
 def cmd_gradcheck(args):
+    from . import pipeline, trainer
+
     out = Path(args.out)
     if args.config:
         config = _train_config(_read_json(args.config), args.config, args.seed)
@@ -292,9 +329,11 @@ def cmd_gradcheck(args):
 
 
 def cmd_inspect(args):
+    from . import encoder, evalkit, pipeline
+
     out = Path(args.out)
     state = encoder.load_checkpoint(args.checkpoint)
-    instances = corpus.read_jsonl(args.data)
+    instances = _raw(args.data, corpus.read_jsonl(args.data))
     matches = [i for i in instances if i.id == args.instance]
     if not matches:
         raise corpus.ConfigError(f"instance id {args.instance!r} not found in {args.data}")

@@ -8,6 +8,8 @@ with 0 for the root, is converted on read).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 import reprlib
@@ -106,36 +108,35 @@ def _parse_conllu_sentences(path):
     a list; a row is (form, 0-based head or ROOT, deprel).  Ids must run
     1..n and heads be >= 0, else ParseError names the token's line."""
     sentences, start, sent_id, rows = [], None, None, []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if rows:
-                    sentences.append((start, sent_id, rows))
-                    start, sent_id, rows = None, None, []
-                continue
-            start = start or lineno
-            if line.startswith("#"):
-                if line[1:].strip().startswith("sent_id"):
-                    _, _, value = line.partition("=")
-                    sent_id = value.strip()
-                continue
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise ParseError(f"{path}:{lineno}: expected 10 columns, got {len(cols)}")
-            tok_id = cols[0]
-            if "-" in tok_id or "." in tok_id:
-                continue  # multiword-token ranges and empty nodes carry no tree edges
-            try:
-                idx = int(tok_id)
-                head = int(cols[6])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer id/head field") from exc
-            if idx != len(rows) + 1:
-                raise ParseError(f"{path}:{lineno}: token id {idx}, expected {len(rows) + 1}")
-            if head < 0:
-                raise ParseError(f"{path}:{lineno}: head {head} is negative")
-            rows.append((cols[1], head - 1, cols[7]))
+    for lineno, line in _lines(path):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            if rows:
+                sentences.append((start, sent_id, rows))
+                start, sent_id, rows = None, None, []
+            continue
+        start = start or lineno
+        if line.startswith("#"):
+            if line[1:].strip().startswith("sent_id"):
+                _, _, value = line.partition("=")
+                sent_id = value.strip()
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ParseError(f"{path}:{lineno}: expected 10 columns, got {len(cols)}")
+        tok_id = cols[0]
+        if "-" in tok_id or "." in tok_id:
+            continue  # multiword-token ranges and empty nodes carry no tree edges
+        try:
+            idx = int(tok_id)
+            head = int(cols[6])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer id/head field") from exc
+        if idx != len(rows) + 1:
+            raise ParseError(f"{path}:{lineno}: token id {idx}, expected {len(rows) + 1}")
+        if head < 0:
+            raise ParseError(f"{path}:{lineno}: head {head} is negative")
+        rows.append((cols[1], head - 1, cols[7]))
     if rows:
         sentences.append((start, sent_id, rows))
     return sentences
@@ -305,28 +306,43 @@ def manifest_from_dict(rec) -> CorpusManifest:
     ).validate()
 
 
+# what json.dumps(rec, ensure_ascii=False) writes, without a new encoder per record
+_JSON = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(instances, path):
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst), ensure_ascii=False) + "\n")
+            fh.write(_JSON.encode(instance_to_dict(inst)) + "\n")
+
+
+def _lines(path):
+    """(line number, text) of each line of ``path``, decoded one line at a
+    time, so a line that is not UTF-8 raises ParseError naming path:line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{lineno}: not UTF-8") from None
 
 
 def _parse_lines(path, parse):
     """parse(record) for each non-blank line of JSON; a line that is not
-    JSON, or a ValueError from parse, raises ParseError naming path:line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            try:
-                rec = parse(rec)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            yield rec
+    UTF-8 or JSON, or a ValueError from parse, raises ParseError naming
+    path:line."""
+    for lineno, line in _lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        try:
+            rec = parse(rec)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        yield rec
 
 
 def read_jsonl(path):
@@ -383,8 +399,9 @@ RELATION_SPECS = {
 DEFAULT_RELATIONS = list(RELATION_SPECS)
 
 # Template items are (slot-or-word, head slot index, deprel); head -1 = root.
-# SUBJ/OBJ expand to multi-token entities whose internal tokens attach to the
-# entity head (last token); other slots expand to exactly one word.
+# Slot names are upper case, words are not.  SUBJ/OBJ expand to multi-token
+# entities whose internal tokens attach to the entity head (last token);
+# other slots expand to exactly one word, drawn from the pool of their name.
 #
 # Every base template may receive an opener segment and up to two tail
 # segments (below).  TAILCUE carries a second gold-polarity cue; DCUE is a
@@ -586,6 +603,15 @@ def _relation_nouns():
 
 
 RELATION_NOUNS = _relation_nouns()
+# each relation's distractor nouns: the nouns of every other relation's pools
+_DNOUNS = {rel: sorted({n for other, nouns in RELATION_NOUNS.items() if other != rel
+                        for n in nouns})
+           for rel in RELATION_NOUNS}
+_ALL_CUES = POSITIVE_CUES + NEGATIVE_CUES
+_CUE_POOLS = {
+    POSITIVE: {"CUE": POSITIVE_CUES, "VCUE": POSITIVE_VERBS, "PART": POSITIVE_PARTICLES},
+    NEGATIVE: {"CUE": NEGATIVE_CUES, "VCUE": NEGATIVE_VERBS, "PART": NEGATIVE_PARTICLES},
+}
 
 
 def _compose(base, opener, tails):
@@ -613,6 +639,36 @@ def _compose(base, opener, tails):
     return items
 
 
+@functools.cache
+def _layout(relation, template_draw, opener_draw, cue_tails, relnoun, subj_deps, obj_deps):
+    """The tokens of one composed template, given the deprels of each
+    entity's tokens but its last: (forms, heads, deprels, draws, subj span,
+    obj span).  ``forms`` holds each word, and None where a word is drawn
+    or an entity goes; ``draws`` lists each (position, pool name) in slot
+    order, the order the words are drawn in.  Cached: the default relations
+    have 432 layouts."""
+    base = _TEMPLATES[relation][template_draw][0]
+    tails = [_TAIL_GOLD_CUE, _TAIL_DISTRACTOR][:cue_tails] + [_TAIL_RELNOUN] * relnoun
+    items = _compose(base, (None, _OPENER, _OPENER_RELNOUN)[opener_draw], tails)
+    inner = [{"SUBJ": subj_deps, "OBJ": obj_deps}.get(word, ()) for word, _, _ in items]
+    # each slot's last token, where its dependents attach
+    ends = [slot + extra for slot, extra
+            in enumerate(itertools.accumulate(len(deps) for deps in inner))]
+    forms, heads, deprels, draws, spans = [], [], [], [], {}
+    for (word, head_slot, deprel), deps, end in zip(items, inner, ends):
+        forms += [None] * len(deps)
+        heads += [end] * len(deps)
+        deprels += deps
+        if word in ("SUBJ", "OBJ"):
+            spans[word] = (end - len(deps), end)
+        elif word.isupper():
+            draws.append((end, word))
+        forms.append(None if word.isupper() else word)
+        heads.append(ROOT if head_slot == -1 else ends[head_slot])
+        deprels.append(deprel)
+    return tuple(forms), tuple(heads), tuple(deprels), tuple(draws), spans["SUBJ"], spans["OBJ"]
+
+
 def default_manifest(seed=0, train=2000, dev=400, test=400):
     return CorpusManifest(
         relations=list(DEFAULT_RELATIONS),
@@ -623,68 +679,22 @@ def default_manifest(seed=0, train=2000, dev=400, test=400):
 
 
 def _make_entity(kind, rng):
-    """Return (forms, relative heads, relative deprels); head of last = None."""
+    """Return (forms, deprels of all forms but the last, which attach to the
+    last: the entity head)."""
     if kind == "ORG":
         name = ORG_NAMES[rng.randrange(len(ORG_NAMES))]
         if rng.randrange(2):
-            suffix = ORG_SUFFIXES[rng.randrange(len(ORG_SUFFIXES))]
-            return [name, suffix], [1, None], ["compound", None]
-        return [name], [None], [None]
+            return [name, ORG_SUFFIXES[rng.randrange(len(ORG_SUFFIXES))]], ("compound",)
+        return [name], ()
     if kind == "GPE":
-        return [GPE_NAMES[rng.randrange(len(GPE_NAMES))]], [None], [None]
+        return [GPE_NAMES[rng.randrange(len(GPE_NAMES))]], ()
     if kind == "MISC":
-        noun = MISC_NOUNS[rng.randrange(len(MISC_NOUNS))]
-        return ["the", noun], [1, None], ["det", None]
+        return ["the", MISC_NOUNS[rng.randrange(len(MISC_NOUNS))]], ("det",)
     if kind == "MONEY":
         num = MONEY_NUMBERS[rng.randrange(len(MONEY_NUMBERS))]
         unit = MONEY_UNITS[rng.randrange(len(MONEY_UNITS))]
-        return ["$", num, unit], [2, 2, None], ["symbol", "nummod", None]
+        return ["$", num, unit], ("symbol", "nummod")
     raise ConfigError(f"unknown entity kind {kind!r}")
-
-
-def _cue_pools(sentiment):
-    if sentiment == POSITIVE:
-        return {"CUE": POSITIVE_CUES, "VCUE": POSITIVE_VERBS, "PART": POSITIVE_PARTICLES}
-    return {"CUE": NEGATIVE_CUES, "VCUE": NEGATIVE_VERBS, "PART": NEGATIVE_PARTICLES}
-
-
-def _expand_template(template, pools, subj_ent, obj_ent, rng):
-    """Instantiate a template into (tokens, subj span, obj span)."""
-    forms, heads, deprels = [], [], []
-    slot_head_token = {}  # slot index -> token index the slot's dependents attach to
-    slot_of_token = []
-    for slot_idx, (item, _, _) in enumerate(template):
-        if item == "SUBJ":
-            ent = subj_ent
-        elif item == "OBJ":
-            ent = obj_ent
-        else:
-            pool = pools.get(item)
-            word = pool[rng.randrange(len(pool))] if pool else item
-            ent = ([word], [None], [None])
-        base = len(forms)
-        e_forms, e_heads, e_deprels = ent
-        for k, form in enumerate(e_forms):
-            forms.append(form)
-            heads.append(None if e_heads[k] is None else base + e_heads[k])
-            deprels.append(e_deprels[k])
-            slot_of_token.append(slot_idx)
-        slot_head_token[slot_idx] = base + len(e_forms) - 1
-        if item == "SUBJ":
-            subj_span = (base, base + len(e_forms) - 1)
-        elif item == "OBJ":
-            obj_span = (base, base + len(e_forms) - 1)
-    tokens = []
-    for i, form in enumerate(forms):
-        if heads[i] is None:
-            slot_idx = slot_of_token[i]
-            _, head_slot, deprel = template[slot_idx]
-            head = ROOT if head_slot == -1 else slot_head_token[head_slot]
-        else:
-            head = heads[i]
-            deprel = deprels[i]
-        tokens.append(Token(i, form, head, deprel))
-    return tokens, subj_span, obj_span
 
 
 def _draw_sentiment(polarity, coupling, rng):
@@ -699,33 +709,20 @@ def synthesize_instance(inst_id, relation, coupling, rng, heldout_cues=False):
     sentiment = _draw_sentiment(polarity, coupling, rng)
     templates = _TEMPLATES[relation]
     ambiguous = relation in AMBIGUOUS_NOUNS and rng.randrange(3) == 0
-    if ambiguous:
-        base, pools = templates[0]
-    else:
-        base, pools = templates[rng.randrange(len(templates))]
+    template_draw = 0 if ambiguous else rng.randrange(len(templates))
     opener_draw = rng.randrange(3)  # 0: none, 1: period opener, 2: distractor-noun opener
-    opener = (None, _OPENER, _OPENER_RELNOUN)[opener_draw]
-    tails = []
-    if not ambiguous:
-        tail_draw = rng.randrange(4)  # 0: none, 1: gold tail, 2-3: gold + distractor
-        if tail_draw >= 1:
-            tails.append(_TAIL_GOLD_CUE)
-        if tail_draw >= 2:
-            tails.append(_TAIL_DISTRACTOR)
-    if rng.randrange(2):
-        tails.append(_TAIL_RELNOUN)
-    template = _compose(base, opener, tails)
-    all_cues = POSITIVE_CUES + NEGATIVE_CUES
-    dnouns = sorted(
-        {n for rel, nouns in RELATION_NOUNS.items() if rel != relation for n in nouns}
-    )
+    # tails: 0 none, 1 gold cue, 2 gold cue + distractor cue; then the
+    # distractor-noun tail or not
+    cue_tails = 0 if ambiguous else min(rng.randrange(4), 2)
+    relnoun = rng.randrange(2)
+    cues = _CUE_POOLS[sentiment]
     pools = {
         "PERIOD": PERIOD_NOUNS,
-        "TAILCUE": _cue_pools(sentiment)["CUE"],
-        "DCUE": all_cues,
-        "DNOUN": dnouns,
-        **pools,
-        **_cue_pools(sentiment),
+        "TAILCUE": cues["CUE"],
+        "DCUE": _ALL_CUES,
+        "DNOUN": _DNOUNS[relation],
+        **templates[template_draw][1],
+        **cues,
     }
     if ambiguous:
         # the shared noun names either relation of the pair; the single cue
@@ -733,14 +730,21 @@ def synthesize_instance(inst_id, relation, coupling, rng, heldout_cues=False):
         pools["NOUN"] = AMBIGUOUS_NOUNS[relation]
         amb = AMB_CUES_HELDOUT if heldout_cues else AMB_CUES_TRAIN
         pools["CUE"] = amb[sentiment]
-    subj_ent = _make_entity(subj_kind, rng)
-    obj_ent = _make_entity(obj_kind, rng)
-    tokens, subj_span, obj_span = _expand_template(template, pools, subj_ent, obj_ent, rng)
+    subj_forms, subj_deps = _make_entity(subj_kind, rng)
+    obj_forms, obj_deps = _make_entity(obj_kind, rng)
+    forms, heads, deprels, draws, subj, obj = _layout(
+        relation, template_draw, opener_draw, cue_tails, relnoun, subj_deps, obj_deps)
+    forms = list(forms)
+    for pos, name in draws:
+        pool = pools[name]
+        forms[pos] = pool[rng.randrange(len(pool))]
+    forms[subj[0]:subj[1] + 1] = subj_forms
+    forms[obj[0]:obj[1] + 1] = obj_forms
     return Instance(
         id=inst_id,
-        tokens=tokens,
-        subj=subj_span,
-        obj=obj_span,
+        tokens=list(map(Token, range(len(forms)), forms, heads, deprels)),
+        subj=subj,
+        obj=obj,
         relation=relation,
         sentiment=sentiment,
     ).validate()

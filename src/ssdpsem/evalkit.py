@@ -13,6 +13,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import objectives, pipeline, sentiment, trainer
+from .corpus import ConfigError
 
 
 @dataclass
@@ -80,7 +81,7 @@ def micro_scores(preds, golds, relations, no_relation="no_relation"):
 
 def evaluate(state, prepared, entity_types=None, no_relation="no_relation") -> EvalReport:
     if not prepared:
-        raise ValueError("cannot evaluate an empty split")
+        raise ConfigError("cannot evaluate an empty split")
     relations = state.relations
     R = len(relations)
     preds, golds, _, _ = predict(state, prepared)

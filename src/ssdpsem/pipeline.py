@@ -29,12 +29,18 @@ class PreparedInstance:
     signal: labels.IslSignal
 
 
+def check_raw(inst):
+    """Raise ValueError naming ``inst`` if it already starts with a
+    sentiment token."""
+    if inst.tokens and inst.tokens[0].deprel == sentiment.SENTIMENT_DEPREL:
+        raise ValueError(f"{inst.id}: already starts with a sentiment token; pass raw input")
+
+
 def annotate_instance(inst, lexicon, variant, stats=None) -> PreparedInstance:
     """Tag, prepend the sentiment token, then read the SDP and the signal
     off the augmented instance, so every index is an augmented one.  The
     token is a leaf on the root, so the SDP is the raw one shifted by one."""
-    if inst.tokens and inst.tokens[0].deprel == sentiment.SENTIMENT_DEPREL:
-        raise ValueError(f"{inst.id}: already starts with a sentiment token; pass raw input")
+    check_raw(inst)
     tag = sentiment.classify(inst, lexicon, stats.tag_stats if stats else None)
     augmented = sentiment.insert_sentiment_token(inst, tag)
     sdp, _, _ = syntax.sdp_for_instance(augmented)

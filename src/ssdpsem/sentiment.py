@@ -40,10 +40,14 @@ class TagStats:
 
 def load_lexicon(path=None) -> SentimentLexicon:
     """Read a word<TAB>polarity lexicon; defaults to the bundled one.  A bad
-    line raises ParseError naming the file and the line."""
+    line raises ParseError naming the file and the line, a file that is not
+    UTF-8 one naming the file."""
     path = (resources.files("ssdpsem.data").joinpath("financial_lexicon.tsv") if path is None
             else Path(path))
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8") from None
     pos, neg = set(), set()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():

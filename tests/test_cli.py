@@ -1,5 +1,6 @@
 """End-to-end command-line interface: run directories, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ssdpsem
-from ssdpsem import cli, encoder
+from ssdpsem import cli, encoder, trainer
 
 
 def run(argv, capsys=None):
@@ -83,6 +84,48 @@ def test_synth_is_deterministic(tmp_path, data_dir):
                 "--train", "48", "--dev", "16", "--test", "16"]) == 0
     for name in ("manifest.json", "train.jsonl", "dev.jsonl", "test.jsonl"):
         assert (again / name).read_bytes() == (data_dir / name).read_bytes()
+
+
+# sha256 of `ssdp synth --seed 11 --train 48 --dev 16 --test 16`, pinned when
+# the generator was rewritten to build each relation's tables once
+SYNTH_SEED11_SHA256 = {
+    "manifest.json": "173682068b9360754c5653aa2483c836b437b47f0d08030a0f2001dec7d23a82",
+    "train.jsonl": "d44e1d52f56719798b796addd180437e7420559668e8f87466766b0a64d09211",
+    "dev.jsonl": "3a1473a50cd26c394da00ed6494f04902cfeb8c2aea4b619ca743209716fdae1",
+    "test.jsonl": "4a459564e1e547bcac03e51da0f518004dd7330e9717d7d65c86e23c8bd5e6e3",
+}
+
+
+def test_synth_output_is_pinned(tmp_path):
+    assert run(["synth", "--seed", "11", "--out", str(tmp_path),
+                "--train", "48", "--dev", "16", "--test", "16"]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SYNTH_SEED11_SHA256} == SYNTH_SEED11_SHA256
+
+
+def test_synth_sdp_dump_and_help_never_load_numpy(tmp_path):
+    """The commands that neither annotate, train nor evaluate start without
+    numpy; SSDP_THREADS is still applied when cli is imported."""
+    code = """if True:
+        import os, sys
+        from ssdpsem import cli
+        out = sys.argv[1]
+        codes = [cli.main(argv) for argv in (
+            ["synth", "--seed", "1", "--train", "4", "--dev", "2", "--test", "2", "--out", out],
+            ["sdp", "dump", "--jsonl", out + "/dev.jsonl", "--out", out],
+            ["--help"],
+            ["synth", "--bogus"])]
+        print(codes, "numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"])
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(ssdpsem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(env, SSDP_THREADS="1"), check=True, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 1] False 1", proc.stdout
+    assert (tmp_path / "sdp.jsonl").exists()
 
 
 def test_train_run_directory_contents(train_dir):
@@ -386,10 +429,58 @@ def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, ca
     ckpt = str(train_dir / "model.ckpt")
     assert run(["eval", "--checkpoint", ckpt, "--split", str(annotated),
                 "--out", str(tmp_path / "e")]) == 1
-    assert f"{first['id']}: already starts with a sentiment token" in capsys.readouterr().err
+    assert (f"{annotated}: {first['id']}: already starts with a sentiment token"
+            in capsys.readouterr().err)
     assert run(["inspect", "--instance", first["id"], "--checkpoint", ckpt,
                 "--data", str(annotated), "--out", str(tmp_path / "i")]) == 1
-    assert f"{first['id']}: already starts with a sentiment token" in capsys.readouterr().err
+    assert (f"{annotated}: {first['id']}: already starts with a sentiment token"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["annotate", "train", "ablate", "gradcheck"])
+def test_annotated_split_is_named(tmp_path, data_dir, capsys, command):
+    ann = tmp_path / "ann"
+    assert run(["annotate", "--jsonl", str(data_dir / "train.jsonl"), "--out", str(ann)]) == 0
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    split = data / "train.jsonl"
+    shutil.copy(ann / "annotated.jsonl", split)
+    first = json.loads(split.read_text(encoding="utf-8").splitlines()[0])["id"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    (tmp_path / "grid.json").write_text(json.dumps([{"epochs": 1}]), encoding="utf-8")
+    argv = {"annotate": ["annotate", "--jsonl", str(split)],
+            "train": ["train", "--config", str(cfg), "--data", str(data)],
+            "ablate": ["ablate", "--grid", str(tmp_path / "grid.json"), "--data", str(data)],
+            "gradcheck": ["gradcheck", "--data", str(data)]}[command]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert f"{split}: {first}: already starts with a sentiment token" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "ablate"])
+def test_empty_split_is_named(tmp_path, data_dir, train_dir, monkeypatch, capsys, command):
+    calls = []
+    monkeypatch.setattr(trainer, "train", lambda *a, **k: calls.append(a))
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    split = data / ("train.jsonl" if command == "train" else "test.jsonl")
+    split.write_text("", encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    (tmp_path / "grid.json").write_text(json.dumps([{"epochs": 1}]), encoding="utf-8")
+    ckpt = train_dir / "model.ckpt"
+    argv, message = {
+        "eval": (["eval", "--checkpoint", str(ckpt), "--split", str(split)],
+                 f"{split} with {ckpt}: cannot evaluate an empty split"),
+        "train": (["train", "--config", str(cfg), "--data", str(data)],
+                  f"{split}: no instances"),
+        "ablate": (["ablate", "--grid", str(tmp_path / "grid.json"), "--data", str(data)],
+                   f"{split}: no instances"),
+    }[command]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad, key", [
@@ -407,7 +498,7 @@ def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, ca
 def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkeypatch,
                                                       capsys, bad, key):
     calls = []
-    monkeypatch.setattr(cli.trainer, "train", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(trainer, "train", lambda *a, **k: calls.append(a))
     base = {"epochs": 1, "layers": 2, "heads": 2, "d_model": 16, "d_ff": 32}
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([base, dict(base, **bad)]), encoding="utf-8")
@@ -426,8 +517,8 @@ def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkey
 def test_missing_split_exits_one_before_training(tmp_path, data_dir, monkeypatch, capsys,
                                                  command, extra, split):
     calls = []
-    monkeypatch.setattr(cli.trainer, "train", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(cli.trainer, "gradcheck", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(trainer, "train", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(trainer, "gradcheck", lambda *a, **k: calls.append(a))
     data = tmp_path / "data"
     data.mkdir()
     for name in ("manifest.json", "train.jsonl", "dev.jsonl", "test.jsonl"):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from ssdpsem import cli, encoder
+from ssdpsem import cli, encoder, sentiment
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -107,7 +107,7 @@ def inputs(tmp_path_factory):
     blob = (root / "run" / "model.ckpt").read_bytes()
     start = len(encoder._MAGIC) + 8
     end = start + int.from_bytes(blob[start - 8:start], "little")
-    lexicon = (Path(cli.sentiment.__file__).parent / "data" / "financial_lexicon.tsv")
+    lexicon = (Path(sentiment.__file__).parent / "data" / "financial_lexicon.tsv")
     return {
         "data": data,
         "records": records,
@@ -230,3 +230,38 @@ def test_checkpoint_header_edits(inputs, data):
         path.write_bytes(blob[:start - 8] + len(text).to_bytes(8, "little") + text + blob[end:])
         _exits_zero_or_names(["eval", "--checkpoint", path, "--split",
                               tmp / "data" / "test.jsonl", "--out", tmp / "o"], path)
+
+
+@pytest.mark.parametrize("kind", ["split", "conllu", "sidecar", "lexicon", "config", "grid",
+                                  "manifest"])
+def test_file_that_is_not_utf8_is_named(inputs, kind):
+    """A 0xff byte in one input file exits 1 naming the file, and the line
+    where the reader goes line by line."""
+    with _workdir(inputs) as tmp:
+        data, config, grid = tmp / "data", tmp / "config.json", tmp / "grid.json"
+        grid.write_text(json.dumps([CONFIG]), encoding="utf-8")
+        conllu = _write_lines(tmp / "x.conllu", inputs["conllu"])
+        sidecar = _write_lines(tmp / "x.jsonl", [json.dumps(r) for r in inputs["sidecar"]])
+        lexicon = _write_lines(tmp / "lexicon.tsv", inputs["lexicon"])
+        annotate = ["annotate", "--conllu", conllu, "--sidecar", sidecar]
+        train = ["train", "--config", config, "--data", data]
+        argv, path = {
+            "split": (["eval", "--checkpoint", inputs["data"].parent / "run/model.ckpt",
+                       "--split", data / "test.jsonl"], data / "test.jsonl"),
+            "conllu": (annotate, conllu),
+            "sidecar": (annotate, sidecar),
+            "lexicon": (["annotate", "--jsonl", data / "test.jsonl", "--lexicon", lexicon],
+                        lexicon),
+            "config": (train, config),
+            "grid": (["ablate", "--grid", grid, "--data", data, "--eval-split", "dev"], grid),
+            "manifest": (train, data / "manifest.json"),
+        }[kind]
+        lines = path.read_bytes().split(b"\n")
+        line = 2 if kind in ("split", "conllu", "sidecar") else 1
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        path.write_bytes(b"\n".join(lines))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in [*argv, "--out", tmp / "o"]])
+        where = f"{path}:{line}" if line == 2 else str(path)
+        assert code == 1 and f"error: {where}: not UTF-8" in err.getvalue(), err.getvalue()
