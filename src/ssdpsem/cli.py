@@ -4,8 +4,11 @@ evaluation, ablation grids, gradient checking, and attention inspection.
 Exit codes: 0 success; 1 bad flags or input, with a message naming the
 file, line, key or instance; 2 runtime failure.
 All floats in logs are printed with six decimals so runs diff cleanly.
-The SSDP_THREADS environment variable caps the numeric-backend thread
-count (0 or unset = automatic); it must be applied before numpy loads.
+Each setting has one source: the config or grid file holds the model seed
+and every training key, `synth --seed` the corpus seed, and the manifest
+the relations and the negative class (README: "Where each setting comes from").
+The SSDP_THREADS environment variable, an integer >= 0, caps the BLAS
+thread count (0 or unset = automatic); it must be applied before numpy loads.
 Only the commands that annotate, train or evaluate load numpy, and they
 import the modules that use it when they run: synth, sdp dump, --help
 and bad flags never load it.
@@ -22,13 +25,11 @@ from pathlib import Path
 
 def _apply_thread_cap():
     raw = os.environ.get("SSDP_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"SSDP_THREADS must be an integer, got {raw!r}")
-    if cap > 0:
+    if not raw.isdecimal():
+        raise SystemExit(f"SSDP_THREADS must be an integer >= 0, got {raw!r}")
+    if int(raw) > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
+            os.environ.setdefault(var, str(int(raw)))
 
 
 _apply_thread_cap()
@@ -46,11 +47,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text):
-    """argparse type for a count: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _count(least):
+    """argparse type for an integer >= ``least``: 1 for a count, 0 for a split size."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be {'a positive integer' if least else 'an integer >= 0'}, got {text!r}")
+        return int(text)
+    return parse
 
 
 class _Log:
@@ -140,7 +144,7 @@ def _naming(where, fn, *args, **kwargs):
         raise corpus.ConfigError(f"{where}: {exc}") from exc
 
 
-def _train_config(rec, where, seed_override=None):
+def _train_config(rec, where):
     """Build and fully validate one TrainConfig; errors name ``where``."""
     from . import trainer
 
@@ -149,8 +153,6 @@ def _train_config(rec, where, seed_override=None):
         unknown = set(rec) - set(trainer.TrainConfig.__dataclass_fields__)
         if unknown:
             raise corpus.ConfigError(f"unknown config keys {sorted(unknown)}")
-        if seed_override is not None:
-            rec["seed"] = seed_override
         return trainer.TrainConfig(**rec)
     except ValueError as exc:
         raise corpus.ConfigError(f"{where}: {exc}") from exc
@@ -179,7 +181,7 @@ def cmd_synth(args):
 
 
 def cmd_annotate(args):
-    from . import pipeline
+    from . import pipeline, trainer
 
     out = Path(args.out)
     if args.conllu:
@@ -192,7 +194,7 @@ def cmd_annotate(args):
         raise corpus.ConfigError("provide --conllu/--sidecar or --jsonl")
     lexicon = sentiment.load_lexicon(args.lexicon)
     # the output holds no label signal, so any variant writes the same files
-    prepared, stats = pipeline.annotate(instances, lexicon, "ISL")
+    prepared, stats = pipeline.annotate(instances, lexicon, trainer.TrainConfig.isl_variant)
     log = _Log(out)
     corpus.write_jsonl([p.augmented for p in prepared], out / "annotated.jsonl")
     (out / "annotate_stats.json").write_text(
@@ -218,7 +220,7 @@ def cmd_train(args):
     from . import pipeline, trainer
 
     out = Path(args.out)
-    config = _train_config(_read_json(args.config), args.config, args.seed)
+    config = _train_config(_read_json(args.config), args.config)
     manifest, splits = _load_data_dir(Path(args.data), "train")
     prepared, _ = pipeline.annotate(
         splits["train"], sentiment.load_lexicon(args.lexicon), config.isl_variant
@@ -240,15 +242,15 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    from . import encoder, evalkit, pipeline
+    from . import encoder, evalkit, pipeline, trainer
 
     out = Path(args.out)
     state = encoder.load_checkpoint(args.checkpoint)
     instances = _raw(args.split, corpus.read_jsonl(args.split))
     lexicon = sentiment.load_lexicon(args.lexicon)
     # prediction never reads the label signal, so any variant gives the same report
-    prepared, _ = pipeline.annotate(instances, lexicon, "ISL")
-    entity_types, no_relation = None, "no_relation"
+    prepared, _ = pipeline.annotate(instances, lexicon, trainer.TrainConfig.isl_variant)
+    entity_types, no_relation = None, corpus.NO_RELATION
     if args.manifest:
         manifest = _read_manifest(args.manifest)
         entity_types, no_relation = manifest.entity_types, manifest.no_relation_label
@@ -279,9 +281,8 @@ def cmd_ablate(args):
     configs = [_train_config(rec, f"{args.grid}: grid entry {i}") for i, rec in enumerate(grid)]
     manifest, splits = _load_data_dir(Path(args.data), "train", args.eval_split)
     lexicon = sentiment.load_lexicon(args.lexicon)
-    results = _naming(args.grid, evalkit.ablation_grid, configs, splits, manifest.relations,
-                      manifest.entity_types, eval_split=args.eval_split, lexicon=lexicon,
-                      no_relation=manifest.no_relation_label)
+    results = _naming(args.grid, evalkit.ablation_grid, configs, splits, manifest, lexicon,
+                      args.eval_split)
     csv_text = evalkit.grid_to_csv(results)
     log = _Log(out)
     (out / "grid.csv").write_text(csv_text, encoding="utf-8")
@@ -294,22 +295,18 @@ def cmd_gradcheck(args):
 
     out = Path(args.out)
     if args.config:
-        config = _train_config(_read_json(args.config), args.config, args.seed)
+        config = _train_config(_read_json(args.config), args.config)
     else:
-        config = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32,
-                                     seed=args.seed)
+        config = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32)
     if args.data:
         manifest, splits = _load_data_dir(Path(args.data), "train")
         instances = splits["train"][: args.instances]
-        relations = manifest.relations
     else:
-        manifest = corpus.default_manifest(seed=args.seed, train=args.instances,
-                                           dev=1, test=1)
-        instances = corpus.synthesize_corpus(manifest, 0.9)["train"]
-        relations = manifest.relations
+        manifest = corpus.default_manifest(train=args.instances, dev=1, test=1)
+        instances = corpus.synthesize_corpus(manifest, corpus.SENTIMENT_COUPLING)["train"]
     prepared, _ = pipeline.annotate(instances, sentiment.load_lexicon(), config.isl_variant)
     report = _naming(args.config or args.data, trainer.gradcheck, config, prepared,
-                     relations, max_coords_per_block=args.coords)
+                     manifest.relations, args.coords)
     log = _Log(out)
     lines = [
         f"{e.term} {e.block} max_rel_err {e.max_rel_err:.3e} coords {e.coords_checked} "
@@ -329,7 +326,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_inspect(args):
-    from . import encoder, evalkit, pipeline
+    from . import encoder, evalkit, pipeline, trainer
 
     out = Path(args.out)
     state = encoder.load_checkpoint(args.checkpoint)
@@ -338,7 +335,8 @@ def cmd_inspect(args):
     if not matches:
         raise corpus.ConfigError(f"instance id {args.instance!r} not found in {args.data}")
     lexicon = sentiment.load_lexicon(args.lexicon)
-    prepared = pipeline.annotate_instance(matches[0], lexicon, args.variant)
+    variant = args.variant or trainer.TrainConfig.isl_variant  # its positions are marked
+    prepared = pipeline.annotate_instance(matches[0], lexicon, variant)
     log = _Log(out)
     csv_path = out / f"attention_{args.instance}.csv"
     svg_path = out / f"attention_{args.instance}.svg"
@@ -389,10 +387,10 @@ def build_parser() -> _Parser:
                        help="generate a synthetic corpus into --out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--train", type=int, default=2000)
-    p.add_argument("--dev", type=int, default=400)
-    p.add_argument("--test", type=int, default=400)
-    p.add_argument("--coupling", type=float, default=0.9,
+    p.add_argument("--train", type=_count(0), default=2000)
+    p.add_argument("--dev", type=_count(0), default=400)
+    p.add_argument("--test", type=_count(0), default=400)
+    p.add_argument("--coupling", type=float, default=corpus.SENTIMENT_COUPLING,
                    help="probability that relation polarity fixes gold sentiment")
     p.set_defaults(func=cmd_synth)
 
@@ -408,7 +406,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train from a JSON config")
     p.add_argument("--config", required=True, help="JSON file of TrainConfig keys")
     p.add_argument("--data", required=True, help="directory from `ssdp synth`")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--lexicon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -434,9 +431,8 @@ def build_parser() -> _Parser:
                        help="verify analytic gradients against finite differences")
     p.add_argument("--config", help="JSON TrainConfig (default: small reference)")
     p.add_argument("--data", help="corpus directory (default: synthesize)")
-    p.add_argument("--instances", type=_positive_int, default=3)
-    p.add_argument("--coords", type=_positive_int, default=25, help="coordinates per block")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--instances", type=_count(1), default=3)
+    p.add_argument("--coords", type=_count(1), default=25, help="coordinates per block")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -445,7 +441,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True, help="instance id")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="JSONL file holding the instance")
-    p.add_argument("--variant", default="ISL", choices=["EPL", "SPL", "ISL"])
+    p.add_argument("--variant", choices=["EPL", "SPL", "ISL"], help="variant of the marked column")
     p.add_argument("--lexicon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inspect)

@@ -20,6 +20,8 @@ ROOT = -1
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
+NO_RELATION = "no_relation"  # micro scores' negative class unless a manifest names one
+SENTIMENT_COUPLING = 0.9  # `ssdp synth`'s default, and gradcheck's built-in corpus's
 
 
 class ParseError(ValueError):
@@ -89,13 +91,18 @@ class CorpusManifest:
     entity_types: dict[str, tuple[str, str]]  # relation -> (subj type, obj type)
     split_sizes: dict[str, int]
     seed: int
-    no_relation_label: str = "no_relation"
+    no_relation_label: str = NO_RELATION
 
     def validate(self):
         if len(set(self.relations)) != len(self.relations):
             raise ValidationError("duplicate relation labels in manifest")
         if len(self.relations) < 2:
             raise ConfigError("need at least 2 relation labels")
+        if self.no_relation_label not in self.relations:
+            raise ConfigError(f"no_relation_label {self.no_relation_label!r} is not one of "
+                              f"the relations")
+        if any(n < 0 for n in self.split_sizes.values()):
+            raise ConfigError(f"split sizes must be >= 0, got {self.split_sizes}")
         return self
 
 
@@ -293,10 +300,7 @@ _MANIFEST_KEYS = {
 def manifest_from_dict(rec) -> CorpusManifest:
     """The manifest a JSON record holds; a record of the wrong shape raises
     ConfigError naming the key."""
-    rec = _checked(rec, _MANIFEST_KEYS, ConfigError, no_relation_label="no_relation")
-    if rec["no_relation_label"] not in rec["relations"]:
-        raise ConfigError(f"no_relation_label {rec['no_relation_label']!r} is not one of "
-                          f"the relations")
+    rec = _checked(rec, _MANIFEST_KEYS, ConfigError, no_relation_label=NO_RELATION)
     return CorpusManifest(
         relations=rec["relations"],
         entity_types={r: tuple(pair) for r, pair in rec["entity_types"].items()},
@@ -393,7 +397,7 @@ RELATION_SPECS = {
     "agreement_with": ("ORG", "ORG", POSITIVE),
     "dispute_with": ("ORG", "ORG", NEGATIVE),
     "operations_in": ("ORG", "GPE", POSITIVE),
-    "no_relation": ("ORG", "MISC", None),
+    NO_RELATION: ("ORG", "MISC", None),
 }
 
 DEFAULT_RELATIONS = list(RELATION_SPECS)
@@ -509,7 +513,7 @@ _TEMPLATES = {
     "operations_in": [
         (_OPS_TEMPLATE, {"VERB3": ["kept", "maintained"]}),
     ],
-    "no_relation": [
+    NO_RELATION: [
         (_NOREL_TEMPLATE, {"VERB4": ["issued", "circulated"], "NOUN": ["statement", "memo"]}),
     ],
 }

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
-from . import objectives, pipeline, sentiment, trainer
-from .corpus import ConfigError
+from . import objectives, pipeline, trainer
+from .corpus import NO_RELATION, ConfigError
 
 
 @dataclass
@@ -36,7 +36,7 @@ def _prf(tp, fp, fn):
     return p, r, f1
 
 
-def predict(state, prepared, batch_size=16):
+def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
     """Batched inference grouped by sequence length.
 
     Returns per-instance lists in input order: predicted relation index,
@@ -64,7 +64,7 @@ def predict(state, prepared, batch_size=16):
     return preds, [gold for (_, _, gold) in encoded], alpha_ib, alpha_avg
 
 
-def micro_scores(preds, golds, relations, no_relation="no_relation"):
+def micro_scores(preds, golds, relations, no_relation=NO_RELATION):
     neg = relations.index(no_relation) if no_relation in relations else -1
     tp = fp = fn = 0
     for p, g in zip(preds, golds):
@@ -79,7 +79,7 @@ def micro_scores(preds, golds, relations, no_relation="no_relation"):
     return _prf(tp, fp, fn)
 
 
-def evaluate(state, prepared, entity_types=None, no_relation="no_relation") -> EvalReport:
+def evaluate(state, prepared, entity_types=None, no_relation=NO_RELATION) -> EvalReport:
     if not prepared:
         raise ConfigError("cannot evaluate an empty split")
     relations = state.relations
@@ -115,7 +115,7 @@ def evaluate(state, prepared, entity_types=None, no_relation="no_relation") -> E
     )
 
 
-def bucket_by_entity_pair(preds, golds, relations, entity_types, no_relation="no_relation"):
+def bucket_by_entity_pair(preds, golds, relations, entity_types, no_relation=NO_RELATION):
     """Micro F1 per (subj type, obj type) bucket of the gold relation.
 
     Empty buckets are omitted rather than reported as NaN.
@@ -155,24 +155,25 @@ def mean_pooling_entropy(state, prepared):
 # Ablation grids
 
 
-def ablation_grid(configs, splits, relations, entity_types=None, eval_split="test",
-                  lexicon=None, no_relation="no_relation"):
+def ablation_grid(configs, splits, manifest, lexicon, eval_split):
     """Train and evaluate one run per config; returns [(config, EvalReport)].
 
-    splits is {name: [Instance]} of raw instances.  The train split is
-    annotated once per isl_variant, the eval split once for the whole grid:
-    prediction never reads the label signal.
+    splits is {name: [Instance]} of raw instances; the manifest supplies
+    the relations, the entity-pair buckets and the negative class.  The
+    train split is annotated once per isl_variant, the eval split once for
+    the whole grid: prediction never reads the label signal.
     """
-    lexicon = lexicon or sentiment.load_lexicon()
     train = {}
-    eval_prepared, _ = pipeline.annotate(splits[eval_split], lexicon, "ISL")
+    eval_prepared, _ = pipeline.annotate(splits[eval_split], lexicon,
+                                         trainer.TrainConfig.isl_variant)
     results = []
     for config in configs:
         if config.isl_variant not in train:
             train[config.isl_variant], _ = pipeline.annotate(splits["train"], lexicon,
                                                              config.isl_variant)
-        record = trainer.train(config, train[config.isl_variant], relations)
-        results.append((config, evaluate(record.state, eval_prepared, entity_types, no_relation)))
+        record = trainer.train(config, train[config.isl_variant], manifest.relations)
+        results.append((config, evaluate(record.state, eval_prepared, manifest.entity_types,
+                                         manifest.no_relation_label)))
     return results
 
 

@@ -30,7 +30,7 @@ class TrainConfig(enc.EncoderConfig):
     optimizer: str = "adam"  # "sgd" | "adam"
     seed: int = 0
     mode: str = "asp_saib"  # baseline | asp | saib | asp_saib
-    isl_variant: str = "ISL"  # EPL | SPL | ISL
+    isl_variant: str = "ISL"  # EPL | SPL | ISL; also annotated where no signal is read
     lambda_asp: float = 1.0
     asp_epsilon: float = 1e-8
 
@@ -286,7 +286,7 @@ def _probe(state, ids, Q, gold, config):
     return result.breakdown, b"".join((c["f1"] > 0).tobytes() for c in layers)
 
 
-def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
+def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,
                     analytic_override=None) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
@@ -296,10 +296,9 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
     then one probe pair per coordinate, at +h and -h, serves all four
     terms (a one-term total equals that term's value bit for bit).
     Coordinates are subsampled with an even deterministic stride when a
-    block exceeds ``max_coords_per_block`` (pass None to check
-    everything).  Entries are term-major, blocks in ``state.params`` order.
-    ``analytic_override(term, grads)`` lets tests corrupt a gradient block
-    (negative control).
+    block exceeds ``max_coords_per_block``.  Entries are term-major, blocks
+    in ``state.params`` order.  ``analytic_override(term, grads)`` lets tests
+    corrupt a gradient block (negative control).
 
     Central differences are undefined across a ReLU kink: when a
     pre-activation sits within the step of zero, the two probe points lie
@@ -316,7 +315,7 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
         analytic[name] = grads if analytic_override is None else analytic_override(name, grads)
     rows = []  # per block, one entry per term
     for block, param in state.params.items():
-        if max_coords_per_block is not None and param.size > max_coords_per_block:
+        if param.size > max_coords_per_block:
             coords = np.unique(np.linspace(0, param.size - 1, max_coords_per_block).astype(int))
         else:
             coords = np.arange(param.size)
@@ -343,7 +342,7 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block=40,
 
 
 def gradcheck(config: TrainConfig, prepared, relations,
-              max_coords_per_block=40) -> GradCheckReport:
+              max_coords_per_block) -> GradCheckReport:
     """Run the finite-difference suite on a sample of annotated instances."""
     state, encoded = _prepare(config, prepared, relations)
     merged = GradCheckReport()

@@ -1,5 +1,7 @@
 """End-to-end command-line interface: run directories, exit codes, determinism."""
 
+import argparse
+import csv
 import hashlib
 import json
 import os
@@ -69,6 +71,13 @@ def test_gradcheck_count_below_one_exits_one(tmp_path, capsys, flag, value):
     assert f"argument {flag}: must be a positive integer, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--train", "--dev", "--test"])
+def test_synth_negative_split_size_exits_one(tmp_path, capsys, flag):
+    assert run(["synth", flag, "-3", "--out", str(tmp_path / "d")]) == 1
+    assert f"argument {flag}: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_synth_writes_manifest_and_splits(data_dir):
     names = {p.name for p in data_dir.iterdir()}
     assert {"manifest.json", "train.jsonl", "dev.jsonl", "test.jsonl",
@@ -128,6 +137,18 @@ def test_synth_sdp_dump_and_help_never_load_numpy(tmp_path):
     assert (tmp_path / "sdp.jsonl").exists()
 
 
+@pytest.mark.parametrize("threads", ["-2", "x"])
+def test_bad_ssdp_threads_exits_one(threads):
+    """SSDP_THREADS is an integer >= 0; anything else stops the import."""
+    env = dict(os.environ, SSDP_THREADS=threads)
+    src = str(Path(ssdpsem.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "from ssdpsem import cli"], env=env,
+                          timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert f"SSDP_THREADS must be an integer >= 0, got '{threads}'" in proc.stderr
+
+
 def test_train_run_directory_contents(train_dir):
     names = {p.name for p in train_dir.iterdir()}
     assert {"config.json", "metrics.csv", "model.ckpt", "log.txt"} <= names
@@ -167,13 +188,51 @@ def test_eval_writes_report(tmp_path, data_dir, train_dir):
 
 def test_eval_takes_no_variant(tmp_path, data_dir, train_dir, capsys):
     """Prediction never reads the label signal and annotate's output holds
-    none, so neither command offers a variant."""
-    for argv in (["eval", "--checkpoint", str(train_dir / "model.ckpt"),
-                  "--split", str(data_dir / "test.jsonl")],
-                 ["annotate", "--jsonl", str(data_dir / "dev.jsonl")]):
-        assert run([*argv, "--variant", "SPL", "--out", str(tmp_path / "o")]) == 1
-        assert "unrecognized arguments: --variant SPL" in capsys.readouterr().err
+    none, so eval and annotate offer no variant; the model seed comes from
+    the config file only."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{\"epochs\": 1}", encoding="utf-8")
+    for argv, extra in (
+            (["eval", "--checkpoint", str(train_dir / "model.ckpt"),
+              "--split", str(data_dir / "test.jsonl")], ["--variant", "SPL"]),
+            (["annotate", "--jsonl", str(data_dir / "dev.jsonl")], ["--variant", "SPL"]),
+            (["train", "--config", str(cfg), "--data", str(data_dir)], ["--seed", "1"]),
+            (["gradcheck"], ["--seed", "1"])):
+        assert run([*argv, *extra, "--out", str(tmp_path / "o")]) == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# each command's option strings: a knob added or removed shows up here
+CLI_OPTIONS = {
+    "synth": ["--seed", "--out", "--train", "--dev", "--test", "--coupling"],
+    "annotate": ["--conllu", "--sidecar", "--jsonl", "--lexicon", "--out"],
+    "train": ["--config", "--data", "--lexicon", "--out"],
+    "eval": ["--checkpoint", "--split", "--manifest", "--lexicon", "--out"],
+    "ablate": ["--grid", "--data", "--eval-split", "--lexicon", "--out"],
+    "gradcheck": ["--config", "--data", "--instances", "--coords", "--out"],
+    "inspect": ["--instance", "--checkpoint", "--data", "--variant", "--lexicon", "--out"],
+    "sdp dump": ["--jsonl", "--out"],
+}
+
+
+def _command_options(parser, command=""):
+    """{command: its option strings but --help} of each leaf command under parser."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_command_options(sub, f"{command} {name}".strip()))
+    if not found:
+        found[command] = [opt for action in parser._actions for opt in action.option_strings
+                          if opt not in ("-h", "--help")]
+    return found
+
+
+def test_cli_options_are_pinned():
+    options = _command_options(cli.build_parser())
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 38
 
 
 def test_annotate_from_jsonl(tmp_path, data_dir):
@@ -211,6 +270,11 @@ def test_readme_commands_parse():
 def test_annotate_requires_an_input(tmp_path, capsys):
     assert run(["annotate", "--out", str(tmp_path / "x")]) == 1
     assert "provide" in capsys.readouterr().err
+    conllu = tmp_path / "t.conllu"
+    conllu.write_text("1\tGains\t_\t_\t_\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+    assert run(["annotate", "--conllu", str(conllu), "--out", str(tmp_path / "x")]) == 1
+    assert "error: --conllu requires --sidecar" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_ablate_grid(tmp_path, data_dir):
@@ -235,6 +299,33 @@ def test_gradcheck_cli_passes(tmp_path):
     assert "overall PASS" in text
 
 
+def test_gradcheck_config_seed_is_the_model_seed(tmp_path):
+    """The config's seed initialises the model: seeds 0 and 5 give different
+    reports, and seed 0 gives the built-in reference config's report."""
+    reports = {}
+    for seed in (0, 5):
+        cfg = tmp_path / f"seed{seed}.json"
+        cfg.write_text(json.dumps({"layers": 2, "heads": 2, "d_model": 16, "d_ff": 32,
+                                   "seed": seed}), encoding="utf-8")
+        out = tmp_path / f"gc{seed}"
+        assert run(["gradcheck", "--config", str(cfg), "--instances", "1", "--coords", "3",
+                    "--out", str(out)]) == 0
+        reports[seed] = (out / "gradcheck.txt").read_bytes()
+    assert reports[0] != reports[5]
+    assert run(["gradcheck", "--instances", "1", "--coords", "3",
+                "--out", str(tmp_path / "gc")]) == 0
+    assert (tmp_path / "gc" / "gradcheck.txt").read_bytes() == reports[0]
+
+
+def test_gradcheck_on_a_data_directory(tmp_path, data_dir):
+    out = tmp_path / "gc"
+    assert run(["gradcheck", "--data", str(data_dir), "--instances", "2", "--coords", "3",
+                "--out", str(out)]) == 0
+    lines = (out / "gradcheck.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[-1].startswith("overall PASS")
+    assert "gradcheck PASS" in (out / "log.txt").read_text(encoding="utf-8")
+
+
 def test_inspect_exports_attention(tmp_path, data_dir, train_dir):
     first_id = json.loads(
         (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()[0]
@@ -245,6 +336,26 @@ def test_inspect_exports_attention(tmp_path, data_dir, train_dir):
                 "--data", str(data_dir / "test.jsonl"), "--out", str(out)]) == 0
     assert (out / f"attention_{first_id}.csv").exists()
     assert (out / f"attention_{first_id}.svg").exists()
+
+
+def test_inspect_marks_the_variants_positions(tmp_path, data_dir, train_dir):
+    """The marked column shows the chosen variant's positions: ISL marks the
+    sentiment token at position 0, SPL does not, and ISL is the default."""
+    first_id = json.loads(
+        (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    )["id"]
+    marked = {}
+    for variant in ("SPL", "ISL", None):
+        out = tmp_path / str(variant)
+        assert run(["inspect", "--instance", first_id,
+                    "--checkpoint", str(train_dir / "model.ckpt"),
+                    "--data", str(data_dir / "test.jsonl"), "--out", str(out),
+                    *(["--variant", variant] if variant else [])]) == 0
+        with open(out / f"attention_{first_id}.csv", encoding="utf-8", newline="") as fh:
+            marked[variant] = [int(row["marked"]) for row in csv.DictReader(fh)]
+    assert marked["ISL"][0] == 1 and marked["SPL"][0] == 0
+    assert marked["ISL"][1:] == marked["SPL"][1:]
+    assert marked[None] == marked["ISL"]
 
 
 def test_inspect_unknown_instance_exits_one(tmp_path, data_dir, train_dir, capsys):
@@ -557,14 +668,17 @@ def test_train_and_ablate_read_only_the_splits_they_use(tmp_path, data_dir):
     (lambda m: dict(m, entity_types={r: [*p, "X"] for r, p in m["entity_types"].items()}),
      "entity_types must be an object of"),
     (lambda m: dict(m, split_sizes={"train": "48"}), "split_sizes must be an object of ints"),
+    (lambda m: dict(m, split_sizes=dict(m["split_sizes"], train=-3)),
+     "split sizes must be >= 0, got {'dev': 16, 'test': 16, 'train': -3}"),
     (lambda m: dict(m, seed="5"), "seed must be int, got '5'"),
     (lambda m: dict(m, seed=5.0), "seed must be int, got 5.0"),
     (lambda m: dict(m, no_relation_label=["x"]), "no_relation_label must be str"),
     (lambda m: dict(m, no_relation_label="no_relaton"),
      "no_relation_label 'no_relaton' is not one of the relations"),
+    (lambda m: dict(m, relations=["no_relation"]), "need at least 2 relation labels"),
 ], ids=["list", "no-entity_types", "str-relations", "int-relation", "list-entity_types",
-        "3-list-entity_type", "str-split_size", "str-seed", "float-seed",
-        "list-no_relation_label", "unknown-no_relation_label"])
+        "3-list-entity_type", "str-split_size", "negative-split_size", "str-seed", "float-seed",
+        "list-no_relation_label", "unknown-no_relation_label", "one-relation"])
 def test_malformed_manifest_exits_one(tmp_path, data_dir, train_dir, capsys, edit, message):
     manifest = json.loads((data_dir / "manifest.json").read_text(encoding="utf-8"))
     data = tmp_path / "data"

@@ -310,13 +310,21 @@ def test_synthesize_corpus_rejects_bad_coupling(small_manifest):
 
 def test_synthesize_corpus_rejects_unknown_relation(small_manifest):
     bad = corpus.CorpusManifest(
-        relations=["profit_of", "made_up"],
-        entity_types={"profit_of": ("ORG", "MONEY"), "made_up": ("ORG", "ORG")},
+        relations=["no_relation", "made_up"],
+        entity_types={"no_relation": ("ORG", "MISC"), "made_up": ("ORG", "ORG")},
         split_sizes={"train": 4},
         seed=0,
     )
     with pytest.raises(corpus.ConfigError, match="made_up"):
         corpus.synthesize_corpus(bad, 0.5)
+
+
+def test_manifest_rejects_negative_split_size():
+    """validate() holds the check, so a manifest built in Python is refused
+    as one read from JSON is."""
+    with pytest.raises(corpus.ConfigError) as exc:
+        corpus.default_manifest(train=-3)
+    assert str(exc.value) == "split sizes must be >= 0, got {'train': -3, 'dev': 400, 'test': 400}"
 
 
 def test_coupling_draw_is_integer_grained():

@@ -153,8 +153,7 @@ def test_ablation_grid_shape_and_determinism(small_splits, small_manifest, lexic
         trainer.TrainConfig(mode="asp_saib", **base),
         trainer.TrainConfig(mode="asp_saib", **base),  # duplicate row
     ]
-    results = evalkit.ablation_grid(configs, small_splits, small_manifest.relations,
-                                    small_manifest.entity_types, lexicon=lexicon)
+    results = evalkit.ablation_grid(configs, small_splits, small_manifest, lexicon, "test")
     csv_text = evalkit.grid_to_csv(results)
     lines = csv_text.strip().split("\n")
     assert len(lines) == 4  # header + 3 rows
@@ -174,8 +173,7 @@ def test_ablation_grid_annotates_train_per_variant_and_the_eval_split_once(
         return annotate(instances, lex, variant)
 
     monkeypatch.setattr(pipeline, "annotate", counting)
-    results = evalkit.ablation_grid(configs, small_splits, small_manifest.relations,
-                                    lexicon=lexicon)
+    results = evalkit.ablation_grid(configs, small_splits, small_manifest, lexicon, "test")
     assert sorted(calls) == [("test", "ISL"), ("train", "EPL"), ("train", "ISL"),
                              ("train", "SPL")]
     # the same reports as one fresh train + annotate + evaluate per config: the

@@ -201,6 +201,30 @@ def test_first_metrics_row_matches_offline_recomputation(small_train, small_mani
     assert record.metrics_rows[1] == expected
 
 
+def test_train_with_sgd_steps_by_lr_times_the_gradient(small_train, small_manifest):
+    """optimizer="sgd": the loss logged at step 1 is the loss after one plain
+    step, flat -= lr * grad, from the initial state (Adam's would differ)."""
+    cfg = trainer.TrainConfig(epochs=1, seed=9, optimizer="sgd", lr=0.05, **SMALL)
+    captured = {}
+
+    def hook(epoch, state):
+        if epoch == -1:
+            captured["state"] = state.copy()
+
+    record = trainer.train(cfg, small_train, small_manifest.relations, epoch_hook=hook)
+    state = captured["state"]
+    encoded = trainer.encode_prepared(state, small_train)
+    order = list(range(len(encoded)))
+    random.Random(f"{cfg.seed}:0").shuffle(order)
+    first, second = trainer.make_batches(encoded, cfg.batch_size, order)[:2]
+    terms = obj.MODE_TERMS[cfg.mode]
+    obj.batch_losses(state, *trainer._collate(encoded, first), terms, cfg)
+    state.flat -= cfg.lr * state.grad_flat
+    b = obj.batch_losses(state, *trainer._collate(encoded, second), terms, cfg,
+                         value_only=True).breakdown
+    assert record.metrics_rows[2] == f"1,{b.l_re:.6f},{b.l_asp:.6f},{b.l_ib:.6f},{b.total:.6f}"
+
+
 # ---------------------------------------------------------------------------
 # Gradient verification harness
 
