@@ -113,25 +113,32 @@ def _raw(path, instances):
     return instances
 
 
+def _read_split(path, manifest, manifest_path):
+    """The raw instances of the split file ``path``; a relation that is not
+    one of the manifest's (read from ``manifest_path``) raises ConfigError
+    naming both files."""
+    instances = _raw(path, corpus.read_jsonl(path))
+    bad = next((i for i in instances if i.relation not in manifest.relations), None)
+    if bad:
+        raise corpus.ConfigError(f"{path}: {bad.id}: relation {bad.relation!r} is "
+                                 f"not one of the relations of {manifest_path}")
+    return instances
+
+
 def _load_data_dir(data_dir: Path, *names):
-    """The manifest and the named splits, each of which must exist and hold
-    instances; with no names, every split present.  Every split is raw
-    input, and its relations are the manifest's."""
-    manifest = _read_manifest(data_dir / "manifest.json")
+    """The manifest and the named splits (read by ``_read_split``), each of
+    which must exist and hold instances; with no names, every split present."""
+    manifest_path = data_dir / "manifest.json"
+    manifest = _read_manifest(manifest_path)
     paths = {split: data_dir / f"{split}.jsonl" for split in names or manifest.split_sizes}
     for split in names:
         if not paths[split].exists():
             raise corpus.ConfigError(f"{data_dir}: no {split!r} split ({split}.jsonl)")
-    splits = {split: corpus.read_jsonl(path) for split, path in paths.items() if path.exists()}
+    splits = {split: _read_split(path, manifest, manifest_path)
+              for split, path in paths.items() if path.exists()}
     for split in names:
         if not splits[split]:
             raise corpus.ConfigError(f"{paths[split]}: no instances")
-    for split, instances in splits.items():
-        _raw(paths[split], instances)
-        bad = next((i for i in instances if i.relation not in manifest.relations), None)
-        if bad:
-            raise corpus.ConfigError(f"{paths[split]}: {bad.id}: relation {bad.relation!r} is "
-                                     f"not one of the relations of {data_dir}/manifest.json")
     return manifest, splits
 
 
@@ -185,13 +192,9 @@ def cmd_annotate(args):
 
     out = Path(args.out)
     if args.conllu:
-        if not args.sidecar:
-            raise corpus.ConfigError("--conllu requires --sidecar")
-        instances = _raw(args.conllu, corpus.read_conllu(args.conllu, args.sidecar))
-    elif args.jsonl:
-        instances = _raw(args.jsonl, corpus.read_jsonl(args.jsonl))
+        instances = _raw(args.conllu[0], corpus.read_conllu(*args.conllu))
     else:
-        raise corpus.ConfigError("provide --conllu/--sidecar or --jsonl")
+        instances = _raw(args.jsonl, corpus.read_jsonl(args.jsonl))
     lexicon = sentiment.load_lexicon(args.lexicon)
     # the output holds no label signal, so any variant writes the same files
     prepared, stats = pipeline.annotate(instances, lexicon, trainer.TrainConfig.isl_variant)
@@ -246,16 +249,17 @@ def cmd_eval(args):
 
     out = Path(args.out)
     state = encoder.load_checkpoint(args.checkpoint)
-    instances = _raw(args.split, corpus.read_jsonl(args.split))
+    manifest = _read_manifest(args.manifest)
+    if set(state.relations) != set(manifest.relations):
+        raise corpus.ConfigError(
+            f"{args.checkpoint}: relations {sorted(state.relations)} are not those of "
+            f"{args.manifest}: {sorted(manifest.relations)}")
+    instances = _read_split(args.split, manifest, args.manifest)
     lexicon = sentiment.load_lexicon(args.lexicon)
     # prediction never reads the label signal, so any variant gives the same report
     prepared, _ = pipeline.annotate(instances, lexicon, trainer.TrainConfig.isl_variant)
-    entity_types, no_relation = None, corpus.NO_RELATION
-    if args.manifest:
-        manifest = _read_manifest(args.manifest)
-        entity_types, no_relation = manifest.entity_types, manifest.no_relation_label
-    report = _naming(f"{args.split} with {args.checkpoint}", evalkit.evaluate,
-                     state, prepared, entity_types, no_relation)
+    report = _naming(f"{args.split} with {args.checkpoint}", evalkit.evaluate, state, prepared,
+                     manifest.entity_types, manifest.no_relation_label)
     text = evalkit.report_to_text(report, state.relations)
     log = _Log(out)
     (out / "report.txt").write_text(text, encoding="utf-8")
@@ -396,9 +400,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("annotate",
                        help="write the augmented instances and annotation stats")
-    p.add_argument("--conllu", help="CoNLL-U treebank file")
-    p.add_argument("--sidecar", help="JSONL sidecar with spans/relations")
-    p.add_argument("--jsonl", help="instances as JSONL (alternative input)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--conllu", nargs=2, metavar=("TREEBANK", "SIDECAR"),
+                        help="CoNLL-U treebank and its JSONL sidecar of spans and relations")
+    source.add_argument("--jsonl", help="instances as JSONL")
     p.add_argument("--lexicon", help="sentiment lexicon TSV (default: bundled)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)
@@ -413,7 +418,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", required=True, help="JSONL file of instances")
-    p.add_argument("--manifest", help="manifest.json for entity-pair buckets")
+    p.add_argument("--manifest", required=True,
+                   help="the checkpoint's manifest.json: relations, buckets, negative class")
     p.add_argument("--lexicon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -441,7 +447,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True, help="instance id")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="JSONL file holding the instance")
-    p.add_argument("--variant", choices=["EPL", "SPL", "ISL"], help="variant of the marked column")
+    p.add_argument("--variant", choices=corpus.VARIANTS, help="variant of the marked column")
     p.add_argument("--lexicon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inspect)

@@ -21,6 +21,7 @@ ROOT = -1
 POSITIVE = "positive"
 NEGATIVE = "negative"
 NO_RELATION = "no_relation"  # micro scores' negative class unless a manifest names one
+VARIANTS = ("EPL", "SPL", "ISL")  # the label signals: entity, +path, +sentiment token
 SENTIMENT_COUPLING = 0.9  # `ssdp synth`'s default, and gradcheck's built-in corpus's
 
 

@@ -148,13 +148,14 @@ def _param_shapes(config, n_words, n_labels):
 
 
 def build_vocab(instances):
-    """Closed vocabulary over augmented-token surfaces plus specials."""
+    """Closed vocabulary over augmented-token surfaces plus specials; a
+    surface spelled like a special is that special, not a second entry."""
     words = set()
     for inst in instances:
         for tok in inst.tokens:
             words.add(tok.surface)
     words.update(("positive", "negative"))
-    return [PAD, UNK] + sorted(words)
+    return [PAD, UNK] + sorted(words - {PAD, UNK})
 
 
 def encode_tokens(state: ModelState, surfaces):
@@ -418,7 +419,9 @@ _MAGIC = b"SSDPCKPT1\n"
 
 def save_checkpoint(state: ModelState, path):
     """The header, then the body: ``state.flat``, which holds the arrays in
-    the header's sorted-name order."""
+    the header's sorted-name order.  A seed, vocabulary or relations that
+    ``load_checkpoint`` would reject raise ValueError naming the path, and
+    nothing is written."""
     header = {
         "config": asdict(state.config),
         "seed": state.seed,
@@ -429,6 +432,8 @@ def save_checkpoint(state: ModelState, path):
             for k, v in state.params.items()
         ],
     }
+    _checked(header, _HEADER_KEYS,
+             lambda message: ValueError(f"{path}: unwritable checkpoint header: {message}"))
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

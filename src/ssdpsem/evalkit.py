@@ -64,28 +64,27 @@ def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
     return preds, [gold for (_, _, gold) in encoded], alpha_ib, alpha_avg
 
 
-def micro_scores(preds, golds, relations, no_relation=NO_RELATION):
-    neg = relations.index(no_relation) if no_relation in relations else -1
-    tp = fp = fn = 0
-    for p, g in zip(preds, golds):
-        if p == g:
-            if g != neg:
-                tp += 1
-        else:
-            if p != neg:
-                fp += 1
-            if g != neg:
-                fn += 1
-    return _prf(tp, fp, fn)
+def micro_scores(confusion, neg):
+    """Micro P/R/F1 of a confusion matrix (rows gold, columns predicted);
+    class ``neg``, the negative class, never counts as a positive."""
+    total, tp = int(confusion.sum()), int(np.trace(confusion) - confusion[neg, neg])
+    predicted, gold = total - int(confusion[:, neg].sum()), total - int(confusion[neg].sum())
+    return _prf(tp, predicted - tp, gold - tp)
 
 
-def evaluate(state, prepared, entity_types=None, no_relation=NO_RELATION) -> EvalReport:
+def evaluate(state, prepared, entity_types, no_relation=NO_RELATION) -> EvalReport:
+    """Score ``prepared`` against the model's relations; ``entity_types``
+    (relation -> (subj type, obj type)) sets the buckets and ``no_relation``,
+    one of the model's relations, the negative class."""
     if not prepared:
         raise ConfigError("cannot evaluate an empty split")
     relations = state.relations
-    R = len(relations)
+    if no_relation not in relations:
+        raise ConfigError(f"negative class {no_relation!r} is not one of the model's "
+                          f"relations {relations}")
+    neg = relations.index(no_relation)
     preds, golds, _, _ = predict(state, prepared)
-    confusion = np.zeros((R, R), dtype=np.int64)
+    confusion = np.zeros((len(relations),) * 2, dtype=np.int64)
     for p, g in zip(preds, golds):
         confusion[g, p] += 1
     per_relation = {}
@@ -98,10 +97,7 @@ def evaluate(state, prepared, entity_types=None, no_relation=NO_RELATION) -> Eva
         per_relation[label] = {"tp": tp, "fp": fp, "fn": fn,
                                "precision": p, "recall": r, "f1": f1}
         macro.append(f1)
-    micro_p, micro_r, micro_f1 = micro_scores(preds, golds, relations, no_relation)
-    per_bucket = {}
-    if entity_types:
-        per_bucket = bucket_by_entity_pair(preds, golds, relations, entity_types, no_relation)
+    micro_p, micro_r, micro_f1 = micro_scores(confusion, neg)
     return EvalReport(
         accuracy=float(np.trace(confusion)) / len(prepared),
         micro_precision=micro_p,
@@ -109,31 +105,23 @@ def evaluate(state, prepared, entity_types=None, no_relation=NO_RELATION) -> Eva
         micro_f1=micro_f1,
         macro_f1=float(np.mean(macro)),
         per_relation=per_relation,
-        per_bucket_f1=per_bucket,
+        per_bucket_f1=bucket_by_entity_pair(confusion, relations, entity_types, neg),
         confusion=confusion,
         n_instances=len(prepared),
     )
 
 
-def bucket_by_entity_pair(preds, golds, relations, entity_types, no_relation=NO_RELATION):
-    """Micro F1 per (subj type, obj type) bucket of the gold relation.
-
-    Empty buckets are omitted rather than reported as NaN.
+def bucket_by_entity_pair(confusion, relations, entity_types, neg):
+    """Micro F1 per (subj type, obj type) bucket: the confusion rows of the
+    gold relations typed with that pair.  A relation without entity types is
+    in no bucket, and empty buckets are omitted rather than reported as NaN.
     """
     buckets = {}
-    for p, g in zip(preds, golds):
-        pair = entity_types.get(relations[g])
-        if pair is None:
-            continue
-        buckets.setdefault(f"{pair[0]}:{pair[1]}", []).append((p, g))
-    out = {}
-    for key in sorted(buckets):
-        pairs = buckets[key]
-        _, _, f1 = micro_scores(
-            [p for p, _ in pairs], [g for _, g in pairs], relations, no_relation
-        )
-        out[key] = f1
-    return out
+    for i, label in enumerate(relations):
+        pair = entity_types.get(label)
+        if pair is not None and confusion[i].any():
+            buckets.setdefault(f"{pair[0]}:{pair[1]}", np.zeros_like(confusion))[i] = confusion[i]
+    return {key: micro_scores(buckets[key], neg)[2] for key in sorted(buckets)}
 
 
 def isl_attention_mass(state, prepared):

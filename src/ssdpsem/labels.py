@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Instance
-
-VARIANTS = ("EPL", "SPL", "ISL")
+from .corpus import VARIANTS, Instance
 
 
 @dataclass

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import objectives
-from .corpus import ConfigError
-from .labels import VARIANTS
+from .corpus import VARIANTS, ConfigError
 
 
 @dataclass

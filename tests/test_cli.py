@@ -194,7 +194,8 @@ def test_eval_takes_no_variant(tmp_path, data_dir, train_dir, capsys):
     cfg.write_text("{\"epochs\": 1}", encoding="utf-8")
     for argv, extra in (
             (["eval", "--checkpoint", str(train_dir / "model.ckpt"),
-              "--split", str(data_dir / "test.jsonl")], ["--variant", "SPL"]),
+              "--split", str(data_dir / "test.jsonl"),
+              "--manifest", str(data_dir / "manifest.json")], ["--variant", "SPL"]),
             (["annotate", "--jsonl", str(data_dir / "dev.jsonl")], ["--variant", "SPL"]),
             (["train", "--config", str(cfg), "--data", str(data_dir)], ["--seed", "1"]),
             (["gradcheck"], ["--seed", "1"])):
@@ -206,7 +207,7 @@ def test_eval_takes_no_variant(tmp_path, data_dir, train_dir, capsys):
 # each command's option strings: a knob added or removed shows up here
 CLI_OPTIONS = {
     "synth": ["--seed", "--out", "--train", "--dev", "--test", "--coupling"],
-    "annotate": ["--conllu", "--sidecar", "--jsonl", "--lexicon", "--out"],
+    "annotate": ["--conllu", "--jsonl", "--lexicon", "--out"],
     "train": ["--config", "--data", "--lexicon", "--out"],
     "eval": ["--checkpoint", "--split", "--manifest", "--lexicon", "--out"],
     "ablate": ["--grid", "--data", "--eval-split", "--lexicon", "--out"],
@@ -232,7 +233,7 @@ def _command_options(parser, command=""):
 def test_cli_options_are_pinned():
     options = _command_options(cli.build_parser())
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 38
+    assert sum(map(len, options.values())) == 37
 
 
 def test_annotate_from_jsonl(tmp_path, data_dir):
@@ -269,11 +270,28 @@ def test_readme_commands_parse():
 
 def test_annotate_requires_an_input(tmp_path, capsys):
     assert run(["annotate", "--out", str(tmp_path / "x")]) == 1
-    assert "provide" in capsys.readouterr().err
-    conllu = tmp_path / "t.conllu"
-    conllu.write_text("1\tGains\t_\t_\t_\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
-    assert run(["annotate", "--conllu", str(conllu), "--out", str(tmp_path / "x")]) == 1
-    assert "error: --conllu requires --sidecar" in capsys.readouterr().err
+    assert "one of the arguments --conllu --jsonl is required" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--conllu", "t.conllu"], "argument --conllu: expected 2 arguments"),
+    (["--sidecar", "dev.jsonl"], "one of the arguments --conllu --jsonl is required"),
+    (["--jsonl", "dev.jsonl", "--sidecar", "dev.jsonl"],
+     "unrecognized arguments: --sidecar"),
+    (["--jsonl", "dev.jsonl", "--conllu", "t.conllu", "dev.jsonl"],
+     "argument --conllu: not allowed with argument --jsonl"),
+    (["--conllu", "t.conllu", "dev.jsonl", "--jsonl", "dev.jsonl"],
+     "argument --jsonl: not allowed with argument --conllu"),
+], ids=["conllu-alone", "sidecar", "jsonl-sidecar", "jsonl-conllu", "conllu-jsonl"])
+def test_annotate_rejects_conflicting_inputs(tmp_path, data_dir, capsys, argv, message):
+    """Either --jsonl, or --conllu with its sidecar: no input given is ignored."""
+    files = {"dev.jsonl": data_dir / "dev.jsonl", "t.conllu": tmp_path / "t.conllu"}
+    files["t.conllu"].write_text("1\tGains\t_\t_\t_\t_\t0\troot\t_\t_\n\n",
+                                 encoding="utf-8")
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    assert run(["annotate", *argv, "--out", str(tmp_path / "x")]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -387,6 +405,7 @@ def test_corrupt_checkpoint_exits_one(tmp_path, data_dir, capsys):
     bad.write_bytes(b"garbage")
     assert run(["eval", "--checkpoint", str(bad),
                 "--split", str(data_dir / "test.jsonl"),
+                "--manifest", str(data_dir / "manifest.json"),
                 "--out", str(tmp_path / "o")]) == 1
 
 
@@ -416,7 +435,7 @@ def test_edited_checkpoint_header_exits_one(tmp_path, train_dir, data_dir, capsy
     bad = tmp_path / "edited.ckpt"
     bad.write_bytes(blob[:start - 8] + len(text).to_bytes(8, "little") + text + blob[end:])
     assert run(["eval", "--checkpoint", str(bad), "--split", str(data_dir / "test.jsonl"),
-                "--out", str(tmp_path / "o")]) == 1
+                "--manifest", str(data_dir / "manifest.json"), "--out", str(tmp_path / "o")]) == 1
     assert str(bad) in capsys.readouterr().err
 
 
@@ -526,9 +545,11 @@ def test_eval_unknown_relation_exits_one(tmp_path, data_dir, train_dir, capsys):
     split = tmp_path / "split.jsonl"
     split.write_text(json.dumps(rec) + "\n", encoding="utf-8")
     assert run(["eval", "--checkpoint", str(train_dir / "model.ckpt"),
-                "--split", str(split), "--out", str(tmp_path / "o")]) == 1
+                "--split", str(split), "--manifest", str(data_dir / "manifest.json"),
+                "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert rec["id"] in err and "'acquired_by'" in err
+    assert f"{split}: " in err and str(data_dir / "manifest.json") in err
 
 
 def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, capsys):
@@ -539,7 +560,7 @@ def test_annotated_output_is_rejected_as_input(tmp_path, data_dir, train_dir, ca
     assert "isl" not in first
     ckpt = str(train_dir / "model.ckpt")
     assert run(["eval", "--checkpoint", ckpt, "--split", str(annotated),
-                "--out", str(tmp_path / "e")]) == 1
+                "--manifest", str(data_dir / "manifest.json"), "--out", str(tmp_path / "e")]) == 1
     assert (f"{annotated}: {first['id']}: already starts with a sentiment token"
             in capsys.readouterr().err)
     assert run(["inspect", "--instance", first["id"], "--checkpoint", ckpt,
@@ -582,7 +603,8 @@ def test_empty_split_is_named(tmp_path, data_dir, train_dir, monkeypatch, capsys
     (tmp_path / "grid.json").write_text(json.dumps([{"epochs": 1}]), encoding="utf-8")
     ckpt = train_dir / "model.ckpt"
     argv, message = {
-        "eval": (["eval", "--checkpoint", str(ckpt), "--split", str(split)],
+        "eval": (["eval", "--checkpoint", str(ckpt), "--split", str(split),
+                  "--manifest", str(data / "manifest.json")],
                  f"{split} with {ckpt}: cannot evaluate an empty split"),
         "train": (["train", "--config", str(cfg), "--data", str(data)],
                   f"{split}: no instances"),
@@ -781,6 +803,46 @@ def test_manifest_no_relation_label_is_honoured(tmp_path, data_dir, train_dir):
                     "--eval-split", "dev", "--out", str(out)]) == 0
     assert ((tmp_path / "a1" / "grid.csv").read_bytes()
             == (tmp_path / "a2" / "grid.csv").read_bytes())
+
+
+def test_eval_scores_only_against_the_checkpoints_manifest(tmp_path, data_dir, capsys):
+    """The manifest is eval's one source of relations and negative class, and
+    it must hold the relations the checkpoint was trained on."""
+    other = tmp_path / "other"
+    _relabel(data_dir, other, "no_relation", "other")
+    unknown = tmp_path / "unknown.json"
+    manifest = json.loads((other / "manifest.json").read_text(encoding="utf-8"))
+    manifest["relations"] = ["acquired_by" if r == "debt_of" else r for r in manifest["relations"]]
+    manifest["entity_types"]["acquired_by"] = manifest["entity_types"].pop("debt_of")
+    unknown.write_text(json.dumps(manifest), encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1, "layers": 1, "heads": 1, "d_model": 8, "d_ff": 16,
+                               "batch_size": 8}), encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--data", str(other),
+                "--out", str(tmp_path / "run")]) == 0
+    ckpt = tmp_path / "run" / "model.ckpt"
+    argv = ["eval", "--checkpoint", str(ckpt), "--split", str(other / "dev.jsonl"),
+            "--out", str(tmp_path / "e")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert "the following arguments are required: --manifest" in capsys.readouterr().err
+    for wrong in (data_dir / "manifest.json", unknown):
+        assert run([*argv, "--manifest", str(wrong)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: relations " in err and f"are not those of {wrong}" in err
+    assert not (tmp_path / "e").exists()
+    assert run([*argv, "--manifest", str(other / "manifest.json")]) == 0
+    assert (tmp_path / "e" / "report.txt").exists()
+
+
+def test_diverging_run_exits_two(tmp_path, data_dir, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1, "layers": 1, "heads": 1, "d_model": 8, "d_ff": 16,
+                               "batch_size": 8, "lr": 1e6, "optimizer": "sgd"}),
+                   encoding="utf-8")
+    assert run(["train", "--config", str(cfg), "--data", str(data_dir),
+                "--out", str(tmp_path / "run")]) == 2
+    assert "runtime failure: non-finite loss term" in capsys.readouterr().err
 
 
 def test_train_is_byte_identical_across_thread_counts(tmp_path):

@@ -187,6 +187,15 @@ def test_jsonl_round_trip(tmp_path, small_splits):
         assert (a.subj, a.obj, a.relation, a.sentiment) == (b.subj, b.obj, b.relation, b.sentiment)
 
 
+def test_jsonl_round_trip_keeps_a_multi_root_instance_fragmented(tmp_path):
+    tokens = [Token(0, "Acme", -1, "root"), Token(1, "gains", -1, "root")]
+    fragment = Instance("frag", tokens, (0, 0), (1, 1), "profit_of", fragmented=True).validate()
+    path = tmp_path / "c.jsonl"
+    corpus.write_jsonl([fragment], path)
+    assert json.loads(path.read_text(encoding="utf-8"))["fragmented"] is True
+    assert corpus.read_jsonl(path) == [fragment]
+
+
 def test_readers_hold_one_string_per_distinct_surface_and_deprel(tmp_path, small_splits):
     path = tmp_path / "c.jsonl"
     corpus.write_jsonl(small_splits["train"] + small_splits["dev"], path)

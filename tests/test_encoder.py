@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -334,3 +335,15 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, corrupt, mes
     with pytest.raises(ValueError, match=message) as err:
         enc.load_checkpoint(bad)
     assert str(bad) in str(err.value)
+
+
+def test_corpus_words_spelled_like_specials_give_one_vocabulary_entry(tmp_path):
+    """A token written <pad> or <unk> is that special: the vocabulary stays
+    distinct, so the checkpoint of a model trained on it loads again."""
+    tokens = [SimpleNamespace(surface=s) for s in (enc.UNK, "a", enc.PAD, "a")]
+    vocab = enc.build_vocab([SimpleNamespace(tokens=tokens)])
+    assert vocab == [enc.PAD, enc.UNK, "a", "negative", "positive"]
+    path = tmp_path / "m.ckpt"
+    config = enc.EncoderConfig(layers=1, heads=1, d_model=4, d_ff=4, max_len=8, last_k=1)
+    enc.save_checkpoint(enc.init_state(config, vocab, 0, ["r"]), path)
+    assert enc.load_checkpoint(path).vocab == vocab

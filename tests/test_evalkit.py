@@ -24,20 +24,29 @@ def micro_counting_oracle(preds, golds, neg):
     return precision, recall, f1
 
 
+def confusion(preds, golds, n=len(RELATIONS)):
+    """The (gold, predicted) count matrix of two index lists."""
+    matrix = np.zeros((n, n), dtype=np.int64)
+    for p, g in zip(preds, golds):
+        matrix[g, p] += 1
+    return matrix
+
+
 def test_micro_scores_match_counting_oracle():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(5, 60))
         preds = rng.integers(0, 4, size=n).tolist()
         golds = rng.integers(0, 4, size=n).tolist()
-        ours = evalkit.micro_scores(preds, golds, RELATIONS)
-        assert ours == pytest.approx(micro_counting_oracle(preds, golds, 0))
+        neg = int(rng.integers(0, 4))
+        ours = evalkit.micro_scores(confusion(preds, golds), neg)
+        assert ours == pytest.approx(micro_counting_oracle(preds, golds, neg))
 
 
 def test_micro_f1_is_harmonic_mean_identity():
     preds = [1, 1, 2, 0, 3, 2]
     golds = [1, 2, 2, 1, 3, 0]
-    p, r, f1 = evalkit.micro_scores(preds, golds, RELATIONS)
+    p, r, f1 = evalkit.micro_scores(confusion(preds, golds), 0)
     assert f1 == pytest.approx(2 * p * r / (p + r))
 
 
@@ -45,14 +54,14 @@ def test_micro_hand_worked_example():
     # for label 1: TP=2, FP=1, FN=1 -> P=R=F1=2/3 (no other positives)
     preds = [1, 1, 1, 0, 0]
     golds = [1, 1, 0, 1, 0]
-    p, r, f1 = evalkit.micro_scores(preds, golds, RELATIONS)
+    p, r, f1 = evalkit.micro_scores(confusion(preds, golds), 0)
     assert (p, r, f1) == pytest.approx((2 / 3, 2 / 3, 2 / 3))
 
 
 def test_all_no_relation_predictions_give_zero_micro():
     preds = [0, 0, 0]
     golds = [1, 2, 3]
-    assert evalkit.micro_scores(preds, golds, RELATIONS) == (0.0, 0.0, 0.0)
+    assert evalkit.micro_scores(confusion(preds, golds), 0) == (0.0, 0.0, 0.0)
 
 
 def trained_state(small_train, small_manifest, mode="baseline", epochs=2):
@@ -109,28 +118,57 @@ def test_perfect_predictions_give_ones(state_and_prepared, small_manifest):
     golds = [p.augmented.relation for p in prepared]
     idx = {r: i for i, r in enumerate(state.relations)}
     gold_idx = [idx[g] for g in golds]
-    p, r, f1 = evalkit.micro_scores(gold_idx, gold_idx, state.relations)
+    matrix = confusion(gold_idx, gold_idx, len(state.relations))
+    p, r, f1 = evalkit.micro_scores(matrix, state.relations.index("no_relation"))
     assert (p, r, f1) == (1.0, 1.0, 1.0)
 
 
 def test_bucket_by_entity_pair_conventions():
     entity_types = {"a_rel": ("ORG", "MONEY"), "b_rel": ("ORG", "ORG")}
-    preds = [1, 1, 2]
-    golds = [1, 2, 2]
-    buckets = evalkit.bucket_by_entity_pair(preds, golds, RELATIONS, entity_types)
+    # c_rel has no entity types, so its gold row (index 3) is in no bucket
+    buckets = evalkit.bucket_by_entity_pair(confusion([1, 1, 2, 3], [1, 2, 2, 3]), RELATIONS,
+                                            entity_types, 0)
     assert set(buckets) == {"ORG:MONEY", "ORG:ORG"}
     # single-bucket degenerate case equals overall micro F1 within the bucket
-    only = evalkit.bucket_by_entity_pair([1], [1], RELATIONS, {"a_rel": ("ORG", "MONEY")})
-    assert only["ORG:MONEY"] == 1.0
+    only = evalkit.bucket_by_entity_pair(confusion([1], [1]), RELATIONS,
+                                         {"a_rel": ("ORG", "MONEY")}, 0)
+    assert only == {"ORG:MONEY": 1.0}
     # empty buckets are omitted, not NaN
-    none = evalkit.bucket_by_entity_pair([], [], RELATIONS, entity_types)
+    none = evalkit.bucket_by_entity_pair(confusion([], []), RELATIONS, entity_types, 0)
     assert none == {}
 
 
-def test_evaluate_rejects_empty_split(state_and_prepared):
+def test_bucket_f1_matches_counting_oracle_on_the_bucket_pairs():
+    """A bucket's rows of the confusion matrix score as the (pred, gold)
+    pairs whose gold relation carries the bucket's entity types."""
+    entity_types = {"no_relation": ("ORG", "MISC"), "a_rel": ("ORG", "MONEY"),
+                    "b_rel": ("ORG", "MONEY"), "c_rel": ("ORG", "ORG")}
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        n = int(rng.integers(0, 40))
+        preds = rng.integers(0, 4, size=n).tolist()
+        golds = rng.integers(0, 4, size=n).tolist()
+        buckets = evalkit.bucket_by_entity_pair(confusion(preds, golds), RELATIONS,
+                                                entity_types, 0)
+        expected = {}
+        for key in sorted({":".join(entity_types[RELATIONS[g]]) for g in golds}):
+            pairs = [(p, g) for p, g in zip(preds, golds)
+                     if ":".join(entity_types[RELATIONS[g]]) == key]
+            expected[key] = micro_counting_oracle(*zip(*pairs), 0)[2]
+        assert buckets == pytest.approx(expected)
+
+
+def test_evaluate_rejects_empty_split(state_and_prepared, small_manifest):
     state, _ = state_and_prepared
     with pytest.raises(ValueError, match="empty"):
-        evalkit.evaluate(state, [])
+        evalkit.evaluate(state, [], small_manifest.entity_types)
+
+
+def test_evaluate_rejects_a_negative_class_the_model_lacks(state_and_prepared, small_manifest):
+    state, prepared = state_and_prepared
+    with pytest.raises(corpus.ConfigError,
+                       match="negative class 'other' is not one of the model's relations"):
+        evalkit.evaluate(state, prepared, small_manifest.entity_types, "other")
 
 
 def test_isl_attention_mass_in_unit_interval(state_and_prepared):
@@ -183,7 +221,7 @@ def test_ablation_grid_annotates_train_per_variant_and_the_eval_split_once(
         train, _ = pipeline.annotate(small_splits["train"], lexicon, config.isl_variant)
         record = trainer.train(config, train, small_manifest.relations)
         prepared, _ = pipeline.annotate(small_splits["test"], lexicon, config.isl_variant)
-        alone = evalkit.evaluate(record.state, prepared)
+        alone = evalkit.evaluate(record.state, prepared, small_manifest.entity_types)
         assert np.array_equal(alone.confusion, report.confusion)
 
 
@@ -266,7 +304,7 @@ def test_evaluate_holds_under_half_the_memory_of_64_row_batches(lexicon):
                                      manifest.relations)  # the 4 x 4 x 64 default
     tracemalloc.start()
     try:
-        evalkit.evaluate(state, prepared)
+        evalkit.evaluate(state, prepared, manifest.entity_types)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

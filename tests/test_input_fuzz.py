@@ -151,7 +151,8 @@ def test_jsonl_record_edits(inputs, data):
     with _workdir(inputs) as tmp:
         split = _write_lines(tmp / "split.jsonl", [json.dumps(r) for r in records])
         _exits_zero_or_names(["eval", "--checkpoint", inputs["data"].parent / "run/model.ckpt",
-                              "--split", split, "--out", tmp / "o"], split)
+                              "--split", split, "--manifest", tmp / "data" / "manifest.json",
+                              "--out", tmp / "o"], split)
 
 
 @fuzz
@@ -161,7 +162,7 @@ def test_conllu_row_edits(inputs, data):
     with _workdir(inputs) as tmp:
         conllu = _write_lines(tmp / "x.conllu", lines)
         sidecar = _write_lines(tmp / "x.jsonl", [json.dumps(r) for r in inputs["sidecar"]])
-        _exits_zero_or_names(["annotate", "--conllu", conllu, "--sidecar", sidecar,
+        _exits_zero_or_names(["annotate", "--conllu", conllu, sidecar,
                               "--out", tmp / "o"], conllu)
 
 
@@ -172,7 +173,7 @@ def test_sidecar_row_edits(inputs, data):
     with _workdir(inputs) as tmp:
         conllu = _write_lines(tmp / "x.conllu", inputs["conllu"])
         sidecar = _write_lines(tmp / "x.jsonl", [json.dumps(r) for r in rows])
-        _exits_zero_or_names(["annotate", "--conllu", conllu, "--sidecar", sidecar,
+        _exits_zero_or_names(["annotate", "--conllu", conllu, sidecar,
                               "--out", tmp / "o"], sidecar)
 
 
@@ -229,7 +230,8 @@ def test_checkpoint_header_edits(inputs, data):
         path = tmp / "model.ckpt"
         path.write_bytes(blob[:start - 8] + len(text).to_bytes(8, "little") + text + blob[end:])
         _exits_zero_or_names(["eval", "--checkpoint", path, "--split",
-                              tmp / "data" / "test.jsonl", "--out", tmp / "o"], path)
+                              tmp / "data" / "test.jsonl", "--manifest",
+                              tmp / "data" / "manifest.json", "--out", tmp / "o"], path)
 
 
 @pytest.mark.parametrize("kind", ["split", "conllu", "sidecar", "lexicon", "config", "grid",
@@ -243,11 +245,12 @@ def test_file_that_is_not_utf8_is_named(inputs, kind):
         conllu = _write_lines(tmp / "x.conllu", inputs["conllu"])
         sidecar = _write_lines(tmp / "x.jsonl", [json.dumps(r) for r in inputs["sidecar"]])
         lexicon = _write_lines(tmp / "lexicon.tsv", inputs["lexicon"])
-        annotate = ["annotate", "--conllu", conllu, "--sidecar", sidecar]
+        annotate = ["annotate", "--conllu", conllu, sidecar]
         train = ["train", "--config", config, "--data", data]
         argv, path = {
             "split": (["eval", "--checkpoint", inputs["data"].parent / "run/model.ckpt",
-                       "--split", data / "test.jsonl"], data / "test.jsonl"),
+                       "--split", data / "test.jsonl", "--manifest", data / "manifest.json"],
+                      data / "test.jsonl"),
             "conllu": (annotate, conllu),
             "sidecar": (annotate, sidecar),
             "lexicon": (["annotate", "--jsonl", data / "test.jsonl", "--lexicon", lexicon],
