@@ -226,8 +226,8 @@ def cmd_train(args):
     config = _train_config(_read_json(args.config), args.config)
     manifest, splits = _load_data_dir(Path(args.data), "train")
     prepared, _ = pipeline.annotate(
-        splits["train"], sentiment.load_lexicon(args.lexicon), config.isl_variant
-    )
+        splits.pop("train"), sentiment.load_lexicon(args.lexicon), config.isl_variant
+    )  # the raw split is released here: training reads only the annotated one
     log = _Log(out)
     (out / "config.json").write_text(
         json.dumps(vars(config).copy(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

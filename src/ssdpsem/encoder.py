@@ -13,6 +13,7 @@ All shapes are batched: ids (B, n), features (B, n, d), attention
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
@@ -181,11 +182,14 @@ def init_state(config: EncoderConfig, vocab, seed: int, relations) -> ModelState
     )
 
 
+@functools.lru_cache(maxsize=None)
 def positional_encoding(n, d):
+    """The (n, d) sinusoidal table, built once per shape and read-only."""
     pos = np.arange(n)[:, None]
     i = np.arange(d)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
     enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    enc.flags.writeable = False
     return enc
 
 
@@ -289,19 +293,21 @@ def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
         S = np.matmul(q, k.transpose(0, 1, 3, 2), out=slot("A", B, H, n, n))
         S *= scale
         A = softmax(S, out=S)
-        ctx = _merge_heads(np.matmul(A, v, out=slot("Av", B, H, n, d // H)),
+        # A @ v is read only by the copy into ctx, so one slot serves all layers
+        ctx = _merge_heads(np.matmul(A, v, out=_slot(workspace, "Av", (B, H, n, d // H))),
                            slot("ctx", B, n, H, d // H))
         ao = _affine(ctx, p[pre + "Wo"], p[pre + "bo"], slot("u1", B, n, d))
         x1, ln1_cache = _layernorm(np.add(x, ao, out=ao), p[pre + "ln1_g"], p[pre + "ln1_b"],
                                    slot("x1", B, n, d))
-        f1 = _affine(x1, p[pre + "W1"], p[pre + "b1"], slot("f1", B, n, ff))
-        h = np.maximum(f1, 0.0, out=slot("h", B, n, ff))
+        # the ReLU runs in place; backward reads its mask as h > 0
+        h = _affine(x1, p[pre + "W1"], p[pre + "b1"], slot("h", B, n, ff))
+        np.maximum(h, 0.0, out=h)
         f2 = _affine(h, p[pre + "W2"], p[pre + "b2"], slot("u2", B, n, d))
         x2, ln2_cache = _layernorm(np.add(x1, f2, out=f2), p[pre + "ln2_g"], p[pre + "ln2_b"],
                                    _slot(workspace, ("x", ell + 1), (B, n, d)))
         attention.append(A)
         cache["layers"].append(
-            dict(x=x, q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, x1=x1, f1=f1, h=h, ln2=ln2_cache)
+            dict(x=x, q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, x1=x1, h=h, ln2=ln2_cache)
         )
         x = x2
     return ForwardResult(features=x, attention=attention, cache=cache)
@@ -318,15 +324,16 @@ def _weight_grad(a, b, out, workspace):
     """Write the sum over the batch of a[i].T @ b[i] into out:
     (B, n, d), (B, n, e) -> (d, e).
 
-    A per-sample batched matmul into a (B, d, e) slot of ``workspace``,
-    summed over the batch afterwards.  The single reshaped GEMM
-    ``a.reshape(-1, d).T @ b.reshape(-1, e)`` gives different bits at
-    different BLAS thread counts for some B*n, which would break the
-    determinism contract (see README, Determinism).
+    A per-sample batched matmul into the ``"products"`` slot of
+    ``workspace``, summed over the batch afterwards; every call reuses that
+    one slot, as each product is summed before the next call.  The single
+    reshaped GEMM ``a.reshape(-1, d).T @ b.reshape(-1, e)`` gives different
+    bits at different BLAS thread counts for some B*n, which would break
+    the determinism contract (see README, Determinism).
     """
     B, d, e = a.shape[0], a.shape[2], b.shape[2]
     products = np.matmul(a.transpose(0, 2, 1), b,
-                         out=_slot(workspace, ("products", d, e), (B, d, e)))
+                         out=_slot(workspace, "products", (B, d, e)))
     return np.add.reduce(products, axis=0, out=out)
 
 
@@ -365,7 +372,7 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
         _weight_grad(c["h"], df2, g[pre + "W2"], ws)
         np.add.reduce(df2, axis=(0, 1), out=g[pre + "b2"])
         dh = np.matmul(df2, p[pre + "W2"].T, out=slot("dh", B, n, ff))
-        df1 = np.multiply(dh, c["f1"] > 0, out=dh)
+        df1 = np.multiply(dh, c["h"] > 0, out=dh)
         _weight_grad(c["x1"], df1, g[pre + "W1"], ws)
         np.add.reduce(df1, axis=(0, 1), out=g[pre + "b1"])
         dx1 = np.matmul(df1, p[pre + "W1"].T, out=slot("dx1", B, n, d))
@@ -396,8 +403,11 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
             _weight_grad(x_in, dmat, g[pre + name], ws)
             np.add.reduce(dmat, axis=(0, 1), out=g[pre + name.replace("W", "b")])
             dx += np.matmul(dmat, p[pre + name].T, out=slot("dxp", B, n, d))
-    g["emb"].fill(0.0)
-    np.add.at(g["emb"], result.cache["ids"].reshape(-1), dx.reshape(-1, cfg.d_model))
+    # the embedding gradient: each cell sums its rows in token order from
+    # 0.0, as np.add.at into a zeroed block would, bit for bit
+    cells = result.cache["ids"].reshape(-1, 1) * d + np.arange(d)
+    g["emb"].reshape(-1)[...] = np.bincount(cells.reshape(-1), weights=dx.reshape(-1),
+                                            minlength=g["emb"].size)
     for name in ("saib.W", "saib.b", "clf.W", "clf.b"):
         g[name].fill(0.0)
     return g

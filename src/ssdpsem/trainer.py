@@ -79,6 +79,11 @@ class SgdOptimizer:
         flat -= self.lr * grad_flat
 
 
+# AdamOptimizer.step's block: its two scratch vectors, and each block of the
+# flat vectors it updates, stay small enough for L2
+ADAM_BLOCK = 2**14
+
+
 class AdamOptimizer:
     def __init__(self, lr, b1=0.9, b2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
@@ -89,29 +94,34 @@ class AdamOptimizer:
         """One update of the whole parameter vector ``flat`` (a state's
         ``flat``) from its gradient vector ``grad_flat``, in place, bit for
         bit ``m += (1-b1)(g-m); v += (1-b2)(g*g-v);
-        p -= lr * (m/c1) / (sqrt(v/c2) + eps)``.  m, v and two scratch
-        vectors are allocated on the first step and reused after it."""
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps)``.  The operations run over
+        ``ADAM_BLOCK``-element blocks, each in the same order per element.
+        m, v and two one-block scratch vectors are allocated on the first
+        step and reused after it."""
         if self.m is None:
-            self.m, self.v, self._tmp, self._update = (
-                np.zeros_like(grad_flat) for _ in range(4))
+            self.m, self.v = np.zeros_like(grad_flat), np.zeros_like(grad_flat)
+            self._tmp, self._update = np.empty((2, min(ADAM_BLOCK, grad_flat.size)))
         self.t += 1
         b1, b2 = self.b1, self.b2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        g, m, v, tmp, update = grad_flat, self.m, self.v, self._tmp, self._update
-        np.subtract(g, m, out=tmp)
-        tmp *= 1 - b1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp -= v
-        tmp *= 1 - b2
-        v += tmp
-        np.divide(m, c1, out=update)
-        update *= self.lr
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        update /= tmp
-        flat -= update
+        for lo in range(0, grad_flat.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            g, m, v, p = grad_flat[block], self.m[block], self.v[block], flat[block]
+            tmp, update = self._tmp[:g.size], self._update[:g.size]
+            np.subtract(g, m, out=tmp)
+            tmp *= 1 - b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp -= v
+            tmp *= 1 - b2
+            v += tmp
+            np.divide(m, c1, out=update)
+            update *= self.lr
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update /= tmp
+            p -= update
 
 
 def make_optimizer(config: TrainConfig):
@@ -277,12 +287,12 @@ _TERM_SETS = {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
 
 def _probe(state, ids, Q, gold, config):
     """One value-only forward: every term's loss, and the sign pattern of
-    each feed-forward pre-activation, read before the next forward
-    overwrites the workspace."""
+    each feed-forward pre-activation (the ReLU output's ``h > 0``), read
+    before the next forward overwrites the workspace."""
     result = objectives.batch_losses(state, ids, Q, gold, _TERM_SETS["total"], config,
                                      value_only=True)
     layers = result.forward.cache["layers"]
-    return result.breakdown, b"".join((c["f1"] > 0).tobytes() for c in layers)
+    return result.breakdown, b"".join((c["h"] > 0).tobytes() for c in layers)
 
 
 def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,

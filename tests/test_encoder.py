@@ -112,6 +112,8 @@ def test_positional_encoding_matches_closed_form():
     assert np.allclose(pe[0, 1::2], 1.0)  # cos(0)
     assert abs(pe[3, 0] - np.sin(3.0)) < 1e-12
     assert abs(pe[3, 1] - np.cos(3.0)) < 1e-12
+    assert not pe.flags.writeable
+    assert enc.positional_encoding(6, 8) is pe
 
 
 def test_average_attention_received_sums_to_one():
@@ -209,7 +211,7 @@ def test_weight_grad_reuses_its_scratch_prefix_bit_for_bit():
         a, b = rng.normal(size=(B, 9, 16)), rng.normal(size=(B, 9, 24))
         fresh = np.matmul(a.transpose(0, 2, 1), b).sum(axis=0)
         assert enc._weight_grad(a, b, np.empty((16, 24)), workspace).tobytes() == fresh.tobytes()
-    assert workspace["products", 16, 24].size == 7 * 16 * 24
+    assert workspace["products"].size == 7 * 16 * 24
 
 
 def test_workspace_buffers_give_the_bits_of_fresh_arrays():
@@ -228,6 +230,29 @@ def test_workspace_buffers_give_the_bits_of_fresh_arrays():
         from_reused = enc.backward(state, reused, upstream)
         for name, g in from_reused.items():
             assert g.tobytes() == expected[name].tobytes(), name
+
+
+def test_embedding_gradient_equals_an_add_at_scatter_bit_for_bit():
+    """backward's scatter against np.add.at, on ids that repeat within and
+    across rows and leave vocabulary rows unused.  The per-position rows come
+    from a twin model that gives each position its own copy of the embedding
+    row, so its forward has the same bits and its scatter adds one row per cell."""
+    state = tiny_state(vocab_extra=tuple("abcdefgh"))
+    ids = np.array([[2, 3, 2, 4, 3], [4, 2, 2, 5, 3]])
+    positions = ids.reshape(-1)
+    twin = enc.ModelState(config=state.config, seed=0,
+                          vocab=[f"w{i}" for i in range(positions.size)],
+                          params=dict(state.params, emb=state.params["emb"][positions]),
+                          relations=state.relations)
+    upstream = np.random.default_rng(4).normal(size=(*ids.shape, state.config.d_model))
+    got = enc.backward(state, enc.forward(state, ids), upstream)["emb"]
+    twin_ids = np.arange(positions.size).reshape(ids.shape)
+    per_position = enc.backward(twin, enc.forward(twin, twin_ids), upstream)["emb"]
+    expected = np.zeros_like(got)
+    np.add.at(expected, positions, per_position)
+    assert got.tobytes() == expected.tobytes()
+    unused = np.setdiff1d(np.arange(len(state.vocab)), positions)
+    assert unused.size and not got[unused].any()
 
 
 def _assert_views_in_sorted_order(views, buffer):

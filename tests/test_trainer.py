@@ -73,31 +73,36 @@ def test_adam_lr_zero_is_identity():
 
 def test_adam_step_is_bit_identical_to_textbook_formula():
     rng = np.random.default_rng(3)
-    shapes = {"w": (40, 16), "b": (16,), "emb": (30, 8)}
-    offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])
-    slices = {k: slice(lo, hi) for k, lo, hi in zip(shapes, offsets, offsets[1:])}
-    flat = np.concatenate([rng.normal(size=s).ravel() for s in shapes.values()])
-    params = {k: flat[slices[k]].reshape(s) for k, s in shapes.items()}
-    ref = {k: v.copy() for k, v in params.items()}
-    m = {k: np.zeros(s) for k, s in shapes.items()}
-    v = {k: np.zeros(s) for k, s in shapes.items()}
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-    opt = trainer.AdamOptimizer(lr, b1, b2, eps)
-    for t in range(1, 8):
-        # many exact zeros, as in the embedding gradient
-        grad_flat = np.concatenate(
-            [(rng.normal(size=s) * (rng.random(s) < 0.4)).ravel() for s in shapes.values()])
-        grads = {k: grad_flat[slices[k]].reshape(s) for k, s in shapes.items()}
-        saved = {k: g.copy() for k, g in grads.items()}
-        opt.step(flat, grad_flat)
-        for k, g in grads.items():
-            assert np.array_equal(g, saved[k])  # gradients are not overwritten
-            m[k] = m[k] + (1 - b1) * (g - m[k])
-            v[k] = v[k] + (1 - b2) * (g * g - v[k])
-            mhat = m[k] / (1 - b1**t)
-            vhat = v[k] / (1 - b2**t)
-            ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
-            assert params[k].tobytes() == ref[k].tobytes()
+    for shapes in (
+        {"w": (40, 16), "b": (16,), "emb": (30, 8)},
+        # two full ADAM_BLOCKs and a remainder, with blocks that straddle arrays
+        {"w": (250, 128), "b": (700,), "emb": (30, 8)},
+    ):
+        offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])
+        slices = {k: slice(lo, hi) for k, lo, hi in zip(shapes, offsets, offsets[1:])}
+        flat = np.concatenate([rng.normal(size=s).ravel() for s in shapes.values()])
+        params = {k: flat[slices[k]].reshape(s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = trainer.AdamOptimizer(lr, b1, b2, eps)
+        for t in range(1, 8):
+            # many exact zeros, as in the embedding gradient
+            grad_flat = np.concatenate(
+                [(rng.normal(size=s) * (rng.random(s) < 0.4)).ravel() for s in shapes.values()])
+            grads = {k: grad_flat[slices[k]].reshape(s) for k, s in shapes.items()}
+            saved = {k: g.copy() for k, g in grads.items()}
+            opt.step(flat, grad_flat)
+            for k, g in grads.items():
+                assert np.array_equal(g, saved[k])  # gradients are not overwritten
+                m[k] = m[k] + (1 - b1) * (g - m[k])
+                v[k] = v[k] + (1 - b2) * (g * g - v[k])
+                mhat = m[k] / (1 - b1**t)
+                vhat = v[k] / (1 - b2**t)
+                ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+                assert params[k].tobytes() == ref[k].tobytes()
+    assert offsets[-1] > 2 * trainer.ADAM_BLOCK
 
 
 def test_train_rejects_prepared_split_of_another_variant(small_splits, small_manifest,
@@ -292,7 +297,7 @@ def _reference_gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block
                                 value_only=True).breakdown.total
 
     def pattern():
-        return tuple((c["f1"] > 0).tobytes() for c in enc.forward(state, ids).cache["layers"])
+        return tuple((c["h"] > 0).tobytes() for c in enc.forward(state, ids).cache["layers"])
 
     entries = []
     for term_name, terms in {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
@@ -344,7 +349,8 @@ def test_gradcheck_batch_equals_the_per_term_reference_bit_for_bit(
         small_train, small_manifest, override):
     cfg, state, batch = _one_instance_batch(small_train, small_manifest)
     # plant a kink: one L0 pre-activation at zero, so most upstream probes cross it
-    f1 = enc.forward(state, batch[0]).cache["layers"][0]["f1"]
+    x1 = enc.forward(state, batch[0]).cache["layers"][0]["x1"]
+    f1 = x1 @ state.params["L0.W1"] + state.params["L0.b1"]
     state.params["L0.b1"][0] -= f1[0, 1, 0]
     expected = _reference_gradcheck_batch(state, *batch, cfg, 4, override)
     report = trainer.gradcheck_batch(state, *batch, cfg, max_coords_per_block=4,
@@ -354,6 +360,19 @@ def test_gradcheck_batch_equals_the_per_term_reference_bit_for_bit(
     assert got == expected
     assert sum(e.kinks_skipped for e in report.entries) > 0
     assert (override is None) == report.passed
+
+
+def test_a_step_keeps_only_what_backward_reads():
+    """After one batch_losses, each layer's forward cache holds exactly the
+    arrays backward reads (the ReLU pre-activation is not among them), and
+    all layers share one A @ v buffer and one weight-gradient products buffer."""
+    state = tiny_state()
+    result = obj.batch_losses(state, *make_batch(state), FULL, CONFIG)
+    for layer in result.forward.cache["layers"]:
+        assert set(layer) == {"x", "q", "k", "v", "A", "ctx", "ln1", "x1", "h", "ln2"}
+    names = [key[0] if isinstance(key, tuple) else key for key in state.workspace]
+    assert names.count("Av") == 1 and "Av" in state.workspace
+    assert names.count("products") == 1 and "products" in state.workspace
 
 
 def test_train_drops_each_step_result_before_the_next(small_train, small_manifest,
