@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 
@@ -87,9 +88,15 @@ def _read_json(path):
     except UnicodeDecodeError:
         raise corpus.ConfigError(f"{path}: not UTF-8") from None
     try:
-        return json.loads(text)
+        rec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise corpus.ConfigError(f"{path}: bad JSON: {exc}") from exc
+    try:
+        if "\\" in text:
+            corpus.check_encodable(rec)
+    except ValueError as exc:
+        raise corpus.ConfigError(f"{path}: {exc}") from exc
+    return rec
 
 
 def _read_manifest(path):
@@ -200,22 +207,10 @@ def cmd_annotate(args):
     prepared, stats = pipeline.annotate(instances, lexicon, trainer.TrainConfig.isl_variant)
     log = _Log(out)
     corpus.write_jsonl([p.augmented for p in prepared], out / "annotated.jsonl")
-    (out / "annotate_stats.json").write_text(
-        json.dumps(
-            {
-                "instances": stats.instances,
-                "sdp_fallbacks": stats.sdp_fallbacks,
-                "fragments": stats.fragments,
-                "tag_ties": stats.tag_stats.ties,
-                "tag_no_hits": stats.tag_stats.no_hits,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    (out / "annotate_stats.json").write_text(json.dumps(asdict(stats), indent=2) + "\n",
+                                             encoding="utf-8")
     log(f"annotated {stats.instances} instances "
-        f"({stats.sdp_fallbacks} SDP fallbacks, {stats.tag_stats.ties} tag ties)")
+        f"({stats.sdp_fallbacks} SDP fallbacks, {stats.tag_ties} tag ties)")
     return 0
 
 

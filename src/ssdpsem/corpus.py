@@ -332,10 +332,31 @@ def _lines(path):
                 raise ParseError(f"{path}:{lineno}: not UTF-8") from None
 
 
+def check_encodable(value, where=""):
+    """Raise ValueError naming the key path (``tokens[3]``, ``[0].mode``)
+    of the first string in the JSON value ``value``, object keys included,
+    that holds a lone surrogate: JSON reads one from a ``\\ud800``-style
+    escape, and no UTF-8 file can hold it, so a later write would fail.
+    Only JSON text with a backslash can hold one."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{where or 'the value'} holds a lone surrogate, which UTF-8 "
+                             f"cannot encode: {value!r}") from None
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            check_encodable(item, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            check_encodable(key, f"a key of {where or 'the object'}")
+            check_encodable(item, f"{where}.{key}" if where else key)
+
+
 def _parse_lines(path, parse):
     """parse(record) for each non-blank line of JSON; a line that is not
-    UTF-8 or JSON, or a ValueError from parse, raises ParseError naming
-    path:line."""
+    UTF-8 or JSON, a string that is not encodable (``check_encodable``), or
+    a ValueError from parse, raises ParseError naming path:line."""
     for lineno, line in _lines(path):
         if not line.strip():
             continue
@@ -344,6 +365,8 @@ def _parse_lines(path, parse):
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         try:
+            if "\\" in line:  # one memchr; only an escape makes a surrogate
+                check_encodable(rec)
             rec = parse(rec)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc

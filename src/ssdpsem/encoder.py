@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -44,12 +45,15 @@ class EncoderConfig:
 
     def __post_init__(self):
         """Raise ConfigError for the first field, subclass fields included,
-        whose value is not of its annotated type, then check the ranges."""
+        whose value is not of its annotated type, or is a float that is not
+        finite (JSON's NaN and Infinity), then check the ranges."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigError(
                     f"{f.name} must be of type {f.type}, got {type(value).__name__} {value!r}")
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("layers", "heads", "d_model", "d_ff", "max_len", "last_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -186,7 +190,7 @@ def init_state(config: EncoderConfig, vocab, seed: int, relations) -> ModelState
 def positional_encoding(n, d):
     """The (n, d) sinusoidal table, built once per shape and read-only."""
     pos = np.arange(n)[:, None]
-    i = np.arange(d)[None, :]
+    i = np.arange(d)  # broadcasts along the rows
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
     enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
     enc.flags.writeable = False

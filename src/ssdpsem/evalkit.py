@@ -52,8 +52,7 @@ def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
     alpha_avg = [None] * len(encoded)
     workspace = {}
     for chunk in trainer.make_batches(encoded, batch_size, range(len(encoded))):
-        ids, _, _ = trainer._collate(encoded, chunk)
-        fwd = enc.forward(state, ids, workspace)
+        fwd = enc.forward(state, trainer._collate(encoded, chunk).ids, workspace)
         a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
         a_avg = enc.average_attention(fwd.attention, state.config.last_k)
         del fwd  # its cache views the workspace: a slot the next batch grows is then freed

@@ -12,6 +12,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,50 +185,59 @@ def relation_head_backward(params, features, alpha_ib, d_pooled, d_alpha):
     return d_features, dW, db
 
 
+class Batch(NamedTuple):
+    """One same-length batch, as ``trainer._collate`` builds it: token ids
+    (B, n), label indicators Q (B, n) and gold relation indices (B,)."""
+
+    ids: np.ndarray
+    Q: np.ndarray
+    gold: np.ndarray
+
+
 @dataclass
 class BatchResult:
-    """The batch's losses, its gradients (``state.grads``, or empty with
-    ``value_only``), its ASP fallback count, and the encoder ``forward``
-    it ran, valid until the next forward on ``state.workspace``."""
+    """The batch's losses, its ASP fallback count, and the encoder
+    ``forward`` it ran, valid until the next forward on ``state.workspace``."""
 
     breakdown: LossBreakdown
-    grads: dict
     asp_fallbacks: int
     forward: enc.ForwardResult
 
 
-def batch_losses(state, ids, Q, gold, terms, config, value_only=False) -> BatchResult:
-    """Joint forward/backward over one same-length batch: the encoder and
-    the relation head, each term's value and gradient on the head output it
-    reads, then the head and encoder backwards.
+def batch_losses(state, batch, terms, config, value_only=False) -> BatchResult:
+    """Joint forward/backward over one same-length ``Batch``: the encoder
+    and the relation head, each term's value and gradient on the head output
+    it reads, then the head and encoder backwards, which write the gradients
+    into ``state.grads``.
 
     ``terms`` is the set of loss terms summed into the total, a subset of
     ("re", "asp", "ib"): training passes ``MODE_TERMS[config.mode]``, the
     gradient check each term alone and all three.  ``config`` is the run's
     ``TrainConfig``; the KLD term reads its ``lambda_asp`` and
-    ``asp_epsilon``.  With ``value_only`` no backward runs and ``grads`` is
-    empty; otherwise it is ``state.grads``.
+    ``asp_epsilon``.  With ``value_only`` no backward runs and
+    ``state.grads`` is left as it was.
     """
     p = state.params
-    fwd = enc.forward(state, ids, state.workspace)
+    fwd = enc.forward(state, batch.ids, state.workspace)
     alpha_ib, pooled, probs = relation_head(p, fwd.features)
     l_re = l_asp = l_ib = d_alpha = 0.0
     d_pooled, d_alpha_avg, fallbacks, head_grads = None, None, 0, {}
     if "re" in terms:
         l_re, d_pooled, head_grads["clf.W"], head_grads["clf.b"] = re_loss(
-            pooled, probs, p["clf.W"], gold)
+            pooled, probs, p["clf.W"], batch.gold)
     if "ib" in terms:
         l_ib, d_alpha = saib_entropy_loss(alpha_ib)
     if "asp" in terms:
         l_asp, d_alpha_avg, fallbacks = asp_loss(
-            enc.average_attention(fwd.attention, state.config.last_k), Q,
+            enc.average_attention(fwd.attention, state.config.last_k), batch.Q,
             config.lambda_asp, config.asp_epsilon)
-    breakdown = total_loss(float(l_re), float(l_asp), float(l_ib))
+    result = BatchResult(breakdown=total_loss(float(l_re), float(l_asp), float(l_ib)),
+                         asp_fallbacks=fallbacks, forward=fwd)
     if value_only:
-        return BatchResult(breakdown=breakdown, grads={}, asp_fallbacks=fallbacks, forward=fwd)
+        return result
     d_features, head_grads["saib.W"], head_grads["saib.b"] = relation_head_backward(
         p, fwd.features, alpha_ib, d_pooled, d_alpha)
     grads = enc.backward(state, fwd, d_features, d_alpha_avg)
     for name, g in head_grads.items():
         grads[name] += g
-    return BatchResult(breakdown=breakdown, grads=grads, asp_fallbacks=fallbacks, forward=fwd)
+    return result

@@ -8,7 +8,7 @@ annotating it again would prepend a second one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import labels, sentiment, syntax
 from .corpus import Instance
@@ -16,10 +16,13 @@ from .corpus import Instance
 
 @dataclass
 class AnnotateStats:
+    """One annotation pass's counts, as annotate_stats.json holds them."""
+
     instances: int = 0
     sdp_fallbacks: int = 0  # disconnected entity pairs
     fragments: int = 0
-    tag_stats: sentiment.TagStats = field(default_factory=sentiment.TagStats)
+    tag_ties: int = 0  # lexicon votes with equal, nonzero hits
+    tag_no_hits: int = 0  # lexicon votes without a hit
 
 
 @dataclass
@@ -41,7 +44,7 @@ def annotate_instance(inst, lexicon, variant, stats=None) -> PreparedInstance:
     off the augmented instance, so every index is an augmented one.  The
     token is a leaf on the root, so the SDP is the raw one shifted by one."""
     check_raw(inst)
-    tag = sentiment.classify(inst, lexicon, stats.tag_stats if stats else None)
+    tag = sentiment.classify(inst, lexicon, stats)
     augmented = sentiment.insert_sentiment_token(inst, tag)
     sdp, _, _ = syntax.sdp_for_instance(augmented)
     signal = labels.build_signal(augmented, sdp.token_set, variant)

@@ -30,14 +30,6 @@ class SentimentLexicon:
             raise ValueError(f"lexicon cue sets overlap: {sorted(overlap)[:5]}")
 
 
-@dataclass
-class TagStats:
-    """Telemetry for lexicon fallbacks."""
-
-    ties: int = 0
-    no_hits: int = 0
-
-
 def load_lexicon(path=None) -> SentimentLexicon:
     """Read a word<TAB>polarity lexicon; defaults to the bundled one.  A bad
     line raises ParseError naming the file and the line, a file that is not
@@ -68,9 +60,11 @@ def load_lexicon(path=None) -> SentimentLexicon:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def classify(instance: Instance, lexicon: SentimentLexicon, stats: TagStats | None = None) -> str:
+def classify(instance: Instance, lexicon: SentimentLexicon, stats=None) -> str:
     """``"positive"`` or ``"negative"``: the gold tag when present, else a
-    lexicon majority vote (tie -> positive)."""
+    lexicon majority vote (tie -> positive).  A vote with equal hits counts
+    in ``stats``, a ``pipeline.AnnotateStats``, as a tie or, with no hit at
+    all, as a no-hit."""
     if instance.sentiment is not None:
         return instance.sentiment
     pos_hits = neg_hits = 0
@@ -82,9 +76,9 @@ def classify(instance: Instance, lexicon: SentimentLexicon, stats: TagStats | No
             neg_hits += 1
     if pos_hits == neg_hits and stats is not None:
         if pos_hits == 0:
-            stats.no_hits += 1
+            stats.tag_no_hits += 1
         else:
-            stats.ties += 1
+            stats.tag_ties += 1
     return NEGATIVE if neg_hits > pos_hits else POSITIVE
 
 

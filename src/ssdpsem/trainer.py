@@ -168,11 +168,12 @@ def make_batches(encoded, batch_size, order):
     return batches
 
 
-def _collate(encoded, batch):
-    ids = np.stack([encoded[i][0] for i in batch])
-    Q = np.stack([encoded[i][1] for i in batch])
-    gold = np.array([encoded[i][2] for i in batch], dtype=np.int64)
-    return ids, Q, gold
+def _collate(encoded, indices):
+    """The ``objectives.Batch`` of the encoded instances at ``indices``: the
+    one place a batch is built."""
+    return objectives.Batch(ids=np.stack([encoded[i][0] for i in indices]),
+                            Q=np.stack([encoded[i][1] for i in indices]),
+                            gold=np.array([encoded[i][2] for i in indices], dtype=np.int64))
 
 
 def init_from_config(config: TrainConfig, prepared_train, relations):
@@ -211,10 +212,9 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
         random.Random(f"{config.seed}:{epoch}").shuffle(order)
         sums = np.zeros(4)
         n_batches = 0
-        for batch in make_batches(encoded, config.batch_size, order):
-            ids, Q, gold = _collate(encoded, batch)
+        for indices in make_batches(encoded, config.batch_size, order):
             try:
-                result = objectives.batch_losses(state, ids, Q, gold, terms, config)
+                result = objectives.batch_losses(state, _collate(encoded, indices), terms, config)
             except objectives.NonFiniteLossError as exc:
                 raise TrainDivergenceError(step, exc.term) from exc
             optimizer.step(state.flat, state.grad_flat)
@@ -285,25 +285,27 @@ _TERM_SETS = {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
               "total": ("re", "asp", "ib")}
 
 
-def _probe(state, ids, Q, gold, config):
-    """One value-only forward: every term's loss, and the sign pattern of
-    each feed-forward pre-activation (the ReLU output's ``h > 0``), read
-    before the next forward overwrites the workspace."""
-    result = objectives.batch_losses(state, ids, Q, gold, _TERM_SETS["total"], config,
+def _probe(state, batch, config):
+    """One value-only forward over ``batch``: every term's loss, and the sign
+    pattern of each feed-forward pre-activation (the ReLU output's
+    ``h > 0``), read before the next forward overwrites the workspace."""
+    result = objectives.batch_losses(state, batch, _TERM_SETS["total"], config,
                                      value_only=True)
     layers = result.forward.cache["layers"]
     return result.breakdown, b"".join((c["h"] > 0).tobytes() for c in layers)
 
 
-def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,
+def gradcheck_batch(state, batch, config, max_coords_per_block,
                     analytic_override=None) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences on one
+    ``objectives.Batch`` (``_collate`` builds it).
 
     Checks each loss term in isolation plus their sum, whatever
     ``config.mode`` is; ``config`` supplies the KLD term's weight and
-    smoothing.  The four analytic gradients are computed and copied first;
-    then one probe pair per coordinate, at +h and -h, serves all four
-    terms (a one-term total equals that term's value bit for bit).
+    smoothing.  The four analytic gradients are computed and copied out of
+    ``state.grads`` first; then one probe pair per coordinate, at +h and
+    -h, serves all four terms (a one-term total equals that term's value
+    bit for bit).
     Coordinates are subsampled with an even deterministic stride when a
     block exceeds ``max_coords_per_block``.  Entries are term-major, blocks
     in ``state.params`` order.  ``analytic_override(term, grads)`` lets tests
@@ -319,8 +321,8 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,
     """
     analytic = {}
     for name, terms in _TERM_SETS.items():
-        grads = objectives.batch_losses(state, ids, Q, gold, terms, config).grads
-        grads = {block: g.copy() for block, g in grads.items()}
+        objectives.batch_losses(state, batch, terms, config)
+        grads = {block: g.copy() for block, g in state.grads.items()}
         analytic[name] = grads if analytic_override is None else analytic_override(name, grads)
     rows = []  # per block, one entry per term
     for block, param in state.params.items():
@@ -334,9 +336,9 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,
         for c in coords:
             orig = pflat[c]
             pflat[c] = orig + FD_STEP
-            up, pattern_up = _probe(state, ids, Q, gold, config)
+            up, pattern_up = _probe(state, batch, config)
             pflat[c] = orig - FD_STEP
-            down, pattern_down = _probe(state, ids, Q, gold, config)
+            down, pattern_down = _probe(state, batch, config)
             pflat[c] = orig
             for e in row:
                 fd = (getattr(up, e.term) - getattr(down, e.term)) / (2 * FD_STEP)
@@ -352,13 +354,11 @@ def gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,
 
 def gradcheck(config: TrainConfig, prepared, relations,
               max_coords_per_block) -> GradCheckReport:
-    """Run the finite-difference suite on a sample of annotated instances."""
+    """Run the finite-difference suite on each annotated instance as a
+    one-row batch."""
     state, encoded = _prepare(config, prepared, relations)
     merged = GradCheckReport()
-    for ids, Q, gold in encoded:
-        rep = gradcheck_batch(
-            state, ids[None, :], Q[None, :], np.array([gold]),
-            config, max_coords_per_block,
-        )
-        merged.entries.extend(rep.entries)
+    for i in range(len(encoded)):
+        merged.entries.extend(
+            gradcheck_batch(state, _collate(encoded, [i]), config, max_coords_per_block).entries)
     return merged

@@ -236,15 +236,32 @@ def test_cli_options_are_pinned():
     assert sum(map(len, options.values())) == 37
 
 
+def _lexicon_votes(path):
+    """Two records without gold sentiment: one whose lexicon cues tie
+    (``rose``, ``fell``), one with no lexicon hit."""
+    records = [{"id": i, "tokens": tokens, "heads": [-1, 0, 1], "deprels": ["root", "dep", "dep"],
+                "subj": [0, 0], "obj": [2, 2], "relation": "profit_of"}
+               for i, tokens in enumerate((["shares", "rose", "fell"], ["the", "cat", "sat"]))]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
 def test_annotate_from_jsonl(tmp_path, data_dir):
-    out = tmp_path / "ann"
-    assert run(["annotate", "--jsonl", str(data_dir / "dev.jsonl"), "--out", str(out)]) == 0
-    stats = json.loads((out / "annotate_stats.json").read_text(encoding="utf-8"))
-    assert stats["instances"] == 16
-    lines = (out / "annotated.jsonl").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 16
-    first = json.loads(lines[0])
-    assert first["tokens"][0] in ("positive", "negative")
+    for jsonl, expected in (
+        (data_dir / "dev.jsonl", {"instances": 16}),
+        (_lexicon_votes(tmp_path / "votes.jsonl"),
+         {"instances": 2, "sdp_fallbacks": 0, "fragments": 0, "tag_ties": 1, "tag_no_hits": 1}),
+    ):
+        out = tmp_path / f"ann-{jsonl.stem}"
+        assert run(["annotate", "--jsonl", str(jsonl), "--out", str(out)]) == 0
+        stats = json.loads((out / "annotate_stats.json").read_text(encoding="utf-8"))
+        assert list(stats) == ["instances", "sdp_fallbacks", "fragments", "tag_ties",
+                               "tag_no_hits"]
+        assert stats.items() >= expected.items()
+        lines = (out / "annotated.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == stats["instances"]
+        first = json.loads(lines[0])
+        assert first["tokens"][0] in ("positive", "negative")
 
 
 def readme_commands():
@@ -462,9 +479,11 @@ def test_jsonl_record_without_heads_exits_one(tmp_path, data_dir, capsys):
     (lambda rec: dict(rec, id=None), "id must be a str or an int, got None"),
     (lambda rec: dict(rec, sentiment=0),
      "sentiment must be null, 'positive' or 'negative', got 0"),
+    (lambda rec: dict(rec, tokens=["\ud800", *rec["tokens"][1:]]),
+     "tokens[0] holds a lone surrogate, which UTF-8 cannot encode: '\\ud800'"),
 ], ids=["not-an-object", "one-element-span", "list-relation", "list-fragmented",
         "null-fragmented", "str-fragmented", "digit-fragmented", "int-fragmented",
-        "float-fragmented", "null-id", "int-sentiment"])
+        "float-fragmented", "null-id", "int-sentiment", "lone-surrogate"])
 def test_malformed_jsonl_record_exits_one(tmp_path, data_dir, capsys, edit, message):
     lines = (data_dir / "test.jsonl").read_text(encoding="utf-8").splitlines()
     bad = tmp_path / "bad.jsonl"
@@ -523,6 +542,52 @@ def test_train_rejects_wrong_typed_config_value(tmp_path, data_dir, capsys, key,
                 "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert f"{cfg}: {key} must be of type" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("key, value", [("lr", "NaN"), ("lambda_asp", "Infinity"),
+                                        ("asp_epsilon", "Infinity")])
+@pytest.mark.parametrize("command", ["train", "ablate", "gradcheck"])
+def test_non_finite_config_value_exits_one(tmp_path, data_dir, capsys, command, key, value):
+    """JSON reads NaN and Infinity as floats; a config or grid entry holding
+    one is refused before a run directory is made (training would diverge)."""
+    entry = f'{{"epochs": 1, "{key}": {value}}}'
+    path = tmp_path / f"{command}.json"
+    path.write_text(f"[{entry}]" if command == "ablate" else entry, encoding="utf-8")
+    argv = {"train": ["--config", str(path), "--data", str(data_dir)],
+            "ablate": ["--grid", str(path), "--data", str(data_dir)],
+            "gradcheck": ["--config", str(path)]}[command]
+    assert run([command, *argv, "--out", str(tmp_path / "run")]) == 1
+    where = f"{path}: grid entry 0" if command == "ablate" else str(path)
+    assert (f"{where}: {key} must be a finite number, got {float(value)!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["record", "config", "manifest"])
+def test_train_refuses_a_lone_surrogate_before_training(tmp_path, data_dir, capsys, kind):
+    """A \\udc80-style escape reads as a string no UTF-8 file can hold: the
+    file is named before training, not at the first write after it."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1, "mode": "\udc80" if kind == "config" else "asp"}),
+                   encoding="utf-8")
+    if kind == "record":
+        lines = (data / "train.jsonl").read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[2])
+        rec["tokens"][1] = "\udc80"
+        lines[2] = json.dumps(rec)
+        (data / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if kind == "manifest":
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        manifest["no_relation_label"] = "\udc80"
+        (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    where = {"record": f"{data / 'train.jsonl'}:3: tokens[1]", "config": f"{cfg}: mode",
+             "manifest": f"{data / 'manifest.json'}: no_relation_label"}[kind]
+    assert run(["train", "--config", str(cfg), "--data", str(data),
+                "--out", str(tmp_path / "run")]) == 1
+    assert f"{where} holds a lone surrogate" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_checks_max_len_before_training(tmp_path, data_dir, capsys):

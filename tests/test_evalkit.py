@@ -278,8 +278,7 @@ def test_predict_batch_size_changes_no_output_and_leaves_the_step_workspace(
     order = range(len(encoded))
     assert len(trainer.make_batches(encoded, 16, order)) > len(
         trainer.make_batches(encoded, 64, order))
-    ids, Q, gold = trainer._collate(encoded, [0])
-    objectives.batch_losses(state, ids, Q, gold, ("re",), trainer.TrainConfig())
+    objectives.batch_losses(state, trainer._collate(encoded, [0]), ("re",), trainer.TrainConfig())
     before = {key: (buf, buf.copy()) for key, buf in state.workspace.items()}
     small, large = (evalkit.predict(state, prepared, batch_size=b) for b in (16, 64))
     assert small[:2] == large[:2]

@@ -275,13 +275,13 @@ def make_batch(state, B=2, n=5, seed=0):
     for b in range(B):
         Q[b, rng.choice(np.arange(1, n), size=2, replace=False)] = 1.0
     gold = rng.integers(0, len(state.relations), size=B)
-    return ids, Q, gold
+    return obj.Batch(ids, Q, gold)
 
 
 def test_batch_losses_mode_gating():
     state = tiny_state()
-    ids, Q, gold = make_batch(state)
-    base, asp, saib, both = (obj.batch_losses(state, ids, Q, gold, obj.MODE_TERMS[m], CONFIG)
+    batch = make_batch(state)
+    base, asp, saib, both = (obj.batch_losses(state, batch, obj.MODE_TERMS[m], CONFIG)
                              for m in ("baseline", "asp", "saib", "asp_saib"))
     assert base.breakdown.l_asp == 0.0 and base.breakdown.l_ib == 0.0
     assert base.breakdown.total == base.breakdown.l_re
@@ -297,7 +297,7 @@ def test_batch_losses_mode_gating():
 def test_batch_losses_value_only_skips_grads(monkeypatch):
     """A value-only probe costs one forward: neither backward runs."""
     state = tiny_state()
-    ids, Q, gold = make_batch(state)
+    batch = make_batch(state)
     calls = {"relation_head_backward": 0, "backward": 0}
 
     def counted(module, name):
@@ -311,24 +311,23 @@ def test_batch_losses_value_only_skips_grads(monkeypatch):
 
     counted(obj, "relation_head_backward")
     counted(enc, "backward")
-    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True)
-    assert out.grads == {}
+    out = obj.batch_losses(state, batch, FULL, CONFIG, value_only=True)
     assert np.isfinite(out.breakdown.total)
     assert calls == {"relation_head_backward": 0, "backward": 0}
-    obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
+    obj.batch_losses(state, batch, FULL, CONFIG)
     assert calls == {"relation_head_backward": 1, "backward": 1}
 
 
-def _reference_batch_grads(state, ids, Q, gold, terms, config):
+def _reference_batch_grads(state, batch, terms, config):
     """The batch gradients composed as a head backward that owns the RE and
     entropy terms, with the KLD term and the encoder backward after it."""
     p = state.params
-    fwd = enc.forward(state, ids, state.workspace)
+    fwd = enc.forward(state, batch.ids, state.workspace)
     alpha_ib, pooled, probs = obj.relation_head(p, fwd.features)
     d_alpha, d_features, head_grads = np.zeros_like(alpha_ib), 0.0, {}
     if "re" in terms:
         _, d_pooled, head_grads["clf.W"], head_grads["clf.b"] = obj.re_loss(
-            pooled, probs, p["clf.W"], gold)
+            pooled, probs, p["clf.W"], batch.gold)
         d_alpha = np.einsum("bd,bnd->bn", d_pooled, fwd.features)
         d_features = alpha_ib[:, :, None] * d_pooled[:, None, :]
     if "ib" in terms:
@@ -340,7 +339,7 @@ def _reference_batch_grads(state, ids, Q, gold, terms, config):
     d_alpha_avg = None
     if "asp" in terms:
         _, d_alpha_avg, _ = obj.asp_loss(enc.average_attention(fwd.attention, state.config.last_k),
-                                         Q, config.lambda_asp, config.asp_epsilon)
+                                         batch.Q, config.lambda_asp, config.asp_epsilon)
     grads = enc.backward(state, fwd, d_features, d_alpha_avg)
     for name, g in head_grads.items():
         grads[name] += g
@@ -351,29 +350,26 @@ def _reference_batch_grads(state, ids, Q, gold, terms, config):
                          ids="+".join)
 def test_batch_grads_equal_the_reference_composition_bit_for_bit(terms):
     state = tiny_state()
-    ids, Q, gold = make_batch(state, B=3, n=6)
-    expected = _reference_batch_grads(state, ids, Q, gold, terms, CONFIG)
-    got = obj.batch_losses(state, ids, Q, gold, terms, CONFIG).grads
-    assert {name: g.tobytes() for name, g in got.items()} == expected
+    batch = make_batch(state, B=3, n=6)
+    expected = _reference_batch_grads(state, batch, terms, CONFIG)
+    obj.batch_losses(state, batch, terms, CONFIG)
+    assert {name: g.tobytes() for name, g in state.grads.items()} == expected
 
 
 def test_joint_value_only_terms_equal_the_one_term_totals_exactly():
     """gradcheck reads every term's finite difference from one joint probe."""
     state = tiny_state()
-    ids, Q, gold = make_batch(state)
-    joint = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True).breakdown
+    batch = make_batch(state)
+    joint = obj.batch_losses(state, batch, FULL, CONFIG, value_only=True).breakdown
     for name, term in (("l_re", "re"), ("l_asp", "asp"), ("l_ib", "ib")):
-        alone = obj.batch_losses(state, ids, Q, gold, (term,), CONFIG, value_only=True)
+        alone = obj.batch_losses(state, batch, (term,), CONFIG, value_only=True)
         assert getattr(joint, name) == alone.breakdown.total, name
 
 
 def test_value_only_leaves_the_gradient_buffer_untouched():
     """gradcheck reads the analytic gradients while its probes run."""
     state = tiny_state()
-    ids, Q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
-    assert out.grads is state.grads
+    obj.batch_losses(state, make_batch(state), FULL, CONFIG)
     before = state.grad_flat.copy()
-    ids, Q, gold = make_batch(state, B=3, n=6)
-    obj.batch_losses(state, ids, Q, gold, FULL, CONFIG, value_only=True)
+    obj.batch_losses(state, make_batch(state, B=3, n=6), FULL, CONFIG, value_only=True)
     assert state.grad_flat.tobytes() == before.tobytes()

@@ -1,0 +1,77 @@
+"""The seed-11 pipeline's outputs, pinned by sha256.
+
+Every command of a small pipeline runs through ``cli.main``, and each output
+file's digest is compared with the value it had when the pins were taken.  A
+refactor that claims byte-identical outputs passes this test unchanged; a
+change that moves bits on purpose updates the pins and lists the old and new
+digests.  The pins belong to numpy 2.4.6 over scipy-openblas 0.3.31: a
+mismatch prints the numpy version and its BLAS, so a different numeric stack
+is told apart from a changed program.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from ssdpsem import cli
+
+REFERENCE = {"layers": 2, "heads": 2, "d_model": 16, "d_ff": 32, "seed": 0}
+MODES = ("baseline", "asp", "saib", "asp_saib")
+
+# output file -> sha256, taken before the step input became one record
+PINNED_SHA256 = {
+    "ann/annotated.jsonl":
+        "9d6515c33d02cae10c499c32e230ce7605a8b0996444c7af4a7351aa9f28d0bb",
+    "ann/annotate_stats.json":
+        "6b612b8d09e0d623f4244aa4aa17076edfac6c4d668634a989a2cd096971ba2b",
+    "train/metrics.csv":
+        "c6feb8fe5d875a3381a371b9accd4a15962bd440dbf57e52de139f337acb3ec3",
+    "train/model.ckpt":
+        "46210805f3c337d15c40da98d7993f0a84ddfb97f0d148e024749b99288c9bc0",
+    "eval/report.txt":
+        "bd01849bfac405e3282c26b741b6efffaa3df21e8427f4b50e12a66a8ef76fa7",
+    "eval/per_relation.csv":
+        "ab119ac0e091bb931d7f7af0640155d68b7a867c21ba97a141121a53315e9af8",
+    "ablate/grid.csv":
+        "bd0490abb06cbd0cf4d2aeabf40641e6345b950ba0d7d391d43f9274949ac8ca",
+    "gradcheck/gradcheck.txt":
+        "a13f89c49c504f9791345adb703f63e190702b3a83937cbc7721bb00e14ca4a6",
+    "inspect/attention_test-00000.csv":
+        "f1061d6a76db49ecf0cc56e908df71f88e24668dd1db49121d9739c27dd1f2b2",
+    "inspect/attention_test-00000.svg":
+        "55750cb29bc7cd667e3ffabd66264da8fe170569fb8ef68c61f77ebe90e426e9",
+}
+
+
+def _blas():
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return {key: deps["blas"].get(key) for key in ("name", "version")}
+
+
+def test_seed11_pipeline_outputs_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    train_cfg, grid = tmp_path / "train.json", tmp_path / "grid.json"
+    train_cfg.write_text(json.dumps({**REFERENCE, "epochs": 2, "mode": "asp_saib"}),
+                         encoding="utf-8")
+    grid.write_text(json.dumps([{**REFERENCE, "epochs": 1, "mode": m} for m in MODES]),
+                    encoding="utf-8")
+    ckpt = str(tmp_path / "train" / "model.ckpt")
+    commands = [
+        ["synth", "--seed", "11", "--train", "200", "--dev", "40", "--test", "40",
+         "--out", str(data)],
+        ["annotate", "--jsonl", str(data / "train.jsonl"), "--out", str(tmp_path / "ann")],
+        ["train", "--config", str(train_cfg), "--data", str(data),
+         "--out", str(tmp_path / "train")],
+        ["eval", "--checkpoint", ckpt, "--split", str(data / "test.jsonl"),
+         "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "eval")],
+        ["ablate", "--grid", str(grid), "--data", str(data), "--out", str(tmp_path / "ablate")],
+        ["gradcheck", "--out", str(tmp_path / "gradcheck")],
+        ["inspect", "--instance", "test-00000", "--checkpoint", ckpt,
+         "--data", str(data / "test.jsonl"), "--out", str(tmp_path / "inspect")],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256, f"numpy {np.__version__}, BLAS {_blas()}"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ssdpsem import sentiment
+from ssdpsem import pipeline, sentiment
 from ssdpsem.corpus import ROOT, Instance, ParseError, Token
 
 
@@ -58,18 +58,18 @@ def test_vote_is_case_insensitive(lexicon):
 
 
 def test_tie_defaults_positive_and_counts(lexicon):
-    stats = sentiment.TagStats()
+    stats = pipeline.AnnotateStats()
     tag = sentiment.classify(make_instance(["rose", "fell"]), lexicon, stats)
     assert tag == "positive"
-    assert stats.ties == 1
-    assert stats.no_hits == 0
+    assert stats.tag_ties == 1
+    assert stats.tag_no_hits == 0
 
 
 def test_no_hits_defaults_positive_and_counts(lexicon):
-    stats = sentiment.TagStats()
+    stats = pipeline.AnnotateStats()
     tag = sentiment.classify(make_instance(["the", "cat", "sat"]), lexicon, stats)
     assert tag == "positive"
-    assert stats.no_hits == 1
+    assert stats.tag_no_hits == 1
 
 
 def test_insert_sentiment_token_shifts_everything():

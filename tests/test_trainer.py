@@ -11,7 +11,7 @@ import pytest
 
 from ssdpsem import encoder as enc
 from ssdpsem import objectives as obj
-from ssdpsem import pipeline, trainer
+from ssdpsem import corpus, pipeline, trainer
 from ssdpsem.corpus import ConfigError
 
 from test_encoder import tiny_state
@@ -54,8 +54,7 @@ def test_readme_config_table_lists_every_field():
 def test_sgd_lr_zero_is_identity():
     state = tiny_state()
     before = {k: v.copy() for k, v in state.params.items()}
-    ids, Q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
+    obj.batch_losses(state, make_batch(state), FULL, CONFIG)
     trainer.SgdOptimizer(lr=0.0).step(state.flat, state.grad_flat)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
@@ -64,8 +63,7 @@ def test_sgd_lr_zero_is_identity():
 def test_adam_lr_zero_is_identity():
     state = tiny_state()
     before = {k: v.copy() for k, v in state.params.items()}
-    ids, Q, gold = make_batch(state)
-    out = obj.batch_losses(state, ids, Q, gold, FULL, CONFIG)
+    obj.batch_losses(state, make_batch(state), FULL, CONFIG)
     trainer.AdamOptimizer(lr=0.0).step(state.flat, state.grad_flat)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
@@ -115,8 +113,8 @@ def test_train_rejects_prepared_split_of_another_variant(small_splits, small_man
 
 def test_adam_and_sgd_agree_on_first_step_sign():
     state_a, state_b = tiny_state(seed=2), tiny_state(seed=2)
-    ids, Q, gold = make_batch(state_a)
-    grads = obj.batch_losses(state_a, ids, Q, gold, FULL, CONFIG).grads
+    obj.batch_losses(state_a, make_batch(state_a), FULL, CONFIG)
+    grads = state_a.grads
     before = {k: v.copy() for k, v in state_a.params.items()}
     trainer.SgdOptimizer(lr=1e-3).step(state_a.flat, state_a.grad_flat)
     trainer.AdamOptimizer(lr=1e-3).step(state_b.flat, state_a.grad_flat)
@@ -199,8 +197,8 @@ def test_first_metrics_row_matches_offline_recomputation(small_train, small_mani
     order = list(range(len(encoded)))
     random.Random(f"{cfg.seed}:0").shuffle(order)
     first = trainer.make_batches(encoded, cfg.batch_size, order)[0]
-    ids, Q, gold = trainer._collate(encoded, first)
-    out = obj.batch_losses(state, ids, Q, gold, obj.MODE_TERMS[cfg.mode], cfg)
+    out = obj.batch_losses(state, trainer._collate(encoded, first), obj.MODE_TERMS[cfg.mode],
+                           cfg)
     expected = f"0,{out.breakdown.l_re:.6f},{out.breakdown.l_asp:.6f}," \
                f"{out.breakdown.l_ib:.6f},{out.breakdown.total:.6f}"
     assert record.metrics_rows[1] == expected
@@ -223,9 +221,9 @@ def test_train_with_sgd_steps_by_lr_times_the_gradient(small_train, small_manife
     random.Random(f"{cfg.seed}:0").shuffle(order)
     first, second = trainer.make_batches(encoded, cfg.batch_size, order)[:2]
     terms = obj.MODE_TERMS[cfg.mode]
-    obj.batch_losses(state, *trainer._collate(encoded, first), terms, cfg)
+    obj.batch_losses(state, trainer._collate(encoded, first), terms, cfg)
     state.flat -= cfg.lr * state.grad_flat
-    b = obj.batch_losses(state, *trainer._collate(encoded, second), terms, cfg,
+    b = obj.batch_losses(state, trainer._collate(encoded, second), terms, cfg,
                          value_only=True).breakdown
     assert record.metrics_rows[2] == f"1,{b.l_re:.6f},{b.l_asp:.6f},{b.l_ib:.6f},{b.total:.6f}"
 
@@ -249,7 +247,7 @@ def test_gradcheck_negative_control_catches_corruption(small_train, small_manife
     cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
     prepared = small_train[:1]
     state = trainer.init_from_config(cfg, prepared, small_manifest.relations)
-    ids, Q, gold = trainer.encode_prepared(state, prepared)[0]
+    batch = trainer._collate(trainer.encode_prepared(state, prepared), [0])
 
     def corrupt(term, grads):
         if term == "l_re":
@@ -257,21 +255,34 @@ def test_gradcheck_negative_control_catches_corruption(small_train, small_manife
             grads["clf.W"] = grads["clf.W"] + 0.5
         return grads
 
-    report = trainer.gradcheck_batch(
-        state, ids[None, :], Q[None, :], np.array([gold]), cfg,
-        max_coords_per_block=4, analytic_override=corrupt,
-    )
+    report = trainer.gradcheck_batch(state, batch, cfg, max_coords_per_block=4,
+                                     analytic_override=corrupt)
     failing = {(e.term, e.block) for e in report.entries if not e.passed}
     assert ("l_re", "clf.W") in failing
     assert not report.passed
+
+
+def test_gradcheck_passes_on_full_training_batches(lexicon):
+    """The check on the batches training steps on, not only one-row ones:
+    the first three full 16-row batches of the first 400 seed-11 train
+    instances in index order, at the reference 2x2x16 encoder."""
+    manifest = corpus.default_manifest(seed=11, train=400, dev=1, test=1)
+    prepared, _ = pipeline.annotate(
+        corpus.synthesize_corpus(manifest, corpus.SENTIMENT_COUPLING)["train"], lexicon, "ISL")
+    cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
+    state, encoded = trainer._prepare(cfg, prepared, manifest.relations)
+    full = [b for b in trainer.make_batches(encoded, 16, range(len(encoded))) if len(b) == 16]
+    for indices in full[:3]:
+        report = trainer.gradcheck_batch(state, trainer._collate(encoded, indices), cfg, 4)
+        assert report.max_rel_err < trainer.GRADCHECK_TOLERANCE, indices
+        assert report.passed
 
 
 def _one_instance_batch(small_train, small_manifest):
     cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
     prepared = small_train[:1]
     state = trainer.init_from_config(cfg, prepared, small_manifest.relations)
-    ids, Q, gold = trainer.encode_prepared(state, prepared)[0]
-    return cfg, state, (ids[None, :], Q[None, :], np.array([gold]))
+    return cfg, state, trainer._collate(trainer.encode_prepared(state, prepared), [0])
 
 
 def test_gradcheck_runs_one_probe_pair_per_coordinate(small_train, small_manifest,
@@ -281,28 +292,28 @@ def test_gradcheck_runs_one_probe_pair_per_coordinate(small_train, small_manifes
     calls = []
     forward = enc.forward
     monkeypatch.setattr(enc, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
-    report = trainer.gradcheck_batch(state, *batch, cfg, max_coords_per_block=4)
+    report = trainer.gradcheck_batch(state, batch, cfg, max_coords_per_block=4)
     probed = sum(e.coords_checked + e.kinks_skipped for e in report.entries
                  if e.term == "total")
     assert probed == sum(min(param.size, 4) for param in state.params.values())
     assert len(calls) == 4 + 2 * probed
 
 
-def _reference_gradcheck_batch(state, ids, Q, gold, config, max_coords_per_block,
+def _reference_gradcheck_batch(state, batch, config, max_coords_per_block,
                                analytic_override=None):
     """The check as one probe pair per term and coordinate, with the ReLU
     patterns of a coordinate recomputed by two fresh forwards on a mismatch."""
     def value(terms):
-        return obj.batch_losses(state, ids, Q, gold, terms, config,
-                                value_only=True).breakdown.total
+        return obj.batch_losses(state, batch, terms, config, value_only=True).breakdown.total
 
     def pattern():
-        return tuple((c["h"] > 0).tobytes() for c in enc.forward(state, ids).cache["layers"])
+        return tuple((c["h"] > 0).tobytes() for c in enc.forward(state, batch.ids).cache["layers"])
 
     entries = []
     for term_name, terms in {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
                              "total": ("re", "asp", "ib")}.items():
-        analytic = obj.batch_losses(state, ids, Q, gold, terms, config).grads
+        obj.batch_losses(state, batch, terms, config)
+        analytic = state.grads
         if analytic_override is not None:
             analytic = analytic_override(term_name, analytic)
         for block, grad in analytic.items():
@@ -349,11 +360,11 @@ def test_gradcheck_batch_equals_the_per_term_reference_bit_for_bit(
         small_train, small_manifest, override):
     cfg, state, batch = _one_instance_batch(small_train, small_manifest)
     # plant a kink: one L0 pre-activation at zero, so most upstream probes cross it
-    x1 = enc.forward(state, batch[0]).cache["layers"][0]["x1"]
+    x1 = enc.forward(state, batch.ids).cache["layers"][0]["x1"]
     f1 = x1 @ state.params["L0.W1"] + state.params["L0.b1"]
     state.params["L0.b1"][0] -= f1[0, 1, 0]
-    expected = _reference_gradcheck_batch(state, *batch, cfg, 4, override)
-    report = trainer.gradcheck_batch(state, *batch, cfg, max_coords_per_block=4,
+    expected = _reference_gradcheck_batch(state, batch, cfg, 4, override)
+    report = trainer.gradcheck_batch(state, batch, cfg, max_coords_per_block=4,
                                      analytic_override=override)
     got = [(e.term, e.block, repr(e.max_rel_err), e.coords_checked, e.kinks_skipped)
            for e in report.entries]
@@ -367,7 +378,7 @@ def test_a_step_keeps_only_what_backward_reads():
     arrays backward reads (the ReLU pre-activation is not among them), and
     all layers share one A @ v buffer and one weight-gradient products buffer."""
     state = tiny_state()
-    result = obj.batch_losses(state, *make_batch(state), FULL, CONFIG)
+    result = obj.batch_losses(state, make_batch(state), FULL, CONFIG)
     for layer in result.forward.cache["layers"]:
         assert set(layer) == {"x", "q", "k", "v", "A", "ctx", "ln1", "x1", "h", "ln2"}
     names = [key[0] if isinstance(key, tuple) else key for key in state.workspace]
