@@ -12,6 +12,8 @@ actually changed:
 Run:  python demos/guided_vs_baseline.py        (~1 minute on one core)
 """
 
+import numpy as np
+
 from ssdpsem import corpus, evalkit, pipeline, sentiment, trainer
 
 
@@ -45,7 +47,7 @@ def main():
         report = evalkit.evaluate(record.state, test_prep, manifest.entity_types)
         mass0 = evalkit.isl_attention_mass(init_state, dev_prep)
         mass1 = evalkit.isl_attention_mass(record.state, dev_prep)
-        ent = evalkit.mean_pooling_entropy(record.state, test_prep)
+        ent = np.mean([p.pooling_entropy for p in evalkit.predict(record.state, test_prep)])
         print(f"{mode:10s} {report.micro_f1:9.4f} {mass0:11.4f} {mass1:9.4f} "
               f"{ent:13.4f}")
 

@@ -87,16 +87,7 @@ def _read_json(path):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise corpus.ConfigError(f"{path}: not UTF-8") from None
-    try:
-        rec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise corpus.ConfigError(f"{path}: bad JSON: {exc}") from exc
-    try:
-        if "\\" in text:
-            corpus.check_encodable(rec)
-    except ValueError as exc:
-        raise corpus.ConfigError(f"{path}: {exc}") from exc
-    return rec
+    return corpus.parse_json(text, path)
 
 
 def _read_manifest(path):
@@ -339,11 +330,10 @@ def cmd_inspect(args):
     log = _Log(out)
     csv_path = out / f"attention_{args.instance}.csv"
     svg_path = out / f"attention_{args.instance}.svg"
-    a_avg, a_ib = _naming(f"{args.data} with {args.checkpoint}", evalkit.export_attention,
-                          state, prepared, csv_path, svg_path)
-    mass = float((a_avg * prepared.signal.Q).sum())
+    prediction = _naming(f"{args.data} with {args.checkpoint}", evalkit.export_attention,
+                         state, prepared, csv_path, svg_path)
     log(f"instance {args.instance}: {len(prepared.augmented.tokens)} tokens")
-    log(f"marked attention mass {_f(mass)}")
+    log(f"marked attention mass {_f(prediction.marked_mass)}")
     log(f"wrote {csv_path.name} and {svg_path.name}")
     return 0
 

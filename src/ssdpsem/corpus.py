@@ -353,23 +353,38 @@ def check_encodable(value, where=""):
             check_encodable(item, f"{where}.{key}" if where else key)
 
 
+def parse_json(text, where):
+    """The JSON value of ``text``.  Text that json.loads refuses (malformed,
+    nested past the recursion limit, or an integer past the digit limit)
+    raises ParseError ``{where}: bad JSON: ...``, and a string that is not
+    encodable (``check_encodable``) raises ParseError naming ``where``."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{where}: bad JSON: {exc}") from exc
+    try:
+        if "\\" in text:  # one memchr; only an escape makes a surrogate
+            check_encodable(value)
+    except RecursionError as exc:  # it recurses as deep as the value nests
+        raise ParseError(f"{where}: bad JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    return value
+
+
 def _parse_lines(path, parse):
     """parse(record) for each non-blank line of JSON; a line that is not
-    UTF-8 or JSON, a string that is not encodable (``check_encodable``), or
-    a ValueError from parse, raises ParseError naming path:line."""
+    UTF-8, that ``parse_json`` refuses, or whose record parse refuses with
+    a ValueError, raises ParseError naming path:line."""
     for lineno, line in _lines(path):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
+        rec = parse_json(line, where)
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        try:
-            if "\\" in line:  # one memchr; only an escape makes a surrogate
-                check_encodable(rec)
             rec = parse(rec)
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            raise ParseError(f"{where}: {exc}") from exc
         yield rec
 
 

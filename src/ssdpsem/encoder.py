@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, asdict
 
@@ -472,29 +473,34 @@ _HEADER_KEYS = {
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint; a truncated file, trailing bytes, or a header that
     is malformed or whose arrays (name, shape, dtype) do not match its
-    config, vocabulary and relations raise ValueError naming the path."""
+    config, vocabulary and relations raise ValueError naming the path.  A
+    header or array size that goes past the end of the file is a truncation,
+    found by the file's size before any read asks for that many bytes."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         size = int.from_bytes(fh.read(8), "little")
-        blob = fh.read(size)
-        if len(blob) != size:
+        if size > file_size - fh.tell():
             raise ValueError(f"{path}: truncated checkpoint header")
+        blob = fh.read(size)
         try:
             header = _checked(json.loads(blob.decode("utf-8")), _HEADER_KEYS, ValueError)
             config = EncoderConfig(**header["config"])
             specs, seed = header["arrays"], header["seed"]
             vocab, relations = header["vocab"], header["relations"]
             shapes = _param_shapes(config, len(vocab), len(relations))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(
                 f"{path}: unreadable checkpoint header: {type(exc).__name__}: {exc}") from exc
         if specs != [{"name": k, "shape": list(shapes[k]), "dtype": "float64"}
                      for k in sorted(shapes)]:
             raise ValueError(
                 f"{path}: checkpoint arrays do not match its config, vocabulary and relations")
-        body = fh.read(8 * sum(math.prod(s["shape"]) for s in specs))
+        # never more than the file holds: an array past its end is found below
+        body = fh.read(min(8 * sum(math.prod(s["shape"]) for s in specs),
+                           file_size - fh.tell()))
         params, end = {}, 0
         for spec in specs:
             count = math.prod(spec["shape"])

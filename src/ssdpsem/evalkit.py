@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,31 +37,52 @@ def _prf(tp, fp, fn):
     return p, r, f1
 
 
-def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
-    """Batched inference grouped by sequence length.
+class Prediction(NamedTuple):
+    """One instance's result of a ``predict`` pass.
 
-    Returns per-instance lists in input order: predicted relation index,
-    gold index, pooling attention alpha_ib and averaged attention alpha_avg.
+    ``pred`` and ``gold`` are relation indices into ``state.relations``;
+    ``alpha_ib`` is the pooling (SAIB) attention and ``alpha_avg`` the
+    encoder attention averaged over the last ``last_k`` layers, each (n,)
+    over the instance's tokens.  ``marked_mass`` is alpha_avg's total mass
+    on the positions the label signal Q marks, and ``pooling_entropy`` the
+    Shannon entropy of alpha_ib.
+    """
+
+    pred: int
+    gold: int
+    alpha_ib: np.ndarray
+    alpha_avg: np.ndarray
+    marked_mass: float
+    pooling_entropy: float
+
+
+def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
+    """Batched inference grouped by sequence length: one ``Prediction`` per
+    instance, in input order, and the one place a forward pass becomes
+    per-instance results.
+
     A row's outputs are bit-identical whatever rows share its batch, so
     ``batch_size`` sets only the memory held: the default is training's,
     and every batch's forward reuses one workspace local to the call
     (``state.workspace`` is left alone).
     """
     encoded = trainer.encode_prepared(state, prepared)
-    preds = [None] * len(encoded)
-    alpha_ib = [None] * len(encoded)
-    alpha_avg = [None] * len(encoded)
+    out = [None] * len(encoded)
     workspace = {}
     for chunk in trainer.make_batches(encoded, batch_size, range(len(encoded))):
-        fwd = enc.forward(state, trainer._collate(encoded, chunk).ids, workspace)
+        batch = trainer._collate(encoded, chunk)
+        fwd = enc.forward(state, batch.ids, workspace)
         a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
         a_avg = enc.average_attention(fwd.attention, state.config.last_k)
         del fwd  # its cache views the workspace: a slot the next batch grows is then freed
+        marked_mass = (a_avg * batch.Q).sum(axis=1)
+        pooling_entropy = objectives.entropy(a_ib)
         for row, i in enumerate(chunk):
-            preds[i] = int(np.argmax(probs[row]))
-            alpha_ib[i] = a_ib[row]
-            alpha_avg[i] = a_avg[row]
-    return preds, [gold for (_, _, gold) in encoded], alpha_ib, alpha_avg
+            out[i] = Prediction(pred=int(np.argmax(probs[row])), gold=int(batch.gold[row]),
+                                alpha_ib=a_ib[row], alpha_avg=a_avg[row],
+                                marked_mass=float(marked_mass[row]),
+                                pooling_entropy=float(pooling_entropy[row]))
+    return out
 
 
 def micro_scores(confusion, neg):
@@ -82,10 +104,9 @@ def evaluate(state, prepared, entity_types, no_relation=NO_RELATION) -> EvalRepo
         raise ConfigError(f"negative class {no_relation!r} is not one of the model's "
                           f"relations {relations}")
     neg = relations.index(no_relation)
-    preds, golds, _, _ = predict(state, prepared)
     confusion = np.zeros((len(relations),) * 2, dtype=np.int64)
-    for p, g in zip(preds, golds):
-        confusion[g, p] += 1
+    for p in predict(state, prepared):
+        confusion[p.gold, p.pred] += 1
     per_relation = {}
     macro = []
     for i, label in enumerate(relations):
@@ -124,18 +145,9 @@ def bucket_by_entity_pair(confusion, relations, entity_types, neg):
 
 
 def isl_attention_mass(state, prepared):
-    """Mean total averaged-attention mass on the marked signal positions."""
-    _, _, _, alpha_avg = predict(state, prepared)
-    masses = [
-        float((a * pi.signal.Q).sum()) for a, pi in zip(alpha_avg, prepared)
-    ]
-    return float(np.mean(masses))
-
-
-def mean_pooling_entropy(state, prepared):
-    """Mean SAIB attention entropy over a split."""
-    _, _, alpha_ib, _ = predict(state, prepared)
-    return float(np.mean([objectives.entropy(a)[0] for a in alpha_ib]))
+    """Mean over ``prepared`` of each instance's averaged-attention mass on
+    its marked signal positions, ``Prediction.marked_mass``."""
+    return float(np.mean([p.marked_mass for p in predict(state, prepared)]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +217,11 @@ def export_attention(state, prepared_instance, csv_path, svg_path=None):
     """Write per-token averaged and pooling attention as CSV (+ SVG heatmap).
 
     CSV values use repr-exact float formatting so re-reading reproduces the
-    in-memory vectors bit for bit.
+    in-memory vectors bit for bit.  Returns the instance's ``Prediction``,
+    the one ``predict`` gives it in any batch.
     """
-    _, _, alpha_ib, alpha_avg = predict(state, [prepared_instance])
-    a_ib, a_avg = alpha_ib[0], alpha_avg[0]
+    prediction = predict(state, [prepared_instance])[0]
+    a_ib, a_avg = prediction.alpha_ib, prediction.alpha_avg
     tokens = [t.surface for t in prepared_instance.augmented.tokens]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -220,7 +233,7 @@ def export_attention(state, prepared_instance, csv_path, svg_path=None):
             )
     if svg_path is not None:
         _write_heatmap_svg(svg_path, tokens, {"alpha_avg": a_avg, "alpha_ib": a_ib})
-    return a_avg, a_ib
+    return prediction
 
 
 def _write_heatmap_svg(path, tokens, rows, cell=46, height=26, label_w=80):

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under demos/, which call the library's public API."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -32,3 +33,29 @@ def test_guided_vs_baseline_train_one(small_train, small_manifest):
     assert len(record.epoch_losses) == 12
     assert record.epoch_losses[-1]["total"] < record.epoch_losses[0]["total"]
     assert not np.array_equal(init_state.params["clf.W"], record.state.params["clf.W"])
+
+
+def _library_references(path):
+    """(line, module, name) of each ``<module>.<name>`` that the script at
+    ``path`` reads from a module it imports with ``from ssdpsem import``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: f"ssdpsem.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "ssdpsem"
+               for alias in node.names}
+    return [(node.lineno, modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
+
+
+def test_demos_reference_only_names_the_library_has():
+    """Every ssdpsem name a demo reads exists.  The suite does not run
+    guided_vs_baseline.main (about a minute), so without this check a demo
+    could call a function the library no longer has and still pass."""
+    missing = []
+    for path in sorted(DEMOS.glob("*.py")):
+        refs = _library_references(path)
+        assert refs, path
+        missing += [f"{path.name}:{line}: {module}.{name}" for line, module, name in refs
+                    if not hasattr(importlib.import_module(module), name)]
+    assert not missing

@@ -1,5 +1,6 @@
 """Encoder forward/backward internals, attention averaging, checkpoints."""
 
+import json
 import os
 import subprocess
 import sys
@@ -346,9 +347,31 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         enc.load_checkpoint(path)
 
 
+def _header_claiming(blob, **config):
+    """``blob`` with a header whose config takes ``config``'s values and
+    whose array list matches them; the body is left as it was."""
+    start = len(enc._MAGIC) + 8
+    end = start + int.from_bytes(blob[start - 8:start], "little")
+    header = json.loads(blob[start:end])
+    header["config"].update(config)
+    shapes = enc._param_shapes(enc.EncoderConfig(**header["config"]), len(header["vocab"]),
+                               len(header["relations"]))
+    header["arrays"] = [{"name": k, "shape": list(shapes[k]), "dtype": "float64"}
+                        for k in sorted(shapes)]
+    text = json.dumps(header).encode("utf-8")
+    return blob[:start - 8] + len(text).to_bytes(8, "little") + text + blob[end:]
+
+
+# a size field past the end of the file is checked before a read asks for it:
+# each size below is too large to allocate
 @pytest.mark.parametrize("corrupt, message", [
     (lambda blob: blob[:-5], "truncated checkpoint at array"),
     (lambda blob: blob + b"\0", "trailing bytes"),
+    pytest.param(lambda blob: (blob[:len(enc._MAGIC)] + (2**64 - 1).to_bytes(8, "little")
+                               + blob[len(enc._MAGIC) + 8:]),
+                 "truncated checkpoint header", id="header-size-past-the-end"),
+    pytest.param(lambda blob: _header_claiming(blob, d_model=2**31),
+                 "truncated checkpoint at array", id="array-sizes-past-the-end"),
 ])
 def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, corrupt, message):
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"

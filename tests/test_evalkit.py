@@ -98,11 +98,11 @@ def test_evaluate_report_identities(state_and_prepared, small_manifest):
 def test_macro_f1_invariant_under_label_permutation(state_and_prepared, small_manifest):
     state, prepared = state_and_prepared
     report = evalkit.evaluate(state, prepared, small_manifest.entity_types)
-    preds, golds, _, _ = evalkit.predict(state, prepared)
+    predictions = evalkit.predict(state, prepared)
     # recompute macro after a permutation of the label indexing
     perm = list(reversed(range(len(state.relations))))
-    perm_preds = [perm[p] for p in preds]
-    perm_golds = [perm[g] for g in golds]
+    perm_preds = [perm[p.pred] for p in predictions]
+    perm_golds = [perm[p.gold] for p in predictions]
     f1s = []
     for label_idx in range(len(state.relations)):
         tp = sum(1 for p, g in zip(perm_preds, perm_golds) if p == g == label_idx)
@@ -177,11 +177,21 @@ def test_isl_attention_mass_in_unit_interval(state_and_prepared):
     assert 0.0 <= mass <= 1.0
 
 
-def test_mean_pooling_entropy_bounded(state_and_prepared):
+def test_prediction_records_carry_the_per_instance_mass_and_entropy(state_and_prepared):
+    """Each record's marked mass and pooling entropy are the per-instance
+    formulas on its own attention rows, bit for bit, and the entropy lies
+    between 0 and log n."""
     state, prepared = state_and_prepared
-    h = evalkit.mean_pooling_entropy(state, prepared)
-    n_max = max(len(p.augmented.tokens) for p in prepared)
-    assert 0.0 <= h <= np.log(n_max)
+    predictions = evalkit.predict(state, prepared)
+    assert len(predictions) == len(prepared)
+    for p, pi in zip(predictions, prepared):
+        n = len(pi.augmented.tokens)
+        assert p.alpha_ib.shape == p.alpha_avg.shape == (n,)
+        assert p.marked_mass == float((p.alpha_avg * pi.signal.Q).sum())
+        assert p.pooling_entropy == float(objectives.entropy(p.alpha_ib[None, :])[0])
+        assert 0.0 <= p.pooling_entropy <= np.log(n)
+    assert evalkit.isl_attention_mass(state, prepared) == float(
+        np.mean([p.marked_mass for p in predictions]))
 
 
 def test_ablation_grid_shape_and_determinism(small_splits, small_manifest, lexicon):
@@ -237,7 +247,8 @@ def test_export_attention_round_trip(tmp_path, state_and_prepared):
     state, prepared = state_and_prepared
     csv_path = tmp_path / "att.csv"
     svg_path = tmp_path / "att.svg"
-    a_avg, a_ib = evalkit.export_attention(state, prepared[0], csv_path, svg_path)
+    prediction = evalkit.export_attention(state, prepared[0], csv_path, svg_path)
+    a_avg, a_ib = prediction.alpha_avg, prediction.alpha_ib
     with open(csv_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(prepared[0].augmented.tokens)
@@ -255,18 +266,26 @@ def test_export_attention_round_trip(tmp_path, state_and_prepared):
     assert svg.count("<rect") == 2 * len(rows)
 
 
+def _scalars(prediction):
+    """The fields of a Prediction that are not attention rows."""
+    return (prediction.pred, prediction.gold, prediction.marked_mass,
+            prediction.pooling_entropy)
+
+
 def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
                                                                   state_and_prepared):
     """`ssdp inspect` runs one instance, `ssdp eval` batches of several; both
     must report the same attention, bit for bit."""
     state, prepared = state_and_prepared
-    _, _, alpha_ib, alpha_avg = evalkit.predict(state, prepared, batch_size=64)
+    predictions = evalkit.predict(state, prepared, batch_size=64)
     for i, instance in enumerate(prepared):
-        evalkit.export_attention(state, instance, tmp_path / "att.csv")
+        record = evalkit.export_attention(state, instance, tmp_path / "att.csv")
+        assert _scalars(record) == _scalars(predictions[i])
         with open(tmp_path / "att.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        for key, batched in (("alpha_ib", alpha_ib[i]), ("alpha_avg", alpha_avg[i])):
+        for key in ("alpha_ib", "alpha_avg"):
             alone = np.array([float(r[key]) for r in rows])
+            batched = getattr(predictions[i], key)
             assert alone.tobytes() == batched.tobytes(), f"{key}, instance {i}"
 
 
@@ -281,9 +300,11 @@ def test_predict_batch_size_changes_no_output_and_leaves_the_step_workspace(
     objectives.batch_losses(state, trainer._collate(encoded, [0]), ("re",), trainer.TrainConfig())
     before = {key: (buf, buf.copy()) for key, buf in state.workspace.items()}
     small, large = (evalkit.predict(state, prepared, batch_size=b) for b in (16, 64))
-    assert small[:2] == large[:2]
-    for a, b in zip(small[2] + small[3], large[2] + large[3]):
-        assert a.tobytes() == b.tobytes()
+    assert len(small) == len(large) == len(prepared)
+    for a, b in zip(small, large):
+        assert _scalars(a) == _scalars(b)
+        assert a.alpha_ib.tobytes() == b.alpha_ib.tobytes()
+        assert a.alpha_avg.tobytes() == b.alpha_avg.tobytes()
     assert state.workspace.keys() == before.keys()
     for key, (buf, copy) in before.items():
         assert state.workspace[key] is buf and buf.tobytes() == copy.tobytes(), key

@@ -5,7 +5,8 @@ names the changed file.  Exit 2 is for runtime failures, never bad input.
 Covered: JSONL records, CoNLL-U rows, CoNLL-U sidecar rows, manifest.json,
 ``--config`` and ``--grid`` entries, lexicon lines and the checkpoint
 header.  Values come from a small fixed pool, so no size key can ask for a
-large model; every run is derandomized and bounded.
+large model; every run is derandomized and bounded.  Two fixed tests add a
+file that is not UTF-8 and JSON that json.loads refuses.
 """
 
 import contextlib
@@ -234,37 +235,79 @@ def test_checkpoint_header_edits(inputs, data):
                               tmp / "data" / "manifest.json", "--out", tmp / "o"], path)
 
 
+def _reader(inputs, tmp, kind):
+    """(argv, path): the command line that reads the input file of ``kind``
+    in the work directory ``tmp``, and that file; every input it reads is
+    written well-formed first."""
+    data, config, grid = tmp / "data", tmp / "config.json", tmp / "grid.json"
+    grid.write_text(json.dumps([CONFIG]), encoding="utf-8")
+    conllu = _write_lines(tmp / "x.conllu", inputs["conllu"])
+    sidecar = _write_lines(tmp / "x.jsonl", [json.dumps(r) for r in inputs["sidecar"]])
+    lexicon = _write_lines(tmp / "lexicon.tsv", inputs["lexicon"])
+    checkpoint = tmp / "model.ckpt"
+    checkpoint.write_bytes(inputs["checkpoint"][0])
+    annotate = ["annotate", "--conllu", conllu, sidecar]
+    train = ["train", "--config", config, "--data", data]
+    evaluate = ["eval", "--checkpoint", checkpoint, "--split", data / "test.jsonl",
+                "--manifest", data / "manifest.json"]
+    return {
+        "split": (evaluate, data / "test.jsonl"),
+        "conllu": (annotate, conllu),
+        "sidecar": (annotate, sidecar),
+        "lexicon": (["annotate", "--jsonl", data / "test.jsonl", "--lexicon", lexicon], lexicon),
+        "config": (train, config),
+        "grid": (["ablate", "--grid", grid, "--data", data, "--eval-split", "dev"], grid),
+        "manifest": (train, data / "manifest.json"),
+        "checkpoint": (evaluate, checkpoint),
+    }[kind]
+
+
+def _exit_and_stderr(argv, tmp):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in [*argv, "--out", tmp / "o"]])
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("kind", ["split", "conllu", "sidecar", "lexicon", "config", "grid",
                                   "manifest"])
 def test_file_that_is_not_utf8_is_named(inputs, kind):
     """A 0xff byte in one input file exits 1 naming the file, and the line
     where the reader goes line by line."""
     with _workdir(inputs) as tmp:
-        data, config, grid = tmp / "data", tmp / "config.json", tmp / "grid.json"
-        grid.write_text(json.dumps([CONFIG]), encoding="utf-8")
-        conllu = _write_lines(tmp / "x.conllu", inputs["conllu"])
-        sidecar = _write_lines(tmp / "x.jsonl", [json.dumps(r) for r in inputs["sidecar"]])
-        lexicon = _write_lines(tmp / "lexicon.tsv", inputs["lexicon"])
-        annotate = ["annotate", "--conllu", conllu, sidecar]
-        train = ["train", "--config", config, "--data", data]
-        argv, path = {
-            "split": (["eval", "--checkpoint", inputs["data"].parent / "run/model.ckpt",
-                       "--split", data / "test.jsonl", "--manifest", data / "manifest.json"],
-                      data / "test.jsonl"),
-            "conllu": (annotate, conllu),
-            "sidecar": (annotate, sidecar),
-            "lexicon": (["annotate", "--jsonl", data / "test.jsonl", "--lexicon", lexicon],
-                        lexicon),
-            "config": (train, config),
-            "grid": (["ablate", "--grid", grid, "--data", data, "--eval-split", "dev"], grid),
-            "manifest": (train, data / "manifest.json"),
-        }[kind]
+        argv, path = _reader(inputs, tmp, kind)
         lines = path.read_bytes().split(b"\n")
         line = 2 if kind in ("split", "conllu", "sidecar") else 1
         lines[line - 1] = b"\xff" + lines[line - 1]
         path.write_bytes(b"\n".join(lines))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([str(a) for a in [*argv, "--out", tmp / "o"]])
+        code, err = _exit_and_stderr(argv, tmp)
         where = f"{path}:{line}" if line == 2 else str(path)
-        assert code == 1 and f"error: {where}: not UTF-8" in err.getvalue(), err.getvalue()
+        assert code == 1 and f"error: {where}: not UTF-8" in err, err
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "9" * 5000],
+                         ids=["deep-array", "long-integer"])
+@pytest.mark.parametrize("kind", ["split", "sidecar", "manifest", "config", "grid",
+                                  "checkpoint"])
+def test_json_that_json_loads_refuses_is_named(inputs, kind, text):
+    """JSON nested past the recursion limit, or an integer past the digit
+    limit, as one line (a split record, a sidecar row), the whole file or
+    the checkpoint header exits 1 naming the file, and the line where the
+    reader goes line by line: json.loads raises RecursionError or a plain
+    ValueError for these, not a JSONDecodeError."""
+    with _workdir(inputs) as tmp:
+        argv, path = _reader(inputs, tmp, kind)
+        raw = text.encode("utf-8")
+        if kind == "checkpoint":
+            blob, start, end = inputs["checkpoint"]
+            path.write_bytes(blob[:start - 8] + len(raw).to_bytes(8, "little") + raw
+                             + blob[end:])
+        elif kind in ("split", "sidecar"):
+            lines = path.read_bytes().split(b"\n")
+            lines[1] = raw
+            path.write_bytes(b"\n".join(lines))
+        else:
+            path.write_bytes(raw)
+        code, err = _exit_and_stderr(argv, tmp)
+        where = f"{path}:2" if kind in ("split", "sidecar") else str(path)
+        assert code == 1 and f"error: {where}: " in err, err

@@ -41,6 +41,10 @@ PINNED_SHA256 = {
         "f1061d6a76db49ecf0cc56e908df71f88e24668dd1db49121d9739c27dd1f2b2",
     "inspect/attention_test-00000.svg":
         "55750cb29bc7cd667e3ffabd66264da8fe170569fb8ef68c61f77ebe90e426e9",
+    # the only written copy of the marked attention mass; pinned before that
+    # mass came from the prediction record
+    "inspect/log.txt":
+        "73cb032aaf6603f524bf091da5b36a2622f0a666da1b3fa2ebe1473c1f43f305",
 }
 
 
