@@ -8,7 +8,7 @@ accepts, besides the usual feature gradient, a gradient on that average
 bit-reproducibility is a contract.
 
 All shapes are batched: ids (B, n), features (B, n, d), attention
-(B, H, n, n) per layer.  Batches hold same-length sequences only.
+(L, B, H, n, n).  Batches hold same-length sequences only.
 """
 
 from __future__ import annotations
@@ -200,13 +200,14 @@ def positional_encoding(n, d):
 
 def _layernorm(u, g, b, out=None):
     """g * xhat + b over the last axis, with its (xhat, inv_std) cache.
-    With ``out``, the result goes there and u is overwritten by xhat."""
+    With ``out``, the result goes there, u is overwritten by xhat, and out
+    holds the squares of the centred input until the result replaces them."""
     # add.reduce over the last axis divided by its length is what mean
     # computes, bit for bit, without mean's Python-level wrapper
     d = u.shape[-1]
     mu = np.add.reduce(u, axis=-1, keepdims=True) / d
     xc = u - mu if out is None else np.subtract(u, mu, out=u)
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.multiply(xc, xc, out=out), axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv_std, out=xc)
     y = np.multiply(g, xhat, out=out)
@@ -214,19 +215,21 @@ def _layernorm(u, g, b, out=None):
     return y, (xhat, inv_std)
 
 
-def _layernorm_backward(dy, cache, g, dg, db, out, workspace):
-    """Input gradient into out; the gain and bias gradients into dg, db."""
+def _layernorm_backward(dy, cache, g, dg, db, workspace):
+    """The input gradient, written into the buffer of the cached xhat, which
+    it consumes; dy is overwritten by dxhat.  The gain and bias gradients go
+    into dg, db."""
     xhat, inv_std = cache
     d = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
     t = np.multiply(dy, xhat, out=_slot(workspace, "ln.t", dy.shape))
     np.add.reduce(t, axis=axes, out=dg)
     np.add.reduce(dy, axis=axes, out=db)
-    dxhat = np.multiply(dy, g, out=_slot(workspace, "ln.dxhat", dy.shape))
+    dxhat = np.multiply(dy, g, out=dy)
     np.multiply(dxhat, xhat, out=t)
     m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
-    du = np.subtract(dxhat, np.add.reduce(dxhat, axis=-1, keepdims=True) / d, out=out)
-    np.multiply(xhat, m2, out=t)
+    np.multiply(xhat, m2, out=t)  # xhat's last read: du takes its buffer
+    du = np.subtract(dxhat, np.add.reduce(dxhat, axis=-1, keepdims=True) / d, out=xhat)
     du -= t
     du *= inv_std
     return du
@@ -256,8 +259,9 @@ def _merge_heads(x, out):
 @dataclass
 class ForwardResult:
     features: np.ndarray  # (B, n, d) final-layer token features; row 0 is the sentiment token
-    attention: list[np.ndarray]  # per layer: (B, H, n, n), row-stochastic
-    cache: dict
+    attention: np.ndarray  # (L, B, H, n, n): layer by layer, row-stochastic
+    cache: dict  # what backward reads; backward consumes it
+    consumed: bool = False  # set by backward, which overwrites the cache
 
 
 def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
@@ -266,7 +270,10 @@ def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
     With a ``workspace`` (training passes ``state.workspace``), the cache
     and the large temporaries are written into buffers kept there across
     steps, so the result is valid only until the next forward with that
-    workspace.  Without one, every array is fresh.
+    workspace.  Without one, every array is fresh.  All layers' attention
+    is one ``(L, B, H, n, n)`` block.  ``backward`` reuses the per-layer
+    cache for its own temporaries; ``features`` and ``attention`` keep their
+    values through it.
     """
     cfg = state.config
     p = state.params
@@ -282,7 +289,7 @@ def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
     x = np.take(p["emb"], ids, axis=0, out=_slot(workspace, ("x", 0), (B, n, d)), mode="clip")
     x += positional_encoding(n, d)
     cache = {"ids": ids, "layers": []}
-    attention = []
+    attention = _slot(workspace, "A", (cfg.layers, B, H, n, n))
     scale = 1.0 / np.sqrt(cfg.d_head)
     for ell in range(cfg.layers):
         pre = f"L{ell}."
@@ -295,7 +302,7 @@ def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
                                  slot(w, B, n, d)), H)
             for w in ("Wq", "Wk", "Wv")
         )
-        S = np.matmul(q, k.transpose(0, 1, 3, 2), out=slot("A", B, H, n, n))
+        S = np.matmul(q, k.transpose(0, 1, 3, 2), out=attention[ell])
         S *= scale
         A = softmax(S, out=S)
         # A @ v is read only by the copy into ctx, so one slot serves all layers
@@ -310,7 +317,6 @@ def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
         f2 = _affine(h, p[pre + "W2"], p[pre + "b2"], slot("u2", B, n, d))
         x2, ln2_cache = _layernorm(np.add(x1, f2, out=f2), p[pre + "ln2_g"], p[pre + "ln2_b"],
                                    _slot(workspace, ("x", ell + 1), (B, n, d)))
-        attention.append(A)
         cache["layers"].append(
             dict(x=x, q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, x1=x1, h=h, ln2=ln2_cache)
         )
@@ -346,24 +352,32 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     """Exact gradients for every parameter, written into ``state.grads``.
 
     d_features: (B, n, d) upstream gradient on the final token features
-    (gradients on the sentiment feature must already be added to row 0).
+    (gradients on the sentiment feature must already be added to row 0); it
+    is copied into the workspace and never written.
     d_avg: optional (B, n) gradient on ``average_attention(result.attention,
     last_k)``; each of the last k layers' post-softmax attention gets
     d_avg / (k*H*n) added to every head's every query row.
+    Each layer's temporaries go into that layer's forward-cache buffers
+    once backward has read them for the last time, so the cache is consumed:
+    ``result.consumed`` is set, and a second backward on ``result`` raises
+    ValueError.  ``result.features`` and ``result.attention`` keep their
+    values.  Besides the cache, ``state.workspace`` holds the copy of
+    d_features and four scratch buffers: "ln.t", "dA", "dAA" and "products".
     Returns ``state.grads``, views into ``state.grad_flat`` that stay valid
     until the next backward on this state.  Every block is overwritten; the
     pooling-head and classifier entries are zeroed for the caller to
     accumulate into.
     """
+    if result.consumed:
+        raise ValueError("backward: this ForwardResult's cache was consumed by an earlier "
+                         "backward; run forward again")
+    result.consumed = True
     cfg = state.config
     p, g, ws = state.params, state.grads, state.workspace
     B, n, d = result.features.shape
-    H, hd, ff = cfg.heads, cfg.d_head, cfg.d_ff
-
-    def slot(name, *shape):
-        return _slot(ws, name, shape)
-
-    dx = np.asarray(d_features, dtype=np.float64)
+    H, hd = cfg.heads, cfg.d_head
+    dx = _slot(ws, "d_features", (B, n, d))
+    np.copyto(dx, d_features)
     scale = 1.0 / np.sqrt(cfg.d_head)
     k = min(cfg.last_k, cfg.layers)
     if d_avg is not None:
@@ -371,43 +385,43 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     for ell in reversed(range(cfg.layers)):
         pre = f"L{ell}."
         c = result.cache["layers"][ell]
+        # the comments name the cache buffer each temporary is written into
+        x1, h, A = c["x1"], c["h"], c["A"]
         du2 = _layernorm_backward(dx, c["ln2"], p[pre + "ln2_g"], g[pre + "ln2_g"],
-                                  g[pre + "ln2_b"], slot("du2", B, n, d), ws)
-        df2 = du2
-        _weight_grad(c["h"], df2, g[pre + "W2"], ws)
-        np.add.reduce(df2, axis=(0, 1), out=g[pre + "b2"])
-        dh = np.matmul(df2, p[pre + "W2"].T, out=slot("dh", B, n, ff))
-        df1 = np.multiply(dh, c["h"] > 0, out=dh)
-        _weight_grad(c["x1"], df1, g[pre + "W1"], ws)
+                                  g[pre + "ln2_b"], ws)  # u2
+        _weight_grad(h, du2, g[pre + "W2"], ws)
+        np.add.reduce(du2, axis=(0, 1), out=g[pre + "b2"])
+        relu = h > 0
+        df1 = np.multiply(np.matmul(du2, p[pre + "W2"].T, out=h), relu, out=h)  # h
+        _weight_grad(x1, df1, g[pre + "W1"], ws)
         np.add.reduce(df1, axis=(0, 1), out=g[pre + "b1"])
-        dx1 = np.matmul(df1, p[pre + "W1"].T, out=slot("dx1", B, n, d))
+        dx1 = np.matmul(df1, p[pre + "W1"].T, out=x1)  # x1
         np.add(du2, dx1, out=dx1)
-        du = _layernorm_backward(dx1, c["ln1"], p[pre + "ln1_g"], g[pre + "ln1_g"],
-                                 g[pre + "ln1_b"], slot("du1", B, n, d), ws)
-        dao = du
+        dao = _layernorm_backward(dx1, c["ln1"], p[pre + "ln1_g"], g[pre + "ln1_g"],
+                                  g[pre + "ln1_b"], ws)  # u1
         _weight_grad(c["ctx"], dao, g[pre + "Wo"], ws)
         np.add.reduce(dao, axis=(0, 1), out=g[pre + "bo"])
-        dctx = _split_heads(np.matmul(dao, p[pre + "Wo"].T, out=slot("dctx", B, n, d)), H)
-        dA = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2), out=slot("dA", B, H, n, n))
-        dv = np.matmul(c["A"].transpose(0, 1, 3, 2), dctx, out=slot("dv", B, H, n, hd))
+        dctx = _split_heads(np.matmul(dao, p[pre + "Wo"].T, out=c["ctx"]), H)  # ctx
+        dA = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2), out=_slot(ws, "dA", (B, H, n, n)))
+        dv = np.matmul(A.transpose(0, 1, 3, 2), dctx, out=x1.reshape(B, H, n, hd))  # x1
         if d_avg is not None and ell >= cfg.layers - k:
             dA += d_received
-        A = c["A"]
-        rows = np.add.reduce(np.multiply(dA, A, out=slot("dAA", B, H, n, n)), axis=-1,
+        rows = np.add.reduce(np.multiply(dA, A, out=_slot(ws, "dAA", (B, H, n, n))), axis=-1,
                              keepdims=True)
         dS = np.multiply(A, np.subtract(dA, rows, out=dA), out=dA)
-        dq = np.matmul(dS, c["k"], out=slot("dq", B, H, n, hd))
+        dq = np.matmul(dS, c["k"], out=du2.reshape(B, H, n, hd))  # u2
         dq *= scale
-        dk = np.matmul(dS.transpose(0, 1, 3, 2), c["q"], out=slot("dk", B, H, n, hd))
+        dVf = _merge_heads(dv, c["v"].transpose(0, 2, 1, 3))  # v, which frees x1
+        dk = np.matmul(dS.transpose(0, 1, 3, 2), c["q"], out=x1.reshape(B, H, n, hd))  # x1
         dk *= scale
-        dQf, dKf, dVf = (_merge_heads(t, slot(name, B, n, H, hd))
-                         for t, name in ((dq, "dQf"), (dk, "dKf"), (dv, "dVf")))
+        dQf = _merge_heads(dq, c["q"].transpose(0, 2, 1, 3))  # q, which frees u2
+        dKf = _merge_heads(dk, c["k"].transpose(0, 2, 1, 3))  # k
         x_in = c["x"]
-        dx = du  # dao's last use is above, so accumulate into it in place
+        dx = dao  # dao's last read is above, so accumulate into it in place
         for name, dmat in (("Wq", dQf), ("Wk", dKf), ("Wv", dVf)):
             _weight_grad(x_in, dmat, g[pre + name], ws)
             np.add.reduce(dmat, axis=(0, 1), out=g[pre + name.replace("W", "b")])
-            dx += np.matmul(dmat, p[pre + name].T, out=slot("dxp", B, n, d))
+            dx += np.matmul(dmat, p[pre + name].T, out=du2)  # u2
     # the embedding gradient: each cell sums its rows in token order from
     # 0.0, as np.add.at into a zeroed block would, bit for bit
     cells = result.cache["ids"].reshape(-1, 1) * d + np.arange(d)
@@ -421,9 +435,9 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
 def average_attention(attention, last_k):
     """The mean attention each token receives: column means over the last
     ``last_k`` layers, all heads and all query rows, (B, n); each row sums
-    to 1.  ``backward``'s ``d_avg`` is the gradient on this vector."""
-    k = min(last_k, len(attention))
-    return np.stack(attention[-k:]).mean(axis=(0, 2, 3))
+    to 1.  ``attention`` is ``ForwardResult.attention``, read in place.
+    ``backward``'s ``d_avg`` is the gradient on this vector."""
+    return attention[-min(last_k, len(attention)):].mean(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

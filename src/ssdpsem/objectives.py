@@ -106,34 +106,34 @@ def saib_attention_backward(d_alpha, alpha, features, anchor, W):
     """
     d = features.shape[-1]
     d_scores = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-    dW = np.concatenate(
-        [
-            np.einsum("bn,bnd->d", d_scores, features),
-            d_scores.sum(axis=1) @ anchor,
-        ]
-    )
+    d_row = d_scores.sum(axis=1)  # (B,): the anchor's score gradient
+    dW = np.concatenate([np.einsum("bn,bnd->d", d_scores, features), d_row @ anchor])
     db = np.array([d_scores.sum()])
     d_features = d_scores[:, :, None] * W[:d]
-    d_anchor = d_scores.sum(axis=1)[:, None] * W[d:]
+    d_anchor = d_row[:, None] * W[d:]
     return d_features, d_anchor, dW, db
+
+
+def _entropy_and_log(alpha):
+    """Shannon entropy per row with 0*log 0 := 0, the mask alpha > 0, and
+    log alpha under that mask (0.0 elsewhere), taken once for both."""
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
+    positive = alpha > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_alpha = np.log(np.where(positive, alpha, 1.0))
+        term = np.where(positive, alpha * log_alpha, 0.0)
+    return -term.sum(axis=1), positive, log_alpha
 
 
 def entropy(alpha):
     """Shannon entropy per row with 0*log 0 := 0."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(alpha > 0, alpha * np.log(np.where(alpha > 0, alpha, 1.0)), 0.0)
-    return -term.sum(axis=1)
+    return _entropy_and_log(alpha)[0]
 
 
 def saib_entropy_loss(alpha):
     """Mean attention entropy and its gradient w.r.t. alpha (B, n)."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    B = alpha.shape[0]
-    loss = entropy(alpha).mean()
-    with np.errstate(divide="ignore"):
-        d_alpha = np.where(alpha > 0, -(np.log(np.where(alpha > 0, alpha, 1.0)) + 1.0), 0.0) / B
-    return loss, d_alpha
+    h, positive, log_alpha = _entropy_and_log(alpha)
+    return h.mean(), np.where(positive, -(log_alpha + 1.0), 0.0) / len(h)
 
 
 def relation_head(params, features):
@@ -173,14 +173,16 @@ def relation_head_backward(params, features, alpha_ib, d_pooled, d_alpha):
     """Backward of ``relation_head`` from the gradients on its outputs:
     d_pooled (B, d), None when no term reads it, and d_alpha (B, n) or 0.0.
     Returns (d_features (B, n, d), sentiment row included, d saib.W, d saib.b).
+    The pooling-score part is added into d_features in place.
     """
-    d_features = 0.0
-    if d_pooled is not None:
+    if d_pooled is None:
+        d_features = np.zeros_like(features)
+    else:
         d_alpha = np.einsum("bd,bnd->bn", d_pooled, features) + d_alpha
         d_features = alpha_ib[:, :, None] * d_pooled[:, None, :]
     df, d_anchor, dW, db = saib_attention_backward(
         d_alpha, alpha_ib, features, features[:, 0], params["saib.W"])
-    d_features = d_features + df
+    d_features += df
     d_features[:, 0, :] += d_anchor
     return d_features, dW, db
 
@@ -197,7 +199,10 @@ class Batch(NamedTuple):
 @dataclass
 class BatchResult:
     """The batch's losses, its ASP fallback count, and the encoder
-    ``forward`` it ran, valid until the next forward on ``state.workspace``."""
+    ``forward`` it ran, valid until the next forward on ``state.workspace``.
+    Unless the call was value-only, the encoder backward has consumed that
+    forward's cache: only its ``features`` and ``attention`` still hold
+    their values."""
 
     breakdown: LossBreakdown
     asp_fallbacks: int

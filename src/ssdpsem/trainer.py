@@ -222,7 +222,10 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
             rows.append(f"{step},{b.l_re:.6f},{b.l_asp:.6f},{b.l_ib:.6f},{b.total:.6f}")
             sums += (b.l_re, b.l_asp, b.l_ib, b.total)
             fallbacks += result.asp_fallbacks
-            del result  # its forward would pin the slots a later, longer batch regrows
+            # its forward views the workspace (the cache backward consumed, the
+            # features and attention): kept, it would pin the old buffer of a
+            # slot that a later, longer batch regrows
+            del result
             n_batches += 1
             step += 1
         means = sums / max(n_batches, 1)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from ssdpsem import encoder as enc
-from ssdpsem.trainer import FD_STEP, GRADCHECK_TOLERANCE
+from ssdpsem import objectives as obj
+from ssdpsem.trainer import FD_STEP, GRADCHECK_TOLERANCE, TrainConfig
 
 
 def tiny_state(layers=2, heads=2, d_model=8, d_ff=16, vocab_extra=("a", "b", "c"),
@@ -21,6 +23,17 @@ def tiny_state(layers=2, heads=2, d_model=8, d_ff=16, vocab_extra=("a", "b", "c"
         layers=layers, heads=heads, d_model=d_model, d_ff=d_ff, max_len=16, last_k=2,
     )
     return enc.init_state(config, vocab, seed, relations=["r0", "r1", "r2"])
+
+
+def make_batch(state, B=2, n=5, seed=0):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(2, len(state.vocab), size=(B, n))
+    Q = np.zeros((B, n))
+    Q[:, 0] = 1.0
+    for b in range(B):
+        Q[b, rng.choice(np.arange(1, n), size=2, replace=False)] = 1.0
+    gold = rng.integers(0, len(state.relations), size=B)
+    return obj.Batch(ids, Q, gold)
 
 
 def test_init_draws_in_the_parents_order():
@@ -83,11 +96,9 @@ def test_forward_shapes_and_row_stochastic_attention():
     out = enc.forward(state, ids)
     B, n, d = out.features.shape
     assert (B, n, d) == (2, 4, 8)
-    assert len(out.attention) == state.config.layers
-    for A in out.attention:
-        assert A.shape == (2, state.config.heads, 4, 4)
-        assert np.allclose(A.sum(axis=-1), 1.0)
-        assert (A >= 0).all()
+    assert out.attention.shape == (state.config.layers, 2, state.config.heads, 4, 4)
+    assert np.allclose(out.attention.sum(axis=-1), 1.0)
+    assert (out.attention >= 0).all()
 
 
 def test_forward_rejects_overlong_and_bad_ids():
@@ -231,6 +242,100 @@ def test_workspace_buffers_give_the_bits_of_fresh_arrays():
         from_reused = enc.backward(state, reused, upstream)
         for name, g in from_reused.items():
             assert g.tobytes() == expected[name].tobytes(), name
+
+
+def test_backward_refuses_a_forward_whose_cache_it_consumed():
+    state = tiny_state()
+    ids = np.array([[2, 3, 4, 5]])
+    out = enc.forward(state, ids)
+    upstream = np.ones_like(out.features)
+    expected = {k: g.copy() for k, g in enc.backward(state, out, upstream).items()}
+    assert out.consumed
+    with pytest.raises(ValueError, match="ForwardResult's cache was consumed"):
+        enc.backward(state, out, upstream)
+    again = enc.backward(state, enc.forward(state, ids), upstream)
+    for name, g in again.items():
+        assert g.tobytes() == expected[name].tobytes(), name
+    # a value-only pass runs no backward, so its probes may read the cache
+    probe = obj.batch_losses(state, make_batch(state), ("re",), TrainConfig(), value_only=True)
+    assert not probe.forward.consumed
+
+
+def _default_state():
+    """The 4 x 4 x 64 default encoder over a 190-word vocabulary (the
+    seed-11 corpus's size) and 10 relations."""
+    vocab = [enc.PAD, enc.UNK] + [f"w{i}" for i in range(188)]
+    return enc.init_state(TrainConfig().encoder_config(), vocab, 0,
+                          [f"r{i}" for i in range(10)])
+
+
+def _step_workspace_bytes(L, B, n, d, H, ff):
+    """The bytes a step leaves in ``state.workspace``.  Forward: the L + 1
+    layer inputs; per layer q, k, v, the merged context, the layernorm
+    buffers u1 and u2, x1 and h; the (L, B, H, n, n) attention block; the
+    shared A @ v buffer.  Backward: the copy of the top gradient, "ln.t",
+    "dA", "dAA" and the weight-gradient products."""
+    bnd, attention = B * n * d, B * H * n * n
+    forward = (L + 1) * bnd + L * (7 * bnd + B * n * ff) + L * attention + bnd
+    backward = 2 * bnd + 2 * attention + B * d * max(d, ff)
+    return 8 * (forward + backward)
+
+
+@pytest.mark.parametrize("make_state, B, n", [
+    (tiny_state, 3, 6),
+    (lambda: tiny_state(layers=3, d_model=16, d_ff=8), 2, 5),  # products sized by d_model
+    (_default_state, 16, 34),  # the seed-11 corpus's largest batch
+], ids=["tiny", "narrow-ff", "default"])
+def test_a_step_workspace_holds_the_forward_cache_and_four_scratch_buffers(
+        make_state, B, n, monkeypatch):
+    """backward writes its temporaries into the cache it has read, so the
+    workspace holds the forward's buffers, the copy of the top gradient and
+    four scratch buffers; the caller's d_features, the features and the
+    attention keep their bytes."""
+    state = make_state()
+    cfg = state.config
+    backward, unchanged = enc.backward, []
+
+    def spy(state, result, d_features, d_avg=None):
+        watched = (d_features, result.features, result.attention)
+        before = [a.tobytes() for a in watched]
+        grads = backward(state, result, d_features, d_avg)
+        unchanged.append(before == [a.tobytes() for a in watched])
+        return grads
+
+    monkeypatch.setattr(enc, "backward", spy)
+    result = obj.batch_losses(state, make_batch(state, B, n), obj.MODE_TERMS["asp_saib"],
+                              TrainConfig())
+    assert unchanged == [True] and result.forward.consumed
+    L = cfg.layers
+    forward_keys = {("x", ell) for ell in range(L + 1)} | {"A", "Av"} | {
+        (name, ell) for name in ("Wq", "Wk", "Wv", "ctx", "u1", "x1", "h", "u2")
+        for ell in range(L)}
+    assert set(state.workspace) == forward_keys | {"d_features", "ln.t", "dA", "dAA", "products"}
+    total = sum(buf.nbytes for buf in state.workspace.values())
+    assert total == _step_workspace_bytes(L, B, n, cfg.d_model, cfg.heads, cfg.d_ff)
+    if make_state is _default_state:
+        assert total <= 16.1 * 2**20  # 19.53 MiB while backward had buffers of its own
+
+
+def test_a_warm_training_step_allocates_under_four_feature_blocks():
+    """Once the workspace has grown, one batch_losses at 4 x 4 x 64 over a
+    (16, 34) batch allocates under 4 * B * n * d float64s at its peak (it
+    was 1.77 MiB while average_attention stacked its layers and backward's
+    temporaries had buffers of their own)."""
+    state = _default_state()
+    batch = make_batch(state, B=16, n=34)
+    config = TrainConfig()
+    for _ in range(2):
+        obj.batch_losses(state, batch, obj.MODE_TERMS["asp_saib"], config)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        obj.batch_losses(state, batch, obj.MODE_TERMS["asp_saib"], config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 4 * 16 * 34 * 64 * 8
 
 
 def test_embedding_gradient_equals_an_add_at_scatter_bit_for_bit():

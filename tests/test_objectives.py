@@ -7,7 +7,7 @@ from ssdpsem import encoder as enc
 from ssdpsem import objectives as obj
 from ssdpsem.trainer import TrainConfig
 
-from test_encoder import tiny_state
+from test_encoder import make_batch, tiny_state
 
 CONFIG = TrainConfig()
 ASP = (CONFIG.lambda_asp, CONFIG.asp_epsilon)
@@ -265,17 +265,6 @@ def test_one_hot_pooling_selects_token_feature():
 
 # ---------------------------------------------------------------------------
 # Batch composition
-
-
-def make_batch(state, B=2, n=5, seed=0):
-    rng = np.random.default_rng(seed)
-    ids = rng.integers(2, len(state.vocab), size=(B, n))
-    Q = np.zeros((B, n))
-    Q[:, 0] = 1.0
-    for b in range(B):
-        Q[b, rng.choice(np.arange(1, n), size=2, replace=False)] = 1.0
-    gold = rng.integers(0, len(state.relations), size=B)
-    return obj.Batch(ids, Q, gold)
 
 
 def test_batch_losses_mode_gating():
