@@ -30,25 +30,25 @@ def main():
     rng = random.Random("walkthrough")
     inst = corpus.synthesize_instance("demo-0", "loss_of", coupling=0.9, rng=rng)
 
-    show("Raw sentence", " ".join(t.surface for t in inst.tokens))
+    show("Raw sentence", " ".join(inst.tokens))
     print(f"relation: {inst.relation}")
-    print(f"subject span: {inst.subj} -> {' '.join(t.surface for t in inst.tokens[inst.subj[0]:inst.subj[1] + 1])}")
-    print(f"object span:  {inst.obj} -> {' '.join(t.surface for t in inst.tokens[inst.obj[0]:inst.obj[1] + 1])}")
+    print(f"subject span: {inst.subj} -> {' '.join(inst.tokens[inst.subj[0]:inst.subj[1] + 1])}")
+    print(f"object span:  {inst.obj} -> {' '.join(inst.tokens[inst.obj[0]:inst.obj[1] + 1])}")
     print(f"gold sentiment: {inst.sentiment}")
 
     lexicon = sentiment.load_lexicon()
     prepared = pipeline.annotate_instance(inst, lexicon, "ISL")
     aug = prepared.augmented
     show("After sentiment-token insertion",
-         " ".join(t.surface for t in aug.tokens))
-    print(f"position 0 is now {aug.tokens[0].surface!r}, a leaf on the root; every "
+         " ".join(aug.tokens))
+    print(f"position 0 is now {aug.tokens[0]!r}, a leaf on the root; every "
           "head/span index moved up by one.")
 
     result, subj_head, obj_head = syntax.sdp_for_instance(aug)
     show("Shortest dependency path (augmented indices)")
-    print(f"entity heads: {subj_head} ({aug.tokens[subj_head].surface}) "
-          f"-> {obj_head} ({aug.tokens[obj_head].surface})")
-    print("path:", " -> ".join(f"{i}:{aug.tokens[i].surface}" for i in result.path))
+    print(f"entity heads: {subj_head} ({aug.tokens[subj_head]}) "
+          f"-> {obj_head} ({aug.tokens[obj_head]})")
+    print("path:", " -> ".join(f"{i}:{aug.tokens[i]}" for i in result.path))
     print("note: cue adjectives, tail segments and the sentiment token hang OFF")
     print("this path; the relation-bearing noun sits ON it.")
 
@@ -56,7 +56,7 @@ def main():
     for variant in ("EPL", "SPL", "ISL"):
         sig = labels.build_signal(aug, result.token_set, variant)
         marked = [i for i, v in enumerate(sig.Q) if v]
-        words = " ".join(aug.tokens[i].surface for i in marked)
+        words = " ".join(aug.tokens[i] for i in marked)
         print(f"{variant}: {marked}  ({words})")
     print("EPL ⊆ SPL ⊆ ISL always holds; ISL adds the sentiment slot 0.")
 

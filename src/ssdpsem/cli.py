@@ -349,7 +349,7 @@ def cmd_sdp_dump(args):
                 "subj_head": s,
                 "obj_head": o,
                 "path": res.path,
-                "tokens": [inst.tokens[i].surface for i in res.path],
+                "tokens": [inst.tokens[i] for i in res.path],
                 "fallback": res.fallback,
             }
         )

@@ -38,21 +38,18 @@ class ConfigError(ValueError):
 
 
 @dataclass(slots=True)
-class Token:
-    """One word of a sentence.  Slotted, so it has no per-token ``__dict__``;
-    the readers intern ``surface`` and ``deprel``, so a loaded corpus holds
-    each distinct string once.  Nothing hashes or mutates a token."""
-
-    index: int
-    surface: str
-    head: int  # parent token index, or ROOT (-1)
-    deprel: str
-
-
-@dataclass
 class Instance:
+    """One sentence, stored column by column as its JSONL record holds it:
+    ``tokens`` (the surfaces), ``heads`` and ``deprels`` have one entry per
+    word, and a word's index is its position.  Slotted and tuple-backed, so
+    an instance is a handful of objects however long its sentence; the
+    readers intern the surfaces, the deprels and ``relation``, so a loaded
+    corpus holds each distinct string once."""
+
     id: str
-    tokens: list[Token]
+    tokens: tuple[str, ...]
+    heads: tuple[int, ...]  # each word's parent index, or ROOT (-1)
+    deprels: tuple[str, ...]
     subj: tuple[int, int]  # inclusive span
     obj: tuple[int, int]
     relation: str
@@ -66,14 +63,17 @@ class Instance:
         n = len(self.tokens)
         if n == 0:
             raise ValidationError(f"{self.id}: empty sentence")
+        if len(self.heads) != n or len(self.deprels) != n:
+            raise ValidationError(f"{self.id}: {len(self.heads)} heads and "
+                                  f"{len(self.deprels)} deprels for {n} tokens")
         roots = 0
-        for tok in self.tokens:
-            if tok.head == tok.index:
-                raise ValidationError(f"{self.id}: token {tok.index} is its own head")
-            if tok.head == ROOT:
+        for index, head in enumerate(self.heads):
+            if head == index:
+                raise ValidationError(f"{self.id}: token {index} is its own head")
+            if head == ROOT:
                 roots += 1
-            elif not 0 <= tok.head < n:
-                raise ValidationError(f"{self.id}: head {tok.head} out of range")
+            elif not 0 <= head < n:
+                raise ValidationError(f"{self.id}: head {head} out of range")
         if roots != 1 and not self.fragmented:
             raise ValidationError(f"{self.id}: {roots} roots but not marked fragmented")
         for name, (lo, hi) in (("subj", self.subj), ("obj", self.obj)):
@@ -206,9 +206,9 @@ def read_conllu(conllu_path, sidecar_path):
 def instance_to_dict(inst):
     rec = {
         "id": inst.id,
-        "tokens": [t.surface for t in inst.tokens],
-        "heads": [t.head for t in inst.tokens],
-        "deprels": [t.deprel for t in inst.tokens],
+        "tokens": list(inst.tokens),
+        "heads": list(inst.heads),
+        "deprels": list(inst.deprels),
         "subj": list(inst.subj),
         "obj": list(inst.obj),
         "relation": inst.relation,
@@ -259,19 +259,17 @@ def instance_from_dict(rec):
         values = rec[key]
         if not isinstance(values, list):
             raise ParseError(f"{key} must be a list, got {type(values).__name__}")
-        for i, v in enumerate(values):
-            if type(v) is not kind:
-                raise ParseError(f"{key}[{i}] must be {kind.__name__}, got {v!r}")
+        if not set(map(type, values)) <= {kind}:  # one pass in C; walk only to name
+            i, v = next((i, v) for i, v in enumerate(values) if type(v) is not kind)
+            raise ParseError(f"{key}[{i}] must be {kind.__name__}, got {v!r}")
         if len(values) != len(rec["tokens"]):
             raise ParseError(f"{key} has {len(values)} entries for "
                              f"{len(rec['tokens'])} tokens")
-    tokens = [
-        Token(i, sys.intern(s), h, sys.intern(d))
-        for i, (s, h, d) in enumerate(zip(rec["tokens"], rec["heads"], rec["deprels"]))
-    ]
-    return Instance(id=str(rec["id"]), tokens=tokens, subj=tuple(rec["subj"]),
-                    obj=tuple(rec["obj"]), relation=rec["relation"],
-                    sentiment=rec["sentiment"], fragmented=rec["fragmented"])
+    return Instance(id=str(rec["id"]), tokens=tuple(map(sys.intern, rec["tokens"])),
+                    heads=tuple(rec["heads"]), deprels=tuple(map(sys.intern, rec["deprels"])),
+                    subj=tuple(rec["subj"]), obj=tuple(rec["obj"]),
+                    relation=sys.intern(rec["relation"]), sentiment=rec["sentiment"],
+                    fragmented=rec["fragmented"])
 
 
 def manifest_to_dict(manifest: CorpusManifest):
@@ -785,7 +783,9 @@ def synthesize_instance(inst_id, relation, coupling, rng, heldout_cues=False):
     forms[obj[0]:obj[1] + 1] = obj_forms
     return Instance(
         id=inst_id,
-        tokens=list(map(Token, range(len(forms)), forms, heads, deprels)),
+        tokens=tuple(forms),
+        heads=heads,
+        deprels=deprels,
         subj=subj,
         obj=obj,
         relation=relation,

@@ -158,8 +158,7 @@ def build_vocab(instances):
     surface spelled like a special is that special, not a second entry."""
     words = set()
     for inst in instances:
-        for tok in inst.tokens:
-            words.add(tok.surface)
+        words.update(inst.tokens)
     words.update(("positive", "negative"))
     return [PAD, UNK] + sorted(words - {PAD, UNK})
 
@@ -468,7 +467,7 @@ def save_checkpoint(state: ModelState, path):
         fh.write(_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(state.flat.tobytes())
+        fh.write(state.flat)  # its buffer, in place: no copy of the parameters
 
 
 def _distinct_strs(v):

@@ -222,7 +222,7 @@ def export_attention(state, prepared_instance, csv_path, svg_path=None):
     """
     prediction = predict(state, [prepared_instance])[0]
     a_ib, a_avg = prediction.alpha_ib, prediction.alpha_avg
-    tokens = [t.surface for t in prepared_instance.augmented.tokens]
+    tokens = prepared_instance.augmented.tokens
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["position", "token", "alpha_avg", "alpha_ib", "marked"])

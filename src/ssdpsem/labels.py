@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import VARIANTS, Instance
 
 
-@dataclass
+@dataclass(slots=True)
 class IslSignal:
     variant: str
     Q: np.ndarray  # binary, length n'

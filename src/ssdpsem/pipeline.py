@@ -25,7 +25,7 @@ class AnnotateStats:
     tag_no_hits: int = 0  # lexicon votes without a hit
 
 
-@dataclass
+@dataclass(slots=True)
 class PreparedInstance:
     augmented: Instance  # sentiment token prepended, indices re-based
     sdp_positions: list[int]  # augmented indices
@@ -35,7 +35,7 @@ class PreparedInstance:
 def check_raw(inst):
     """Raise ValueError naming ``inst`` if it already starts with a
     sentiment token."""
-    if inst.tokens and inst.tokens[0].deprel == sentiment.SENTIMENT_DEPREL:
+    if inst.deprels and inst.deprels[0] == sentiment.SENTIMENT_DEPREL:
         raise ValueError(f"{inst.id}: already starts with a sentiment token; pass raw input")
 
 

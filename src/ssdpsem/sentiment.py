@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import NEGATIVE, POSITIVE, ROOT, Instance, ParseError, Token
+from .corpus import NEGATIVE, POSITIVE, ROOT, Instance, ParseError
 
 SENTIMENT_DEPREL = "sentiment"  # relation of the inserted token to the root
 
@@ -68,8 +68,8 @@ def classify(instance: Instance, lexicon: SentimentLexicon, stats=None) -> str:
     if instance.sentiment is not None:
         return instance.sentiment
     pos_hits = neg_hits = 0
-    for tok in instance.tokens:
-        surface = tok.surface.lower()
+    for word in instance.tokens:
+        surface = word.lower()
         if surface in lexicon.positive:
             pos_hits += 1
         elif surface in lexicon.negative:
@@ -90,14 +90,13 @@ def insert_sentiment_token(instance: Instance, tag: str) -> Instance:
     the augmented structure keeps the raw one's connected components, and no
     path between two other tokens passes through it.
     """
-    root_pos = next((t.index for t in instance.tokens if t.head == ROOT), 0)
-    tokens = [Token(0, tag, root_pos + 1, SENTIMENT_DEPREL)]
-    for tok in instance.tokens:
-        head = ROOT if tok.head == ROOT else tok.head + 1
-        tokens.append(Token(tok.index + 1, tok.surface, head, tok.deprel))
+    heads = instance.heads
+    root_pos = heads.index(ROOT) if ROOT in heads else 0
     return Instance(
         id=instance.id,
-        tokens=tokens,
+        tokens=(tag, *instance.tokens),
+        heads=(root_pos + 1, *[ROOT if head == ROOT else head + 1 for head in heads]),
+        deprels=(SENTIMENT_DEPREL, *instance.deprels),
         subj=(instance.subj[0] + 1, instance.subj[1] + 1),
         obj=(instance.obj[0] + 1, instance.obj[1] + 1),
         relation=instance.relation,

@@ -30,11 +30,11 @@ class SdpResult:
 def build_graph(instance: Instance) -> DepGraph:
     n = len(instance.tokens)
     adj = [[] for _ in range(n)]
-    for tok in instance.tokens:
-        if tok.head == ROOT:
+    for index, head in enumerate(instance.heads):
+        if head == ROOT:
             continue
-        adj[tok.index].append(tok.head)
-        adj[tok.head].append(tok.index)
+        adj[index].append(head)
+        adj[head].append(index)
     for neighbors in adj:
         neighbors.sort()
     return DepGraph(n=n, adj=adj)
@@ -49,9 +49,9 @@ def entity_head(instance: Instance, span: tuple[int, int]) -> int:
     """
     lo, hi = span
     exits = [
-        tok.index
-        for tok in instance.tokens[lo : hi + 1]
-        if tok.head == ROOT or not lo <= tok.head <= hi
+        index
+        for index, head in enumerate(instance.heads[lo : hi + 1], lo)
+        if head == ROOT or not lo <= head <= hi
     ]
     return exits[0] if exits else lo
 

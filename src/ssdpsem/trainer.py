@@ -131,8 +131,8 @@ def make_optimizer(config: TrainConfig):
 
 
 def encode_prepared(state, prepared):
-    """Token ids, label indicators, and gold index per prepared instance; an
-    instance the model cannot take raises ConfigError."""
+    """Vocabulary ids, label indicators, and gold index per prepared
+    instance; an instance the model cannot take raises ConfigError."""
     rel_to_idx = {r: i for i, r in enumerate(state.relations)}
     max_len = state.config.max_len
     out = []
@@ -143,7 +143,7 @@ def encode_prepared(state, prepared):
         if len(inst.tokens) > max_len:
             raise ConfigError(f"{inst.id}: sequence length {len(inst.tokens)} "
                               f"exceeds max_len {max_len}")
-        ids = enc.encode_tokens(state, [t.surface for t in inst.tokens])
+        ids = enc.encode_tokens(state, inst.tokens)
         out.append((ids, pi.signal.Q, rel_to_idx[inst.relation]))
     return out
 
@@ -235,12 +235,14 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
         )
         if epoch_hook is not None:
             epoch_hook(epoch, state)
+    # the step buffers: evaluation does not use them, and the writes below
+    # should not add to the peak they set
+    state.workspace.clear()
     if metrics_path is not None:
         with open(metrics_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
     if checkpoint_path is not None:
         enc.save_checkpoint(state, checkpoint_path)
-    state.workspace.clear()  # the step buffers; evaluation does not use them
     return RunRecord(
         epoch_losses=epoch_losses,
         metrics_rows=rows,

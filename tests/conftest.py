@@ -1,7 +1,7 @@
 import pytest
 
 from ssdpsem import corpus, pipeline, sentiment
-from ssdpsem.corpus import Instance, Token
+from ssdpsem.corpus import Instance
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +29,8 @@ def small_train(small_splits, lexicon):
 def chain_instance(n, relation="profit_of", subj=(0, 0), obj=None, sentiment=None):
     """A left-to-right chain tree: token i+1 headed by token i, root at 0."""
     obj = obj if obj is not None else (n - 1, n - 1)
-    tokens = [Token(i, f"w{i}", i - 1, "dep" if i else "root") for i in range(n)]
     return Instance(
-        id=f"chain{n}", tokens=tokens, subj=subj, obj=obj,
+        id=f"chain{n}", tokens=tuple(f"w{i}" for i in range(n)), heads=tuple(range(-1, n - 1)),
+        deprels=("root",) + ("dep",) * (n - 1), subj=subj, obj=obj,
         relation=relation, sentiment=sentiment,
     )

@@ -3,11 +3,12 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
-from ssdpsem import corpus, sentiment, syntax
-from ssdpsem.corpus import Instance, ParseError, Token, ValidationError
+from ssdpsem import corpus, pipeline, sentiment, syntax
+from ssdpsem.corpus import Instance, ParseError, ValidationError
 
 
 CONLLU = """\
@@ -42,9 +43,9 @@ def test_read_conllu_basic(tmp_path):
     instances = corpus.read_conllu(*write_pair(tmp_path))
     assert [i.id for i in instances] == ["ex1", "ex2"]
     first = instances[0]
-    assert [t.surface for t in first.tokens] == ["Acme", "posted", "gains"]
-    assert [t.head for t in first.tokens] == [2, -1, 1]
-    assert first.tokens[1].deprel == "root"
+    assert list(first.tokens) == ["Acme", "posted", "gains"]
+    assert list(first.heads) == [2, -1, 1]
+    assert first.deprels[1] == "root"
     assert instances[1].sentiment == "negative"
 
 
@@ -59,7 +60,7 @@ def test_read_conllu_skips_multiword_and_empty_nodes(tmp_path):
                       sidecar_rows=[{"subj": [0, 0], "obj": [1, 1], "relation": "r"}])
     instances = corpus.read_conllu(*pair)
     assert len(instances) == 1
-    assert [t.surface for t in instances[0].tokens] == ["di", "la"]
+    assert list(instances[0].tokens) == ["di", "la"]
 
 
 def test_read_conllu_column_count_error(tmp_path):
@@ -153,8 +154,9 @@ def test_read_conllu_reads_a_split_as_read_jsonl_does(tmp_path, small_splits):
     corpus.write_jsonl(instances, tmp_path / "dev.jsonl")
     conllu = "".join(
         f"# sent_id = {inst.id}\n" + "".join(
-            f"{t.index + 1}\t{t.surface}\t_\t_\t_\t_\t{t.head + 1}\t{t.deprel}\t_\t_\n"
-            for t in inst.tokens) + "\n"
+            f"{i + 1}\t{surface}\t_\t_\t_\t_\t{head + 1}\t{deprel}\t_\t_\n"
+            for i, (surface, head, deprel)
+            in enumerate(zip(inst.tokens, inst.heads, inst.deprels))) + "\n"
         for inst in instances)
     rows = [{"id": inst.id, "subj": list(inst.subj), "obj": list(inst.obj),
              "relation": inst.relation, "sentiment": inst.sentiment} for inst in instances]
@@ -163,16 +165,21 @@ def test_read_conllu_reads_a_split_as_read_jsonl_does(tmp_path, small_splits):
 
 
 def test_validate_rejects_bad_spans_and_heads():
-    tokens = [Token(0, "a", -1, "root"), Token(1, "b", 0, "dep")]
+    tokens = (("a", "b"), (-1, 0), ("root", "dep"))
     with pytest.raises(ValidationError, match="out of bounds"):
-        Instance("x", tokens, (0, 0), (1, 5), "r").validate()
+        Instance("x", *tokens, (0, 0), (1, 5), "r").validate()
     with pytest.raises(ValidationError, match="overlapping"):
-        Instance("x", tokens, (0, 1), (1, 1), "r").validate()
+        Instance("x", *tokens, (0, 1), (1, 1), "r").validate()
     with pytest.raises(ValidationError, match="own head"):
-        Instance("x", [Token(0, "a", 0, "dep")], (0, 0), (0, 0), "r").validate()
+        Instance("x", ("a",), (0,), ("dep",), (0, 0), (0, 0), "r").validate()
     with pytest.raises(ValidationError, match="roots"):
-        Instance("x", [Token(0, "a", -1, "root"), Token(1, "b", -1, "root")],
+        Instance("x", ("a", "b"), (-1, -1), ("root", "root"),
                  (0, 0), (1, 1), "r").validate()
+
+
+def test_validate_rejects_token_columns_of_different_lengths():
+    with pytest.raises(ValidationError, match="1 heads and 2 deprels for 2 tokens"):
+        Instance("x", ("a", "b"), (-1,), ("root", "dep"), (0, 0), (1, 1), "r").validate()
 
 
 def test_jsonl_round_trip(tmp_path, small_splits):
@@ -183,13 +190,13 @@ def test_jsonl_round_trip(tmp_path, small_splits):
     assert len(loaded) == len(instances)
     for a, b in zip(instances, loaded):
         assert a.id == b.id
-        assert a.tokens == b.tokens
+        assert (a.tokens, a.heads, a.deprels) == (b.tokens, b.heads, b.deprels)
         assert (a.subj, a.obj, a.relation, a.sentiment) == (b.subj, b.obj, b.relation, b.sentiment)
 
 
 def test_jsonl_round_trip_keeps_a_multi_root_instance_fragmented(tmp_path):
-    tokens = [Token(0, "Acme", -1, "root"), Token(1, "gains", -1, "root")]
-    fragment = Instance("frag", tokens, (0, 0), (1, 1), "profit_of", fragmented=True).validate()
+    fragment = Instance("frag", ("Acme", "gains"), (-1, -1), ("root", "root"), (0, 0), (1, 1),
+                        "profit_of", fragmented=True).validate()
     path = tmp_path / "c.jsonl"
     corpus.write_jsonl([fragment], path)
     assert json.loads(path.read_text(encoding="utf-8"))["fragmented"] is True
@@ -200,14 +207,41 @@ def test_readers_hold_one_string_per_distinct_surface_and_deprel(tmp_path, small
     path = tmp_path / "c.jsonl"
     corpus.write_jsonl(small_splits["train"] + small_splits["dev"], path)
     read = corpus.read_jsonl(path) + corpus.read_conllu(*write_pair(tmp_path))
-    tokens = [t for inst in read for t in inst.tokens]
-    for name in ("surface", "deprel"):
-        values = [getattr(t, name) for t in tokens]
+    for name in ("tokens", "deprels"):
+        values = [v for inst in read for v in getattr(inst, name)]
         assert len({id(v) for v in values}) == len(set(values)), name
 
 
-def test_token_has_no_instance_dict():
-    assert not hasattr(Token(0, "a", -1, "root"), "__dict__")
+def test_instance_has_no_dict_and_holds_its_token_fields_as_tuples(tmp_path, small_splits):
+    path = tmp_path / "c.jsonl"
+    corpus.write_jsonl(small_splits["dev"], path)
+    read = corpus.read_jsonl(path) + corpus.read_conllu(*write_pair(tmp_path))
+    for inst in small_splits["dev"] + read:
+        assert not hasattr(inst, "__dict__")
+        assert all(type(getattr(inst, name)) is tuple for name in ("tokens", "heads", "deprels"))
+
+
+def test_an_instance_costs_a_bounded_number_of_bytes_read_and_annotated(tmp_path, lexicon):
+    """tracemalloc growth per instance on the seed-11 2000-instance train
+    split: read_jsonl keeps the three token tuples and a slotted record, and
+    annotate adds the augmented copy, the SDP and the signal (the
+    one-object-per-token layout took 2105 and 2575 B)."""
+    manifest = corpus.default_manifest(seed=11, train=2000, dev=0, test=0)
+    path = tmp_path / "train.jsonl"
+    corpus.write_jsonl(corpus.synthesize_corpus(manifest, corpus.SENTIMENT_COUPLING)["train"],
+                       path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        instances = corpus.read_jsonl(path)
+        read = tracemalloc.get_traced_memory()[0]
+        prepared, _ = pipeline.annotate(instances, lexicon, "ISL")
+        annotated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(prepared) == len(instances) == 2000
+    assert (read - start) / 2000 <= 1250
+    assert (annotated - read) / 2000 <= 2000
 
 
 def test_read_jsonl_reports_bad_line(tmp_path):
@@ -245,12 +279,12 @@ def test_synthesis_split_sizes_and_validity(small_manifest, small_splits):
 
 def test_synthetic_trees_are_single_rooted_and_projective(small_splits):
     for inst in itertools.chain.from_iterable(small_splits.values()):
-        roots = [t for t in inst.tokens if t.head == -1]
+        roots = [head for head in inst.heads if head == -1]
         assert len(roots) == 1
         edges = [
-            (min(t.index, t.head), max(t.index, t.head))
-            for t in inst.tokens
-            if t.head != -1
+            (min(i, head), max(i, head))
+            for i, head in enumerate(inst.heads)
+            if head != -1
         ]
         for (a, b), (c, d) in itertools.combinations(edges, 2):
             crossing = a < c < b < d or c < a < d < b
@@ -261,7 +295,8 @@ def test_lexicon_recovers_gold_sentiment(small_splits, lexicon):
     """Cue words are drawn so a majority vote matches gold on >= 95%."""
     hits = total = 0
     for inst in itertools.chain.from_iterable(small_splits.values()):
-        blind = Instance(inst.id, inst.tokens, inst.subj, inst.obj, inst.relation)
+        blind = Instance(inst.id, inst.tokens, inst.heads, inst.deprels, inst.subj, inst.obj,
+                         inst.relation)
         hits += sentiment.classify(blind, lexicon) == inst.sentiment
         total += 1
     assert hits / total >= 0.95
@@ -301,7 +336,7 @@ def test_distractor_nouns_never_on_sdp(small_splits):
         } - gold
         result, _, _ = syntax.sdp_for_instance(inst)
         for pos in result.token_set:
-            assert inst.tokens[pos].surface not in other
+            assert inst.tokens[pos] not in other
 
 
 def test_relation_noun_pools_disjoint_and_off_lexicon(lexicon):
@@ -372,7 +407,7 @@ def test_heldout_cues_never_appear_outside_test_split(small_splits):
     heldout = {w for v in corpus.AMB_CUES_HELDOUT.values() for w in v}
     for split in ("train", "dev"):
         for inst in small_splits[split]:
-            assert not {t.surface for t in inst.tokens} & heldout
+            assert not set(inst.tokens) & heldout
 
 
 def test_test_split_uses_heldout_cue_vocabulary():
@@ -380,7 +415,7 @@ def test_test_split_uses_heldout_cue_vocabulary():
     splits = corpus.synthesize_corpus(man, 0.9)
     train_cues = {w for v in corpus.AMB_CUES_TRAIN.values() for w in v}
     heldout = {w for v in corpus.AMB_CUES_HELDOUT.values() for w in v}
-    test_surfaces = {t.surface for inst in splits["test"] for t in inst.tokens}
+    test_surfaces = {t for inst in splits["test"] for t in inst.tokens}
     assert test_surfaces & heldout
     assert not test_surfaces & train_cues
 
@@ -392,10 +427,10 @@ def test_ambiguous_instances_have_exactly_one_polarity_word(lexicon):
     polarity_words = lexicon.positive | lexicon.negative
     seen = 0
     for inst in corpus.synthesize_corpus(man, 0.9)["train"]:
-        if not {t.surface for t in inst.tokens} & amb_nouns:
+        if not set(inst.tokens) & amb_nouns:
             continue
         seen += 1
-        hits = [t.surface for t in inst.tokens if t.surface.lower() in polarity_words]
+        hits = [t for t in inst.tokens if t.lower() in polarity_words]
         assert len(hits) == 1
         pool = lexicon.positive if inst.sentiment == "positive" else lexicon.negative
         assert hits[0] in pool

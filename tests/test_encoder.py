@@ -424,6 +424,21 @@ def test_checkpoint_body_is_the_flat_buffer(tmp_path):
     assert enc.load_checkpoint(path).flat.tobytes() == state.flat.tobytes()
 
 
+def test_saving_a_checkpoint_copies_no_part_of_the_parameters(tmp_path):
+    """save_checkpoint writes ``state.flat``'s own buffer, so at 4 x 4 x 64 its
+    tracemalloc peak stays under half the parameters' bytes (a ``tobytes()``
+    copy of the body is all of them)."""
+    state = _default_state()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        enc.save_checkpoint(state, tmp_path / "m.ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < state.flat.nbytes / 2
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     state = tiny_state(seed=11)
     path = tmp_path / "m.ckpt"
@@ -493,8 +508,7 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, corrupt, mes
 def test_corpus_words_spelled_like_specials_give_one_vocabulary_entry(tmp_path):
     """A token written <pad> or <unk> is that special: the vocabulary stays
     distinct, so the checkpoint of a model trained on it loads again."""
-    tokens = [SimpleNamespace(surface=s) for s in (enc.UNK, "a", enc.PAD, "a")]
-    vocab = enc.build_vocab([SimpleNamespace(tokens=tokens)])
+    vocab = enc.build_vocab([SimpleNamespace(tokens=(enc.UNK, "a", enc.PAD, "a"))])
     assert vocab == [enc.PAD, enc.UNK, "a", "negative", "positive"]
     path = tmp_path / "m.ckpt"
     config = enc.EncoderConfig(layers=1, heads=1, d_model=4, d_ff=4, max_len=8, last_k=1)

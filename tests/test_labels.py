@@ -10,13 +10,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ssdpsem import labels, pipeline, sentiment, syntax
-from ssdpsem.corpus import ROOT, Instance, Token
+from ssdpsem.corpus import ROOT, Instance
 
 
 def build_augmented(n, subj, obj):
-    tokens = [Token(0, "positive", 1, "sentiment")]
-    tokens += [Token(i, f"w{i}", i - 1 if i > 1 else ROOT, "dep") for i in range(1, n)]
-    return Instance(id="a", tokens=tokens, subj=subj, obj=obj, relation="r")
+    return Instance(id="a", tokens=("positive", *(f"w{i}" for i in range(1, n))),
+                    heads=(1, ROOT, *range(1, n - 1)),
+                    deprels=("sentiment",) + ("dep",) * (n - 1), subj=subj, obj=obj,
+                    relation="r")
 
 
 @st.composite
@@ -103,7 +104,8 @@ def random_forest_instance(rng, n):
     s_lo = rng.randrange(cut)
     o_lo = rng.randrange(cut, n)
     return Instance(
-        id=f"forest{n}", tokens=[Token(i, f"w{i}", heads[i], "dep") for i in range(n)],
+        id=f"forest{n}", tokens=tuple(f"w{i}" for i in range(n)),
+        heads=tuple(heads[i] for i in range(n)), deprels=("dep",) * n,
         subj=(s_lo, rng.randrange(s_lo, cut)), obj=(o_lo, rng.randrange(o_lo, n)),
         relation="r", fragmented=roots != 1,
     ).validate()

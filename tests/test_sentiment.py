@@ -3,13 +3,13 @@
 import pytest
 
 from ssdpsem import pipeline, sentiment
-from ssdpsem.corpus import ROOT, Instance, ParseError, Token
+from ssdpsem.corpus import ROOT, Instance, ParseError
 
 
 def make_instance(words, sentiment_label=None):
-    tokens = [Token(i, w, i - 1 if i else ROOT, "dep" if i else "root")
-              for i, w in enumerate(words)]
-    return Instance(id="s", tokens=tokens, subj=(0, 0), obj=(len(words) - 1, len(words) - 1),
+    n = len(words)
+    return Instance(id="s", tokens=tuple(words), heads=(ROOT, *range(n - 1)),
+                    deprels=("root",) + ("dep",) * (n - 1), subj=(0, 0), obj=(n - 1, n - 1),
                     relation="r", sentiment=sentiment_label)
 
 
@@ -76,19 +76,19 @@ def test_insert_sentiment_token_shifts_everything():
     inst = make_instance(["a", "b", "c", "d", "e"])
     augmented = sentiment.insert_sentiment_token(inst, "positive")
     assert len(augmented.tokens) == 6
-    assert augmented.tokens[0].surface == "positive"
-    assert augmented.tokens[0].head == 1  # attaches to the shifted root
-    assert [t.surface for t in augmented.tokens[1:]] == ["a", "b", "c", "d", "e"]
+    assert augmented.tokens[0] == "positive"
+    assert augmented.heads[0] == 1  # attaches to the shifted root
+    assert list(augmented.tokens[1:]) == ["a", "b", "c", "d", "e"]
     assert augmented.subj == (1, 1)
     assert augmented.obj == (5, 5)
     # original root stays the unique root
-    assert [t.index for t in augmented.tokens if t.head == ROOT] == [1]
+    assert [i for i, head in enumerate(augmented.heads) if head == ROOT] == [1]
     augmented.validate()
 
 
 def test_insert_preserves_structure_for_negative():
     inst = make_instance(["x", "y"])
     augmented = sentiment.insert_sentiment_token(inst, "negative")
-    assert augmented.tokens[0].surface == "negative"
-    assert augmented.tokens[2].head == 1
+    assert augmented.tokens[0] == "negative"
+    assert augmented.heads[2] == 1
 

@@ -5,22 +5,25 @@ import random
 import pytest
 
 from ssdpsem import syntax
-from ssdpsem.corpus import ROOT, Instance, Token
+from ssdpsem.corpus import ROOT, Instance
 
 from conftest import chain_instance
 
 
 def random_tree_instance(rng, n):
-    """Random labeled tree: each token's head drawn among lower indices."""
-    tokens = [Token(0, "w0", ROOT, "root")]
-    for i in range(1, n):
-        tokens.append(Token(i, f"w{i}", rng.randrange(i), "dep"))
+    """Random labeled tree: each token's head drawn among lower indices.
+    Each surface spells its token's head, so ``lca_path_oracle`` reads the
+    tree from ``inst.tokens`` alone, independently of the ``heads`` that
+    ``syntax.build_graph`` reads."""
+    heads = [ROOT] + [rng.randrange(i) for i in range(1, n)]
     subj = rng.randrange(n)
     obj = rng.randrange(n)
     while obj == subj and n > 1:
         obj = rng.randrange(n)
     return (
-        Instance(id="t", tokens=tokens, subj=(0, 0), obj=(0, 0), relation="r"),
+        Instance(id="t", tokens=tuple(map(str, heads)), heads=tuple(heads),
+                 deprels=("root",) + ("dep",) * (n - 1), subj=(0, 0), obj=(0, 0),
+                 relation="r"),
         subj,
         obj,
     )
@@ -48,12 +51,14 @@ def bfs_oracle_distance(graph, s, o):
 
 
 def lca_path_oracle(tokens, s, o):
-    """On a tree the unique path goes through the lowest common ancestor."""
+    """On a tree the unique path goes through the lowest common ancestor.
+    ``tokens`` are the surfaces of a ``random_tree_instance``, each the
+    decimal of its token's head."""
 
     def ancestors(i):
         chain = [i]
-        while tokens[i].head != ROOT:
-            i = tokens[i].head
+        while int(tokens[i]) != ROOT:
+            i = int(tokens[i])
             chain.append(i)
         return chain
 
@@ -115,11 +120,8 @@ def test_chain_path_is_the_whole_chain():
 
 
 def test_disconnected_fallback_keeps_endpoints():
-    tokens = [
-        Token(0, "a", ROOT, "root"),
-        Token(1, "b", ROOT, "root"),
-    ]
-    inst = Instance(id="frag2", tokens=tokens, subj=(0, 0), obj=(1, 1),
+    inst = Instance(id="frag2", tokens=("a", "b"), heads=(ROOT, ROOT),
+                    deprels=("root", "root"), subj=(0, 0), obj=(1, 1),
                     relation="r", fragmented=True)
     graph = syntax.build_graph(inst)
     result = syntax.extract_sdp(graph, 0, 1)
@@ -135,59 +137,58 @@ def test_endpoint_out_of_range():
 
 def test_entity_head_is_span_exit():
     # "the big company rose": span (0,2), only "company" (2) exits to 3
-    tokens = [
-        Token(0, "the", 2, "det"),
-        Token(1, "big", 2, "amod"),
-        Token(2, "company", 3, "nsubj"),
-        Token(3, "rose", ROOT, "root"),
-    ]
-    inst = Instance(id="h", tokens=tokens, subj=(0, 2), obj=(3, 3), relation="r")
+    tokens, heads, deprels = zip(
+        ("the", 2, "det"),
+        ("big", 2, "amod"),
+        ("company", 3, "nsubj"),
+        ("rose", ROOT, "root"),
+    )
+    inst = Instance(id="h", tokens=tokens, heads=heads, deprels=deprels, subj=(0, 2),
+                    obj=(3, 3), relation="r")
     assert syntax.entity_head(inst, (0, 2)) == 2
 
 
 def test_entity_head_tie_breaks_to_lowest_index():
-    tokens = [
-        Token(0, "a", 3, "dep"),
-        Token(1, "b", 3, "dep"),
-        Token(2, "c", 3, "dep"),
-        Token(3, "root", ROOT, "root"),
-    ]
-    inst = Instance(id="tie", tokens=tokens, subj=(0, 1), obj=(2, 2), relation="r")
+    tokens, heads, deprels = zip(
+        ("a", 3, "dep"),
+        ("b", 3, "dep"),
+        ("c", 3, "dep"),
+        ("root", ROOT, "root"),
+    )
+    inst = Instance(id="tie", tokens=tokens, heads=heads, deprels=deprels, subj=(0, 1),
+                    obj=(2, 2), relation="r")
     # both 0 and 1 exit the span (their head 3 is outside)
     assert syntax.entity_head(inst, (0, 1)) == 0
 
 
 def test_figure_style_template_sdp_isolates_key_terms():
     # "Acme 's profit rose up from $ 5 million a year earlier"
-    tokens = [
-        Token(0, "Acme", 2, "nmod:poss"),
-        Token(1, "'s", 0, "case"),
-        Token(2, "profit", 3, "nsubj"),
-        Token(3, "rose", ROOT, "root"),
-        Token(4, "up", 3, "compound:prt"),
-        Token(5, "from", 8, "case"),
-        Token(6, "$", 8, "symbol"),
-        Token(7, "5", 8, "nummod"),
-        Token(8, "million", 3, "obl"),
-        Token(9, "a", 10, "det"),
-        Token(10, "year", 3, "obl:npmod"),
-        Token(11, "earlier", 3, "advmod"),
-    ]
-    inst = Instance(id="fig", tokens=tokens, subj=(0, 0), obj=(6, 8), relation="profit_of")
+    tokens, heads, deprels = zip(
+        ("Acme", 2, "nmod:poss"),
+        ("'s", 0, "case"),
+        ("profit", 3, "nsubj"),
+        ("rose", ROOT, "root"),
+        ("up", 3, "compound:prt"),
+        ("from", 8, "case"),
+        ("$", 8, "symbol"),
+        ("5", 8, "nummod"),
+        ("million", 3, "obl"),
+        ("a", 10, "det"),
+        ("year", 3, "obl:npmod"),
+        ("earlier", 3, "advmod"),
+    )
+    inst = Instance(id="fig", tokens=tokens, heads=heads, deprels=deprels, subj=(0, 0),
+                    obj=(6, 8), relation="profit_of")
     result, s, o = syntax.sdp_for_instance(inst)
-    surfaces = {tokens[i].surface for i in result.token_set}
+    surfaces = {tokens[i] for i in result.token_set}
     assert {"Acme", "profit", "rose", "million"} <= surfaces
     for filler in ("'s", "up", "from", "a", "year", "earlier", "$"):
         assert filler not in surfaces
 
 
 def test_sdp_for_instance_uses_fallback_on_fragments():
-    tokens = [
-        Token(0, "a", ROOT, "root"),
-        Token(1, "b", 0, "dep"),
-        Token(2, "c", ROOT, "root"),
-    ]
-    inst = Instance(id="f3", tokens=tokens, subj=(0, 0), obj=(2, 2),
+    inst = Instance(id="f3", tokens=("a", "b", "c"), heads=(ROOT, 0, ROOT),
+                    deprels=("root", "dep", "root"), subj=(0, 0), obj=(2, 2),
                     relation="r", fragmented=True)
     result, s, o = syntax.sdp_for_instance(inst)
     assert result.fallback

@@ -406,6 +406,24 @@ def test_train_drops_each_step_result_before_the_next(small_train, small_manifes
     assert len(live) > 1 and max(live) == 0
 
 
+def test_train_releases_the_step_workspace_before_it_writes(tmp_path, small_train,
+                                                           small_manifest, monkeypatch):
+    """The step buffers are gone before metrics.csv and the checkpoint are
+    written, so the writes add nothing to the peak the steps set."""
+    seen = []
+    save_checkpoint = enc.save_checkpoint
+
+    def spy(state, path):
+        seen.append((len(state.workspace), (tmp_path / "m.csv").exists()))
+        save_checkpoint(state, path)
+
+    monkeypatch.setattr(enc, "save_checkpoint", spy)
+    record = trainer.train(trainer.TrainConfig(epochs=1, seed=0, **SMALL), small_train[:24],
+                           small_manifest.relations, checkpoint_path=tmp_path / "m.ckpt",
+                           metrics_path=tmp_path / "m.csv")
+    assert seen == [(0, True)] and not record.state.workspace
+
+
 def test_divergence_raises_with_step(small_train, small_manifest):
     cfg = trainer.TrainConfig(epochs=1, seed=0, mode="baseline", lr=1e9, **SMALL)
     with pytest.raises(trainer.TrainDivergenceError) as err:
