@@ -73,15 +73,16 @@ class ModelState:
     ``params`` maps each name to a view into ``flat``, one contiguous
     float64 buffer laid out in ``sorted(names)`` order, the order of the
     checkpoint body.  ``grads`` holds views of the same shapes into
-    ``grad_flat``, a second buffer with that layout which ``backward``
-    writes into; ``grads`` follows the order of ``params``, which is the
-    order gradcheck reports.  The vocabulary and the relation label set
-    fix the sizes of ``emb`` and the classifier.  ``workspace`` keeps a
-    training step's buffers between steps: the forward cache, the backward
-    temporaries and ``_weight_grad``'s products, each grown to the largest
-    batch seen (``trainer.train`` empties it when it returns).  The
-    constructor copies the given arrays into a fresh buffer, so a state
-    never shares memory with another.
+    ``grad_flat``, a second buffer with that layout which ``backward`` and
+    ``objectives.relation_head_backward`` write into; ``grads`` follows the
+    order of ``params``, which is the order gradcheck reports.  The
+    vocabulary and the relation label set fix the sizes of ``emb`` and the
+    classifier.  ``workspace`` keeps a training step's buffers between
+    steps: the forward cache, the backward temporaries and
+    ``_weight_grad``'s products, each grown to the largest batch seen
+    (``trainer.train`` empties it when it returns).  The constructor copies
+    the given arrays into a fresh buffer, so a state never shares memory
+    with another.
     """
 
     config: EncoderConfig
@@ -348,7 +349,8 @@ def _weight_grad(a, b, out, workspace):
 
 
 def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
-    """Exact gradients for every parameter, written into ``state.grads``.
+    """Exact gradients for the embedding and every layer's parameters,
+    written into ``state.grads``.
 
     d_features: (B, n, d) upstream gradient on the final token features
     (gradients on the sentiment feature must already be added to row 0); it
@@ -363,9 +365,9 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     values.  Besides the cache, ``state.workspace`` holds the copy of
     d_features and four scratch buffers: "ln.t", "dA", "dAA" and "products".
     Returns ``state.grads``, views into ``state.grad_flat`` that stay valid
-    until the next backward on this state.  Every block is overwritten; the
-    pooling-head and classifier entries are zeroed for the caller to
-    accumulate into.
+    until the next backward on this state.  The ``emb`` and layer blocks are
+    overwritten; the head's blocks are left as they are, for
+    ``objectives.relation_head_backward`` to write.
     """
     if result.consumed:
         raise ValueError("backward: this ForwardResult's cache was consumed by an earlier "
@@ -426,8 +428,6 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     cells = result.cache["ids"].reshape(-1, 1) * d + np.arange(d)
     g["emb"].reshape(-1)[...] = np.bincount(cells.reshape(-1), weights=dx.reshape(-1),
                                             minlength=g["emb"].size)
-    for name in ("saib.W", "saib.b", "clf.W", "clf.b"):
-        g[name].fill(0.0)
     return g
 
 

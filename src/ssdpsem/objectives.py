@@ -152,39 +152,44 @@ def relation_head(params, features):
     return alpha_ib, pooled, enc.softmax(logits)
 
 
-def re_loss(pooled, probs, Wc, gold):
-    """Softmax cross-entropy over relations and its gradients, given the
-    pooled feature (B, d), the classifier's probs (B, R) and its weight Wc
-    (d, R); gold: (B,) int labels.
+def re_loss(probs, gold):
+    """Softmax cross-entropy over relations, given the classifier's probs
+    (B, R) and gold: (B,) int labels.
 
-    Returns (mean loss, d_pooled, dWc, dbc).
+    Returns (mean loss, d_logits (B, R)).
     """
     gold = np.atleast_1d(np.asarray(gold, dtype=np.int64))
-    B = pooled.shape[0]
+    B = probs.shape[0]
     with np.errstate(divide="ignore"):  # P[gold]=0 yields inf, caught upstream
         loss = -np.log(probs[np.arange(B), gold]).mean()
     d_logits = probs.copy()
     d_logits[np.arange(B), gold] -= 1.0
     d_logits /= B
-    return loss, d_logits @ Wc.T, pooled.T @ d_logits, d_logits.sum(axis=0)
+    return loss, d_logits
 
 
-def relation_head_backward(params, features, alpha_ib, d_pooled, d_alpha):
+def relation_head_backward(params, grads, features, alpha_ib, pooled, d_logits, d_alpha):
     """Backward of ``relation_head`` from the gradients on its outputs:
-    d_pooled (B, d), None when no term reads it, and d_alpha (B, n) or 0.0.
-    Returns (d_features (B, n, d), sentiment row included, d saib.W, d saib.b).
-    The pooling-score part is added into d_features in place.
+    d_logits (B, R), None when no term reads the classifier, and d_alpha
+    (B, n) or 0.0.  Writes all four head blocks of ``grads`` (``clf.*`` are
+    zeroed when d_logits is None) and returns d_features (B, n, d), the
+    sentiment row included.
     """
-    if d_pooled is None:
+    if d_logits is None:
+        grads["clf.W"].fill(0.0)
+        grads["clf.b"].fill(0.0)
         d_features = np.zeros_like(features)
     else:
+        grads["clf.W"][...] = pooled.T @ d_logits
+        grads["clf.b"][...] = d_logits.sum(axis=0)
+        d_pooled = d_logits @ params["clf.W"].T
         d_alpha = np.einsum("bd,bnd->bn", d_pooled, features) + d_alpha
         d_features = alpha_ib[:, :, None] * d_pooled[:, None, :]
-    df, d_anchor, dW, db = saib_attention_backward(
+    df, d_anchor, grads["saib.W"][...], grads["saib.b"][...] = saib_attention_backward(
         d_alpha, alpha_ib, features, features[:, 0], params["saib.W"])
     d_features += df
     d_features[:, 0, :] += d_anchor
-    return d_features, dW, db
+    return d_features
 
 
 class Batch(NamedTuple):
@@ -226,10 +231,9 @@ def batch_losses(state, batch, terms, config, value_only=False) -> BatchResult:
     fwd = enc.forward(state, batch.ids, state.workspace)
     alpha_ib, pooled, probs = relation_head(p, fwd.features)
     l_re = l_asp = l_ib = d_alpha = 0.0
-    d_pooled, d_alpha_avg, fallbacks, head_grads = None, None, 0, {}
+    d_logits, d_alpha_avg, fallbacks = None, None, 0
     if "re" in terms:
-        l_re, d_pooled, head_grads["clf.W"], head_grads["clf.b"] = re_loss(
-            pooled, probs, p["clf.W"], batch.gold)
+        l_re, d_logits = re_loss(probs, batch.gold)
     if "ib" in terms:
         l_ib, d_alpha = saib_entropy_loss(alpha_ib)
     if "asp" in terms:
@@ -240,9 +244,7 @@ def batch_losses(state, batch, terms, config, value_only=False) -> BatchResult:
                          asp_fallbacks=fallbacks, forward=fwd)
     if value_only:
         return result
-    d_features, head_grads["saib.W"], head_grads["saib.b"] = relation_head_backward(
-        p, fwd.features, alpha_ib, d_pooled, d_alpha)
-    grads = enc.backward(state, fwd, d_features, d_alpha_avg)
-    for name, g in head_grads.items():
-        grads[name] += g
+    d_features = relation_head_backward(p, state.grads, fwd.features, alpha_ib, pooled,
+                                        d_logits, d_alpha)
+    enc.backward(state, fwd, d_features, d_alpha_avg)
     return result

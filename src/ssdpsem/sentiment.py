@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import NEGATIVE, POSITIVE, ROOT, Instance, ParseError
+from .corpus import NEGATIVE, POSITIVE, ROOT, Instance, ParseError, _lines
 
 SENTIMENT_DEPREL = "sentiment"  # relation of the inserted token to the root
 
@@ -32,16 +32,13 @@ class SentimentLexicon:
 
 def load_lexicon(path=None) -> SentimentLexicon:
     """Read a word<TAB>polarity lexicon; defaults to the bundled one.  A bad
-    line raises ParseError naming the file and the line, a file that is not
-    UTF-8 one naming the file."""
+    line, or one that is not UTF-8, raises ParseError naming the file and
+    the line."""
     path = (resources.files("ssdpsem.data").joinpath("financial_lexicon.tsv") if path is None
             else Path(path))
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8") from None
     pos, neg = set(), set()
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in _lines(path):
+        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -15,29 +15,23 @@ from .corpus import ROOT, Instance
 
 
 @dataclass
-class DepGraph:
-    n: int
-    adj: list[list[int]]  # sorted neighbor lists, symmetric
-
-
-@dataclass
 class SdpResult:
     path: list[int]  # ordered token indices from subj head to obj head
     token_set: list[int]  # sorted set(path)
     fallback: bool = False  # True when endpoints were disconnected
 
 
-def build_graph(instance: Instance) -> DepGraph:
-    n = len(instance.tokens)
-    adj = [[] for _ in range(n)]
+def build_graph(instance: Instance) -> list[list[int]]:
+    """The undirected dependency graph: one sorted neighbor list per token."""
+    graph = [[] for _ in instance.tokens]
     for index, head in enumerate(instance.heads):
         if head == ROOT:
             continue
-        adj[index].append(head)
-        adj[head].append(index)
-    for neighbors in adj:
+        graph[index].append(head)
+        graph[head].append(index)
+    for neighbors in graph:
         neighbors.sort()
-    return DepGraph(n=n, adj=adj)
+    return graph
 
 
 def entity_head(instance: Instance, span: tuple[int, int]) -> int:
@@ -56,14 +50,16 @@ def entity_head(instance: Instance, span: tuple[int, int]) -> int:
     return exits[0] if exits else lo
 
 
-def extract_sdp(graph: DepGraph, s: int, o: int) -> SdpResult:
-    """BFS shortest path between entity head tokens on the undirected graph.
+def extract_sdp(graph: list[list[int]], s: int, o: int) -> SdpResult:
+    """BFS shortest path between entity head tokens on the undirected graph
+    that ``build_graph`` returns.
 
     Disconnected endpoints (a fragmented graph) give the two endpoints as
     the path, flagged as a fallback.
     """
-    if not (0 <= s < graph.n and 0 <= o < graph.n):
-        raise ValueError(f"endpoint out of range: s={s}, o={o}, n={graph.n}")
+    n = len(graph)
+    if not (0 <= s < n and 0 <= o < n):
+        raise ValueError(f"endpoint out of range: s={s}, o={o}, n={n}")
     if s == o:
         return SdpResult(path=[s], token_set=[s])
     parent = {s: None}
@@ -72,7 +68,7 @@ def extract_sdp(graph: DepGraph, s: int, o: int) -> SdpResult:
         u = queue.popleft()
         if u == o:
             break
-        for v in graph.adj[u]:
+        for v in graph[u]:
             if v not in parent:
                 parent[v] = u
                 queue.append(v)

@@ -370,6 +370,19 @@ def _assert_views_in_sorted_order(views, buffer):
     assert offset == buffer.size
 
 
+def test_backward_writes_the_encoder_blocks_and_leaves_the_head_blocks():
+    """The head's blocks belong to ``objectives.relation_head_backward``:
+    a sentinel there survives, while every ``emb`` and layer block is
+    rewritten."""
+    state = tiny_state()
+    head = {"saib.W", "saib.b", "clf.W", "clf.b"}
+    state.grad_flat.fill(1234.5)
+    out = enc.forward(state, np.array([[2, 3, 4, 5]]))
+    grads = enc.backward(state, out, np.random.default_rng(1).normal(size=out.features.shape))
+    for name, g in grads.items():
+        assert (g == 1234.5).all() if name in head else not (g == 1234.5).any(), name
+
+
 def test_params_and_grads_are_views_into_one_buffer_each():
     state = tiny_state()
     assert state.flat.dtype == np.float64 and state.flat.flags.c_contiguous

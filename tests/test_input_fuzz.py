@@ -277,7 +277,7 @@ def test_file_that_is_not_utf8_is_named(inputs, kind):
     with _workdir(inputs) as tmp:
         argv, path = _reader(inputs, tmp, kind)
         lines = path.read_bytes().split(b"\n")
-        line = 2 if kind in ("split", "conllu", "sidecar") else 1
+        line = 2 if kind in ("split", "conllu", "sidecar", "lexicon") else 1
         lines[line - 1] = b"\xff" + lines[line - 1]
         path.write_bytes(b"\n".join(lines))
         code, err = _exit_and_stderr(argv, tmp)

@@ -200,8 +200,8 @@ def test_gradient_descent_on_entropy_sparsifies():
             )
             df[:, 0, :] += dsen
             grads = enc.backward(state, fwd, df)
-            grads["saib.W"] += dW
-            grads["saib.b"] += db
+            grads["saib.W"][...] = dW
+            grads["saib.b"][...] = db
             for name, g in grads.items():
                 state.params[name] -= 0.05 * g
         if after < before:
@@ -214,39 +214,85 @@ def test_gradient_descent_on_entropy_sparsifies():
 
 
 def test_re_loss_uniform_classifier_gives_log_R():
-    pooled = np.zeros((2, 4))
-    Wc = np.zeros((4, 8))
-    bc = np.zeros(8)
-    loss, *_ = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, np.array([3, 5]))
+    loss, _ = obj.re_loss(enc.softmax(np.zeros((2, 8))), np.array([3, 5]))
     assert loss == pytest.approx(np.log(8), abs=1e-12)
 
 
 def test_re_loss_confident_correct_prediction_near_zero():
-    pooled = np.array([[1.0]])
-    Wc = np.array([[50.0, -50.0]])
-    bc = np.zeros(2)
-    loss, *_ = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, np.array([0]))
+    loss, _ = obj.re_loss(enc.softmax(np.array([[50.0, -50.0]])), np.array([0]))
     assert loss < 1e-10
 
 
 def test_re_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
-    pooled = rng.normal(size=(3, 4))
-    Wc = rng.normal(size=(4, 5))
-    bc = rng.normal(size=5)
+    logits = rng.normal(size=(3, 5))
     gold = np.array([0, 2, 4])
-    _, d_pooled, dWc, dbc = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, gold)
+    _, d_logits = obj.re_loss(enc.softmax(logits), gold)
     step = 1e-7
-    for arr, grad in ((pooled, d_pooled), (Wc, dWc), (bc, dbc)):
+    flat, gflat = logits.reshape(-1), d_logits.reshape(-1)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + step
+        up = obj.re_loss(enc.softmax(logits), gold)[0]
+        flat[idx] = orig - step
+        down = obj.re_loss(enc.softmax(logits), gold)[0]
+        flat[idx] = orig
+        assert gflat[idx] == pytest.approx((up - down) / (2 * step), abs=1e-5)
+
+
+def _head_params(rng, d=4, R=5):
+    return {"saib.W": rng.normal(size=2 * d), "saib.b": rng.normal(size=1),
+            "clf.W": rng.normal(size=(d, R)), "clf.b": rng.normal(size=R)}
+
+
+def _head_grads(params, fill=0.0):
+    return {name: np.full_like(p, fill) for name, p in params.items()}
+
+
+def test_relation_head_backward_re_term_matches_finite_differences():
+    """The classifier's and pooling's gradients, and d_features, from the
+    RE term alone."""
+    rng = np.random.default_rng(5)
+    params, features = _head_params(rng), rng.normal(size=(3, 6, 4))
+    gold = np.array([0, 2, 4])
+
+    def value():
+        return obj.re_loss(obj.relation_head(params, features)[2], gold)[0]
+
+    alpha_ib, pooled, probs = obj.relation_head(params, features)
+    grads = _head_grads(params)
+    d_features = obj.relation_head_backward(params, grads, features, alpha_ib, pooled,
+                                            obj.re_loss(probs, gold)[1], 0.0)
+    step = 1e-7
+    for arr, grad in ((features, d_features), *((params[k], grads[k]) for k in params)):
         flat, gflat = arr.reshape(-1), grad.reshape(-1)
         for idx in range(0, flat.size, 3):
             orig = flat[idx]
             flat[idx] = orig + step
-            up = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, gold)[0]
+            up = value()
             flat[idx] = orig - step
-            down = obj.re_loss(pooled, enc.softmax(pooled @ Wc + bc), Wc, gold)[0]
+            down = value()
             flat[idx] = orig
             assert gflat[idx] == pytest.approx((up - down) / (2 * step), abs=1e-5)
+
+
+def test_relation_head_backward_without_d_logits_zeroes_the_classifier():
+    """No term reads the classifier: its blocks are zeroed over whatever
+    they held, and the pooling blocks carry the entropy gradient."""
+    rng = np.random.default_rng(7)
+    params, features = _head_params(rng), rng.normal(size=(2, 5, 4))
+    alpha_ib, pooled, _ = obj.relation_head(params, features)
+    d_alpha = obj.saib_entropy_loss(alpha_ib)[1]
+    grads = _head_grads(params, fill=np.nan)
+    d_features = obj.relation_head_backward(params, grads, features, alpha_ib, pooled,
+                                            None, d_alpha)
+    assert not grads["clf.W"].any() and not grads["clf.b"].any()
+    df, d_anchor, dW, db = obj.saib_attention_backward(
+        d_alpha, alpha_ib, features, features[:, 0], params["saib.W"])
+    df[:, 0, :] += d_anchor
+    assert grads["saib.W"].tobytes() == dW.tobytes()
+    assert grads["saib.b"].tobytes() == db.tobytes()
+    assert d_features.tobytes() == df.tobytes()
 
 
 def test_one_hot_pooling_selects_token_feature():
@@ -310,18 +356,22 @@ def test_batch_losses_value_only_skips_grads(monkeypatch):
 def _reference_batch_grads(state, batch, terms, config):
     """The batch gradients composed as a head backward that owns the RE and
     entropy terms, with the KLD term and the encoder backward after it."""
-    p = state.params
+    p, grads = state.params, state.grads
     fwd = enc.forward(state, batch.ids, state.workspace)
     alpha_ib, pooled, probs = obj.relation_head(p, fwd.features)
-    d_alpha, d_features, head_grads = np.zeros_like(alpha_ib), 0.0, {}
+    d_alpha, d_features = np.zeros_like(alpha_ib), 0.0
     if "re" in terms:
-        _, d_pooled, head_grads["clf.W"], head_grads["clf.b"] = obj.re_loss(
-            pooled, probs, p["clf.W"], batch.gold)
+        _, d_logits = obj.re_loss(probs, batch.gold)
+        grads["clf.W"][...] = pooled.T @ d_logits
+        grads["clf.b"][...] = d_logits.sum(axis=0)
+        d_pooled = d_logits @ p["clf.W"].T
         d_alpha = np.einsum("bd,bnd->bn", d_pooled, fwd.features)
         d_features = alpha_ib[:, :, None] * d_pooled[:, None, :]
+    else:
+        grads["clf.W"][...], grads["clf.b"][...] = 0.0, 0.0
     if "ib" in terms:
         d_alpha = d_alpha + obj.saib_entropy_loss(alpha_ib)[1]
-    df, d_anchor, head_grads["saib.W"], head_grads["saib.b"] = obj.saib_attention_backward(
+    df, d_anchor, grads["saib.W"][...], grads["saib.b"][...] = obj.saib_attention_backward(
         d_alpha, alpha_ib, fwd.features, fwd.features[:, 0], p["saib.W"])
     d_features = d_features + df
     d_features[:, 0, :] += d_anchor
@@ -329,9 +379,7 @@ def _reference_batch_grads(state, batch, terms, config):
     if "asp" in terms:
         _, d_alpha_avg, _ = obj.asp_loss(enc.average_attention(fwd.attention, state.config.last_k),
                                          batch.Q, config.lambda_asp, config.asp_epsilon)
-    grads = enc.backward(state, fwd, d_features, d_alpha_avg)
-    for name, g in head_grads.items():
-        grads[name] += g
+    enc.backward(state, fwd, d_features, d_alpha_avg)
     return {name: g.tobytes() for name, g in grads.items()}
 
 

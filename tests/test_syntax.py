@@ -11,17 +11,14 @@ from conftest import chain_instance
 
 
 def random_tree_instance(rng, n):
-    """Random labeled tree: each token's head drawn among lower indices.
-    Each surface spells its token's head, so ``lca_path_oracle`` reads the
-    tree from ``inst.tokens`` alone, independently of the ``heads`` that
-    ``syntax.build_graph`` reads."""
+    """Random labeled tree: each token's head drawn among lower indices."""
     heads = [ROOT] + [rng.randrange(i) for i in range(1, n)]
     subj = rng.randrange(n)
     obj = rng.randrange(n)
     while obj == subj and n > 1:
         obj = rng.randrange(n)
     return (
-        Instance(id="t", tokens=tuple(map(str, heads)), heads=tuple(heads),
+        Instance(id="t", tokens=tuple(f"w{i}" for i in range(n)), heads=tuple(heads),
                  deprels=("root",) + ("dep",) * (n - 1), subj=(0, 0), obj=(0, 0),
                  relation="r"),
         subj,
@@ -40,7 +37,7 @@ def bfs_oracle_distance(graph, s, o):
         dist += 1
         nxt = set()
         for u in frontier:
-            for v in graph.adj[u]:
+            for v in graph[u]:
                 if v == o:
                     return dist
                 if v not in seen:
@@ -50,15 +47,14 @@ def bfs_oracle_distance(graph, s, o):
     return None
 
 
-def lca_path_oracle(tokens, s, o):
-    """On a tree the unique path goes through the lowest common ancestor.
-    ``tokens`` are the surfaces of a ``random_tree_instance``, each the
-    decimal of its token's head."""
+def lca_path_oracle(heads, s, o):
+    """On a tree the unique path goes through the lowest common ancestor,
+    found by walking ``heads`` up from each endpoint."""
 
     def ancestors(i):
         chain = [i]
-        while int(tokens[i]) != ROOT:
-            i = int(tokens[i])
+        while heads[i] != ROOT:
+            i = heads[i]
             chain.append(i)
         return chain
 
@@ -89,7 +85,7 @@ def test_path_equals_lca_oracle_on_trees():
         inst, s, o = random_tree_instance(rng, n)
         graph = syntax.build_graph(inst)
         result = syntax.extract_sdp(graph, s, o)
-        assert result.path == lca_path_oracle(inst.tokens, s, o)
+        assert result.path == lca_path_oracle(inst.heads, s, o)
 
 
 def test_endpoint_symmetry():
