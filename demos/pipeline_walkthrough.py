@@ -44,7 +44,8 @@ def main():
     print(f"position 0 is now {aug.tokens[0]!r}, a leaf on the root; every "
           "head/span index moved up by one.")
 
-    result, subj_head, obj_head = syntax.sdp_for_instance(aug)
+    result = syntax.sdp_for_instance(aug)
+    subj_head, obj_head = result.path[0], result.path[-1]
     show("Shortest dependency path (augmented indices)")
     print(f"entity heads: {subj_head} ({aug.tokens[subj_head]}) "
           f"-> {obj_head} ({aug.tokens[obj_head]})")
@@ -54,13 +55,13 @@ def main():
 
     show("Label variants (marked positions)")
     for variant in ("EPL", "SPL", "ISL"):
-        sig = labels.build_signal(aug, result.token_set, variant)
-        marked = [i for i, v in enumerate(sig.Q) if v]
+        Q = labels.build_signal(aug, result.path, variant)
+        marked = [i for i, v in enumerate(Q) if v]
         words = " ".join(aug.tokens[i] for i in marked)
         print(f"{variant}: {marked}  ({words})")
     print("EPL ⊆ SPL ⊆ ISL always holds; ISL adds the sentiment slot 0.")
 
-    Q = prepared.signal.Q
+    Q = prepared.Q
     q = Q / Q.sum()
     show("Normalized target distribution q = Q / sum(Q)")
     print("  ".join(f"{i}:{q[i]:.3f}" for i in range(len(q)) if q[i] > 0))

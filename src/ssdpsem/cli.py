@@ -117,7 +117,7 @@ def _read_split(path, manifest, manifest_path):
     naming both files."""
     instances = _raw(path, corpus.read_jsonl(path))
     bad = next((i for i in instances if i.relation not in manifest.relations), None)
-    if bad:
+    if bad is not None:
         raise corpus.ConfigError(f"{path}: {bad.id}: relation {bad.relation!r} is "
                                  f"not one of the relations of {manifest_path}")
     return instances
@@ -216,7 +216,7 @@ def cmd_train(args):
     )  # the raw split is released here: training reads only the annotated one
     log = _Log(out)
     (out / "config.json").write_text(
-        json.dumps(vars(config).copy(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(vars(config), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     record = _naming(args.config, trainer.train, config, prepared, manifest.relations,
                      checkpoint_path=out / "model.ckpt", metrics_path=out / "metrics.csv")
@@ -342,12 +342,12 @@ def cmd_sdp_dump(args):
     instances = corpus.read_jsonl(args.jsonl)
     records = []
     for inst in instances:
-        res, s, o = syntax.sdp_for_instance(inst)
+        res = syntax.sdp_for_instance(inst)
         records.append(
             {
                 "id": inst.id,
-                "subj_head": s,
-                "obj_head": o,
+                "subj_head": res.path[0],
+                "obj_head": res.path[-1],
                 "path": res.path,
                 "tokens": [inst.tokens[i] for i in res.path],
                 "fallback": res.fallback,

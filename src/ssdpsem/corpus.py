@@ -56,9 +56,6 @@ class Instance:
     sentiment: str | None = None
     fragmented: bool = False
 
-    def __len__(self):
-        return len(self.tokens)
-
     def validate(self):
         n = len(self.tokens)
         if n == 0:

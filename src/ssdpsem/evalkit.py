@@ -229,7 +229,7 @@ def export_attention(state, prepared_instance, csv_path, svg_path=None):
         for i, tok in enumerate(tokens):
             writer.writerow(
                 [i, tok, repr(float(a_avg[i])), repr(float(a_ib[i])),
-                 int(prepared_instance.signal.Q[i])]
+                 int(prepared_instance.Q[i])]
             )
     if svg_path is not None:
         _write_heatmap_svg(svg_path, tokens, {"alpha_avg": a_avg, "alpha_ib": a_ib})

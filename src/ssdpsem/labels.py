@@ -11,26 +11,15 @@ is derived from it by ``objectives.asp_loss``, where the loss uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import VARIANTS, Instance
 
 
-@dataclass(slots=True)
-class IslSignal:
-    variant: str
-    Q: np.ndarray  # binary, length n'
-
-    @property
-    def positions(self):
-        return [int(i) for i in np.flatnonzero(self.Q)]
-
-
-def build_signal(augmented: Instance, sdp_positions, variant: str) -> IslSignal:
-    """Construct the indicator over an augmented (sentiment-inserted)
-    instance from the SDP token set found on that same instance."""
+def build_signal(augmented: Instance, sdp_path, variant: str) -> np.ndarray:
+    """The binary indicator Q (float64, one entry per token) over an
+    augmented (sentiment-inserted) instance, from the positions of the SDP
+    found on that same instance, in any order."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown signal variant {variant!r}")
     n = len(augmented.tokens)
@@ -38,10 +27,10 @@ def build_signal(augmented: Instance, sdp_positions, variant: str) -> IslSignal:
     Q[augmented.subj[0] : augmented.subj[1] + 1] = 1.0
     Q[augmented.obj[0] : augmented.obj[1] + 1] = 1.0
     if variant in ("SPL", "ISL"):
-        for p in sdp_positions:
+        for p in sdp_path:
             if not 0 <= p < n:
                 raise ValueError(f"SDP position {p} outside augmented length {n}")
             Q[p] = 1.0
     if variant == "ISL":
         Q[0] = 1.0
-    return IslSignal(variant=variant, Q=Q)
+    return Q

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import labels, sentiment, syntax
 from .corpus import Instance
 
@@ -28,8 +30,8 @@ class AnnotateStats:
 @dataclass(slots=True)
 class PreparedInstance:
     augmented: Instance  # sentiment token prepended, indices re-based
-    sdp_positions: list[int]  # augmented indices
-    signal: labels.IslSignal
+    Q: np.ndarray  # labels.build_signal's indicator over the augmented tokens
+    variant: str  # the signal variant Q was built for
 
 
 def check_raw(inst):
@@ -46,13 +48,13 @@ def annotate_instance(inst, lexicon, variant, stats=None) -> PreparedInstance:
     check_raw(inst)
     tag = sentiment.classify(inst, lexicon, stats)
     augmented = sentiment.insert_sentiment_token(inst, tag)
-    sdp, _, _ = syntax.sdp_for_instance(augmented)
-    signal = labels.build_signal(augmented, sdp.token_set, variant)
+    sdp = syntax.sdp_for_instance(augmented)
+    Q = labels.build_signal(augmented, sdp.path, variant)
     if stats is not None:
         stats.instances += 1
         stats.sdp_fallbacks += int(sdp.fallback)
         stats.fragments += int(inst.fragmented)
-    return PreparedInstance(augmented=augmented, sdp_positions=sdp.token_set, signal=signal)
+    return PreparedInstance(augmented=augmented, Q=Q, variant=variant)
 
 
 def annotate(instances, lexicon, variant) -> tuple[list[PreparedInstance], AnnotateStats]:

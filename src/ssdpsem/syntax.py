@@ -17,7 +17,6 @@ from .corpus import ROOT, Instance
 @dataclass
 class SdpResult:
     path: list[int]  # ordered token indices from subj head to obj head
-    token_set: list[int]  # sorted set(path)
     fallback: bool = False  # True when endpoints were disconnected
 
 
@@ -61,7 +60,7 @@ def extract_sdp(graph: list[list[int]], s: int, o: int) -> SdpResult:
     if not (0 <= s < n and 0 <= o < n):
         raise ValueError(f"endpoint out of range: s={s}, o={o}, n={n}")
     if s == o:
-        return SdpResult(path=[s], token_set=[s])
+        return SdpResult(path=[s])
     parent = {s: None}
     queue = deque([s])
     while queue:
@@ -73,18 +72,18 @@ def extract_sdp(graph: list[list[int]], s: int, o: int) -> SdpResult:
                 parent[v] = u
                 queue.append(v)
     if o not in parent:
-        return SdpResult(path=[s, o], token_set=sorted({s, o}), fallback=True)
+        return SdpResult(path=[s, o], fallback=True)
     path = []
     node = o
     while node is not None:
         path.append(node)
         node = parent[node]
     path.reverse()
-    return SdpResult(path=path, token_set=sorted(set(path)))
+    return SdpResult(path=path)
 
 
-def sdp_for_instance(instance: Instance) -> tuple[SdpResult, int, int]:
-    """Convenience wrapper: graph, entity anchors, SDP with fragment fallback."""
-    s = entity_head(instance, instance.subj)
-    o = entity_head(instance, instance.obj)
-    return extract_sdp(build_graph(instance), s, o), s, o
+def sdp_for_instance(instance: Instance) -> SdpResult:
+    """The SDP between the entity anchors, with fragment fallback; its path
+    starts at the subject's anchor and ends at the object's."""
+    return extract_sdp(build_graph(instance), entity_head(instance, instance.subj),
+                       entity_head(instance, instance.obj))

@@ -144,7 +144,7 @@ def encode_prepared(state, prepared):
             raise ConfigError(f"{inst.id}: sequence length {len(inst.tokens)} "
                               f"exceeds max_len {max_len}")
         ids = enc.encode_tokens(state, inst.tokens)
-        out.append((ids, pi.signal.Q, rel_to_idx[inst.relation]))
+        out.append((ids, pi.Q, rel_to_idx[inst.relation]))
     return out
 
 
@@ -183,7 +183,7 @@ def init_from_config(config: TrainConfig, prepared_train, relations):
 
 def _prepare(config: TrainConfig, prepared, relations):
     """Build a model over the annotated instances' vocabulary, encode them."""
-    if any(pi.signal.variant != config.isl_variant for pi in prepared):
+    if any(pi.variant != config.isl_variant for pi in prepared):
         raise ValueError(f"prepared instances are not annotated with {config.isl_variant}")
     state = init_from_config(config, prepared, relations)
     return state, encode_prepared(state, prepared)

@@ -75,26 +75,48 @@ def ref_train(ref_corpus, ref_lexicon):
     return prepared
 
 
-def run_f1(ref_corpus, ref_train, ref_test_prepared, mode, seed, variant="ISL"):
+AMBIGUOUS = frozenset(noun for nouns in corpus.AMBIGUOUS_NOUNS.values() for noun in nouns)
+
+
+def sentiment_decided(prepared):
+    """``prepared`` split in two: the instances whose noun both relations of
+    a confusable pair share, so only the sentiment decides their label, and
+    the rest."""
+    subset = [p for p in prepared if not AMBIGUOUS.isdisjoint(p.augmented.tokens)]
+    rest = [p for p in prepared if AMBIGUOUS.isdisjoint(p.augmented.tokens)]
+    return subset, rest
+
+
+def run_reports(ref_corpus, ref_train, test_sets, mode, seed, variant="ISL"):
+    """Train one reference run; its EvalReport on each of ``test_sets``."""
     manifest, _ = ref_corpus
     cfg = trainer.TrainConfig(epochs=EPOCHS, seed=seed, mode=mode,
                               isl_variant=variant, **REFERENCE)
     record = trainer.train(cfg, ref_train(variant), manifest.relations)
-    report = evalkit.evaluate(record.state, ref_test_prepared, manifest.entity_types)
-    return report.micro_f1
+    return [evalkit.evaluate(record.state, prepared, manifest.entity_types)
+            for prepared in test_sets]
 
 
 @pytest.fixture(scope="session")
 def five_seed_f1(ref_corpus, ref_train, ref_test_prepared):
-    """micro-F1 per seed for the modes/variants criteria 7 and 8 compare."""
-    out = {}
+    """micro-F1 per seed for the modes/variants criteria 7 and 8 compare;
+    criterion 7's two modes also get their accuracy per seed on the
+    sentiment-decided subset ("<key>_subset") and on the rest ("<key>_rest")."""
+    subset, rest = sentiment_decided(ref_test_prepared)
+    out = {"split_sizes": (len(subset), len(rest))}
     start = time.perf_counter()
     for key, mode, variant in (("baseline", "baseline", "ISL"),
                                ("asp_saib", "asp_saib", "ISL"),
                                ("SPL", "asp_saib", "SPL"),
                                ("EPL", "asp_saib", "EPL")):
-        out[key] = [run_f1(ref_corpus, ref_train, ref_test_prepared,
-                           mode, s, variant) for s in SEEDS]
+        split = key in ("baseline", "asp_saib")
+        test_sets = (ref_test_prepared, subset, rest) if split else (ref_test_prepared,)
+        reports = [run_reports(ref_corpus, ref_train, test_sets, mode, s, variant)
+                   for s in SEEDS]
+        out[key] = [r[0].micro_f1 for r in reports]
+        if split:
+            out[f"{key}_subset"] = [r[1].accuracy for r in reports]
+            out[f"{key}_rest"] = [r[2].accuracy for r in reports]
         if key == "asp_saib":
             # the ten runs criteria 7 compares; its < 10 min budget
             out["crit7_seconds"] = time.perf_counter() - start
@@ -133,10 +155,11 @@ def test_criterion_2_label_hierarchy(capsys, ref_corpus, ref_lexicon):
     worst_dev = 0.0
     for inst in instances:
         prepared = pipeline.annotate_instance(inst, ref_lexicon, "ISL")
-        aug, sdp = prepared.augmented, prepared.sdp_positions
-        epl = labels.build_signal(aug, sdp, "EPL").Q
-        spl = labels.build_signal(aug, sdp, "SPL").Q
-        isl = prepared.signal.Q
+        aug = prepared.augmented
+        sdp = syntax.sdp_for_instance(aug).path
+        epl = labels.build_signal(aug, sdp, "EPL")
+        spl = labels.build_signal(aug, sdp, "SPL")
+        isl = prepared.Q
         assert np.all(epl <= spl) and np.all(spl <= isl), inst.id
         for variant_Q in (epl, spl, isl):
             q = variant_Q / variant_Q.sum()
@@ -274,10 +297,20 @@ def test_criterion_7_directional_gain(capsys, five_seed_f1):
     gain = float(np.mean(full) - np.mean(base))
     deltas = ", ".join(f"{a - b:+.4f}" for a, b in zip(full, base))
     ok = wins >= 4 and gain > 0 and elapsed < 600.0
+    n_subset, n_rest = five_seed_f1["split_sizes"]
+
+    def accuracy(name):  # where the margin lives, per seed: baseline → full
+        b, f = five_seed_f1[f"baseline_{name}"], five_seed_f1[f"asp_saib_{name}"]
+        per_seed = ", ".join(f"{x:.4f} → {y:.4f}" for x, y in zip(b, f))
+        return f"{per_seed}, mean {np.mean(b):.4f} → {np.mean(f):.4f}"
+
     assert verdict(capsys, 7, ok, f"+ASP+SAIB ≥ baseline in {wins}/5 matched seeds "
                           f"(needs ≥ 4), mean gain {gain:+.4f} (needs > 0); "
                           f"baseline {np.mean(base):.4f}, full {np.mean(full):.4f}; "
                           f"per-seed full − baseline: {deltas}; "
+                          f"accuracy baseline → full on the sentiment-decided "
+                          f"{n_subset}: {accuracy('subset')}; "
+                          f"on the other {n_rest}: {accuracy('rest')}; "
                           f"{elapsed:.0f}s (< 600s)")
 
 

@@ -223,9 +223,9 @@ def test_instance_has_no_dict_and_holds_its_token_fields_as_tuples(tmp_path, sma
 
 def test_an_instance_costs_a_bounded_number_of_bytes_read_and_annotated(tmp_path, lexicon):
     """tracemalloc growth per instance on the seed-11 2000-instance train
-    split: read_jsonl keeps the three token tuples and a slotted record, and
-    annotate adds the augmented copy, the SDP and the signal (the
-    one-object-per-token layout took 2105 and 2575 B)."""
+    split: read_jsonl keeps the three token tuples and a slotted record
+    (≈940 B), and annotate adds the augmented copy and Q (≈1250 B); the
+    one-object-per-token layout took 2105 and 2575 B."""
     manifest = corpus.default_manifest(seed=11, train=2000, dev=0, test=0)
     path = tmp_path / "train.jsonl"
     corpus.write_jsonl(corpus.synthesize_corpus(manifest, corpus.SENTIMENT_COUPLING)["train"],
@@ -334,8 +334,7 @@ def test_distractor_nouns_never_on_sdp(small_splits):
             if rel != inst.relation
             for n in nouns
         } - gold
-        result, _, _ = syntax.sdp_for_instance(inst)
-        for pos in result.token_set:
+        for pos in syntax.sdp_for_instance(inst).path:
             assert inst.tokens[pos] not in other
 
 

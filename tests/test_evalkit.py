@@ -187,7 +187,7 @@ def test_prediction_records_carry_the_per_instance_mass_and_entropy(state_and_pr
     for p, pi in zip(predictions, prepared):
         n = len(pi.augmented.tokens)
         assert p.alpha_ib.shape == p.alpha_avg.shape == (n,)
-        assert p.marked_mass == float((p.alpha_avg * pi.signal.Q).sum())
+        assert p.marked_mass == float((p.alpha_avg * pi.Q).sum())
         assert p.pooling_entropy == float(objectives.entropy(p.alpha_ib[None, :])[0])
         assert 0.0 <= p.pooling_entropy <= np.log(n)
     assert evalkit.isl_attention_mass(state, prepared) == float(
@@ -260,7 +260,7 @@ def test_export_attention_round_trip(tmp_path, state_and_prepared):
     h_reread = objectives.entropy(re_ib[None, :])[0]
     assert abs(h_orig - h_reread) < 1e-12
     marked = [int(r["marked"]) for r in rows]
-    assert marked == [int(v) for v in prepared[0].signal.Q]
+    assert marked == [int(v) for v in prepared[0].Q]
     svg = svg_path.read_text(encoding="utf-8")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<rect") == 2 * len(rows)

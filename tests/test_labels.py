@@ -39,27 +39,28 @@ def test_hierarchy_and_normalization(case):
     epl = labels.build_signal(inst, sdp, "EPL")
     spl = labels.build_signal(inst, sdp, "SPL")
     isl = labels.build_signal(inst, sdp, "ISL")
-    assert set(epl.positions) <= set(spl.positions) <= set(isl.positions)
-    for sig in (epl, spl, isl):
-        assert set(np.unique(sig.Q)) <= {0.0, 1.0}
-        assert sig.Q.sum() >= 1  # so asp_loss's q = Q / sum(Q) is defined
-        assert len(sig.Q) == n
-    assert 0 in isl.positions  # sentiment slot
-    assert set(sdp) <= set(spl.positions)
+    epl_at, spl_at, isl_at = (np.flatnonzero(Q).tolist() for Q in (epl, spl, isl))
+    assert set(epl_at) <= set(spl_at) <= set(isl_at)
+    for Q in (epl, spl, isl):
+        assert set(np.unique(Q)) <= {0.0, 1.0}
+        assert Q.sum() >= 1  # so asp_loss's q = Q / sum(Q) is defined
+        assert len(Q) == n
+    assert 0 in isl_at  # sentiment slot
+    assert set(sdp) <= set(spl_at)
     for lo, hi in (subj, obj):
-        assert set(range(lo, hi + 1)) <= set(epl.positions)
+        assert set(range(lo, hi + 1)) <= set(epl_at)
 
 
 def test_epl_marks_only_entities():
     inst = build_augmented(8, (2, 3), (6, 6))
-    sig = labels.build_signal(inst, [1, 4, 5], "EPL")
-    assert sig.positions == [2, 3, 6]
+    Q = labels.build_signal(inst, [1, 4, 5], "EPL")
+    assert np.flatnonzero(Q).tolist() == [2, 3, 6]
 
 
 def test_isl_includes_sentiment_slot_even_without_sdp():
     inst = build_augmented(5, (1, 1), (3, 3))
-    sig = labels.build_signal(inst, [], "ISL")
-    assert sig.positions == [0, 1, 3]
+    Q = labels.build_signal(inst, [], "ISL")
+    assert np.flatnonzero(Q).tolist() == [0, 1, 3]
 
 
 def test_unknown_variant_rejected():
@@ -79,16 +80,8 @@ def test_pipeline_hierarchy_on_synthetic_corpus(small_splits, lexicon):
         prepared = {
             v: pipeline.annotate_instance(inst, lexicon, v) for v in labels.VARIANTS
         }
-        pos = {v: set(p.signal.positions) for v, p in prepared.items()}
+        pos = {v: set(np.flatnonzero(p.Q).tolist()) for v, p in prepared.items()}
         assert pos["EPL"] <= pos["SPL"] <= pos["ISL"]
-
-
-def test_annotate_caches_signal_on_instance(small_splits, lexicon):
-    prepared, stats = pipeline.annotate(small_splits["dev"][:5], lexicon, "ISL")
-    assert stats.instances == 5
-    for p in prepared:
-        # sentiment insertion shifted the SDP by one
-        assert all(q >= 1 for q in p.sdp_positions)
 
 
 def random_forest_instance(rng, n):
@@ -119,8 +112,25 @@ def test_annotate_sdp_is_the_raw_sdp_shifted_by_one(small_splits, lexicon):
     forests = [random_forest_instance(rng, rng.randint(2, 16)) for _ in range(400)]
     for instances in (list(itertools.chain(*small_splits.values())), forests):
         prepared, stats = pipeline.annotate(instances, lexicon, "ISL")
-        raw = [syntax.sdp_for_instance(inst)[0] for inst in instances]
-        assert [p.sdp_positions for p in prepared] == [[q + 1 for q in r.token_set]
-                                                       for r in raw]
+        raw = [syntax.sdp_for_instance(inst) for inst in instances]
+        assert [sorted(syntax.sdp_for_instance(p.augmented).path) for p in prepared] == [
+            [q + 1 for q in sorted(r.path)] for r in raw]
         assert stats.sdp_fallbacks == sum(r.fallback for r in raw)
     assert 0 < stats.sdp_fallbacks < len(forests)
+
+
+def test_prepared_instance_holds_the_augmented_instance_q_and_variant(small_splits, lexicon):
+    """The annotation record is (augmented, Q, variant), and its Q is the
+    signal built from the SDP of its own augmented instance, bit for bit."""
+    assert pipeline.PreparedInstance.__slots__ == ("augmented", "Q", "variant")
+    rng = random.Random(7)
+    forests = [random_forest_instance(rng, rng.randint(2, 16)) for _ in range(400)]
+    instances = list(itertools.chain(*small_splits.values())) + forests
+    for variant in labels.VARIANTS:
+        prepared, stats = pipeline.annotate(instances, lexicon, variant)
+        assert stats.instances == len(instances)
+        for p in prepared:
+            assert p.variant == variant
+            expected = labels.build_signal(
+                p.augmented, sorted(syntax.sdp_for_instance(p.augmented).path), variant)
+            assert p.Q.dtype == expected.dtype and p.Q.tobytes() == expected.tobytes()

@@ -17,6 +17,7 @@ import numpy as np
 from ssdpsem import cli
 
 REFERENCE = {"layers": 2, "heads": 2, "d_model": 16, "d_ff": 32, "seed": 0}
+WIDE = {"epochs": 1, "seed": 0, "mode": "asp_saib"}  # the default 4x4x64 encoder
 MODES = ("baseline", "asp", "saib", "asp_saib")
 
 # output file -> sha256, taken before the step input became one record
@@ -45,6 +46,18 @@ PINNED_SHA256 = {
     # mass came from the prediction record
     "inspect/log.txt":
         "73cb032aaf6603f524bf091da5b36a2622f0a666da1b3fa2ebe1473c1f43f305",
+    # the default config and the SDP dump, pinned before the annotation
+    # record became (augmented, Q, variant)
+    "wide/metrics.csv":
+        "c1adad9f5a2859fafbea2a9e8f05db1023aa5cf8a7ac735786f2712138fe7026",
+    "wide/model.ckpt":
+        "a8d3b1f4b8a744e745864f4fb6fbdf81121ef580f36f385863d3b7a62da8b2de",
+    "wide_eval/report.txt":
+        "c55ab93fc0a61e2a1f3efb918214efeef2ecdefd8ac81a55724e06ad72deaa13",
+    "wide_eval/per_relation.csv":
+        "4e0f1617603924354cd8f92859132dea640ee44ee65b8d8369f1d23e1f157989",
+    "sdp/sdp.jsonl":
+        "088325fc5504ee80564823702b76e18ce97671d70ae199bda7bf10b78f16794c",
 }
 
 
@@ -56,10 +69,12 @@ def _blas():
 def test_seed11_pipeline_outputs_are_pinned(tmp_path):
     data = tmp_path / "data"
     train_cfg, grid = tmp_path / "train.json", tmp_path / "grid.json"
+    wide_cfg = tmp_path / "wide.json"
     train_cfg.write_text(json.dumps({**REFERENCE, "epochs": 2, "mode": "asp_saib"}),
                          encoding="utf-8")
     grid.write_text(json.dumps([{**REFERENCE, "epochs": 1, "mode": m} for m in MODES]),
                     encoding="utf-8")
+    wide_cfg.write_text(json.dumps(WIDE), encoding="utf-8")
     ckpt = str(tmp_path / "train" / "model.ckpt")
     commands = [
         ["synth", "--seed", "11", "--train", "200", "--dev", "40", "--test", "40",
@@ -73,6 +88,12 @@ def test_seed11_pipeline_outputs_are_pinned(tmp_path):
         ["gradcheck", "--out", str(tmp_path / "gradcheck")],
         ["inspect", "--instance", "test-00000", "--checkpoint", ckpt,
          "--data", str(data / "test.jsonl"), "--out", str(tmp_path / "inspect")],
+        ["train", "--config", str(wide_cfg), "--data", str(data),
+         "--out", str(tmp_path / "wide")],
+        ["eval", "--checkpoint", str(tmp_path / "wide" / "model.ckpt"),
+         "--split", str(data / "test.jsonl"), "--manifest", str(data / "manifest.json"),
+         "--out", str(tmp_path / "wide_eval")],
+        ["sdp", "dump", "--jsonl", str(data / "train.jsonl"), "--out", str(tmp_path / "sdp")],
     ]
     for argv in commands:
         assert cli.main(argv) == 0, argv

@@ -88,6 +88,33 @@ def test_path_equals_lca_oracle_on_trees():
         assert result.path == lca_path_oracle(inst.heads, s, o)
 
 
+def test_path_runs_from_s_to_o_without_repeats_on_trees_and_forests():
+    """On random trees and multi-root forests, with equal and disconnected
+    endpoints among the pairs, the path starts at s, ends at o and visits
+    no token twice; it falls back exactly when s and o are disconnected."""
+    rng = random.Random(3)
+    seen = {"equal": 0, "fallback": 0}
+    for _ in range(1000):
+        n = rng.randrange(1, 30)
+        root_p = rng.choice((0.0, 0.1, 0.3))  # 0.0: a single tree
+        heads = [ROOT] + [ROOT if rng.random() < root_p else rng.randrange(i)
+                          for i in range(1, n)]
+        inst = Instance(id="f", tokens=tuple(f"w{i}" for i in range(n)), heads=tuple(heads),
+                        deprels=("dep",) * n, subj=(0, 0), obj=(0, 0), relation="r")
+        graph = syntax.build_graph(inst)
+        s, o = rng.randrange(n), rng.randrange(n)
+        result = syntax.extract_sdp(graph, s, o)
+        assert result.path[0] == s and result.path[-1] == o
+        assert len(set(result.path)) == len(result.path)
+        distance = bfs_oracle_distance(graph, s, o)
+        assert result.fallback == (distance is None)
+        if not result.fallback:
+            assert len(result.path) - 1 == distance
+        seen["equal"] += s == o
+        seen["fallback"] += result.fallback
+    assert seen["equal"] > 0 and seen["fallback"] > 0
+
+
 def test_endpoint_symmetry():
     rng = random.Random(2)
     for _ in range(100):
@@ -96,7 +123,7 @@ def test_endpoint_symmetry():
         graph = syntax.build_graph(inst)
         fwd = syntax.extract_sdp(graph, s, o)
         rev = syntax.extract_sdp(graph, o, s)
-        assert fwd.token_set == rev.token_set
+        assert sorted(fwd.path) == sorted(rev.path)
 
 
 def test_degenerate_equal_endpoints():
@@ -104,7 +131,6 @@ def test_degenerate_equal_endpoints():
     graph = syntax.build_graph(inst)
     result = syntax.extract_sdp(graph, 2, 2)
     assert result.path == [2]
-    assert result.token_set == [2]
     assert not result.fallback
 
 
@@ -122,7 +148,7 @@ def test_disconnected_fallback_keeps_endpoints():
     graph = syntax.build_graph(inst)
     result = syntax.extract_sdp(graph, 0, 1)
     assert result.fallback
-    assert result.token_set == [0, 1]
+    assert result.path == [0, 1]
 
 
 def test_endpoint_out_of_range():
@@ -175,8 +201,8 @@ def test_figure_style_template_sdp_isolates_key_terms():
     )
     inst = Instance(id="fig", tokens=tokens, heads=heads, deprels=deprels, subj=(0, 0),
                     obj=(6, 8), relation="profit_of")
-    result, s, o = syntax.sdp_for_instance(inst)
-    surfaces = {tokens[i] for i in result.token_set}
+    result = syntax.sdp_for_instance(inst)
+    surfaces = {tokens[i] for i in result.path}
     assert {"Acme", "profit", "rose", "million"} <= surfaces
     for filler in ("'s", "up", "from", "a", "year", "earlier", "$"):
         assert filler not in surfaces
@@ -186,6 +212,6 @@ def test_sdp_for_instance_uses_fallback_on_fragments():
     inst = Instance(id="f3", tokens=("a", "b", "c"), heads=(ROOT, 0, ROOT),
                     deprels=("root", "dep", "root"), subj=(0, 0), obj=(2, 2),
                     relation="r", fragmented=True)
-    result, s, o = syntax.sdp_for_instance(inst)
+    result = syntax.sdp_for_instance(inst)
     assert result.fallback
-    assert result.token_set == [0, 2]
+    assert result.path == [0, 2]
