@@ -262,7 +262,7 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    from . import evalkit
+    from . import evalkit, pipeline, trainer
 
     out = Path(args.out)
     grid = _read_json(args.grid)
@@ -271,8 +271,21 @@ def cmd_ablate(args):
     configs = [_train_config(rec, f"{args.grid}: grid entry {i}") for i, rec in enumerate(grid)]
     manifest, splits = _load_data_dir(Path(args.data), "train", args.eval_split)
     lexicon = sentiment.load_lexicon(args.lexicon)
-    results = _naming(args.grid, evalkit.ablation_grid, configs, splits, manifest, lexicon,
-                      args.eval_split)
+    # prediction never reads the label signal, so one variant serves every run
+    eval_prepared, _ = pipeline.annotate(splits[args.eval_split], lexicon,
+                                         trainer.TrainConfig.isl_variant)
+    train = {variant: pipeline.annotate(splits["train"], lexicon, variant)[0]
+             for variant in dict.fromkeys(c.isl_variant for c in configs)}
+    del splits  # the raw instances are released here: the grid reads only annotated ones
+    for i, config in enumerate(configs):
+        for prepared in (train[config.isl_variant], eval_prepared):
+            longest = max((p.augmented for p in prepared), key=lambda inst: len(inst.tokens))
+            _naming(f"{args.grid}: grid entry {i}", trainer.check_length, longest,
+                    config.max_len)
+    try:
+        results = evalkit.ablation_grid(configs, train, eval_prepared, manifest)
+    except RuntimeError as exc:  # a diverging run, which the grid names by its entry
+        raise RuntimeError(f"{args.grid}: {exc}") from exc
     csv_text = evalkit.grid_to_csv(results)
     log = _Log(out)
     (out / "grid.csv").write_text(csv_text, encoding="utf-8")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import encoder as enc
-from . import objectives, pipeline, trainer
+from . import objectives, trainer
 from .corpus import NO_RELATION, ConfigError
 
 
@@ -154,25 +154,26 @@ def isl_attention_mass(state, prepared):
 # Ablation grids
 
 
-def ablation_grid(configs, splits, manifest, lexicon, eval_split):
-    """Train and evaluate one run per config; returns [(config, EvalReport)].
+def ablation_grid(configs, train, eval_prepared, manifest):
+    """Train and evaluate one run per config, in order; returns
+    [(config, EvalReport)].
 
-    splits is {name: [Instance]} of raw instances; the manifest supplies
-    the relations, the entity-pair buckets and the negative class.  The
-    train split is annotated once per isl_variant, the eval split once for
-    the whole grid: prediction never reads the label signal.
+    ``train`` maps each config's isl_variant to the train split as
+    ``pipeline.annotate`` returns it for that variant.  ``eval_prepared`` is
+    the annotated eval split, one for the whole grid: prediction never reads
+    the label signal.  The manifest supplies the relations, the entity-pair
+    buckets and the negative class.  A run that diverges raises a
+    RuntimeError naming its grid entry.
     """
-    train = {}
-    eval_prepared, _ = pipeline.annotate(splits[eval_split], lexicon,
-                                         trainer.TrainConfig.isl_variant)
     results = []
-    for config in configs:
-        if config.isl_variant not in train:
-            train[config.isl_variant], _ = pipeline.annotate(splits["train"], lexicon,
-                                                             config.isl_variant)
-        record = trainer.train(config, train[config.isl_variant], manifest.relations)
-        results.append((config, evaluate(record.state, eval_prepared, manifest.entity_types,
+    for i, config in enumerate(configs):
+        try:
+            state = trainer.train(config, train[config.isl_variant], manifest.relations).state
+        except trainer.TrainDivergenceError as exc:
+            raise RuntimeError(f"grid entry {i}: {exc}") from exc
+        results.append((config, evaluate(state, eval_prepared, manifest.entity_types,
                                          manifest.no_relation_label)))
+        del state  # so the next run does not hold this one's parameters and gradients
     return results
 
 

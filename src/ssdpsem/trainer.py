@@ -130,6 +130,13 @@ def make_optimizer(config: TrainConfig):
     return AdamOptimizer(config.lr)
 
 
+def check_length(inst, max_len):
+    """Raise ConfigError naming ``inst`` if it has more than ``max_len`` tokens."""
+    if len(inst.tokens) > max_len:
+        raise ConfigError(f"{inst.id}: sequence length {len(inst.tokens)} "
+                          f"exceeds max_len {max_len}")
+
+
 def encode_prepared(state, prepared):
     """Vocabulary ids, label indicators, and gold index per prepared
     instance; an instance the model cannot take raises ConfigError."""
@@ -140,9 +147,7 @@ def encode_prepared(state, prepared):
         inst = pi.augmented
         if inst.relation not in rel_to_idx:
             raise ConfigError(f"{inst.id}: relation {inst.relation!r} is not a model label")
-        if len(inst.tokens) > max_len:
-            raise ConfigError(f"{inst.id}: sequence length {len(inst.tokens)} "
-                              f"exceeds max_len {max_len}")
+        check_length(inst, max_len)
         ids = enc.encode_tokens(state, inst.tokens)
         out.append((ids, pi.Q, rel_to_idx[inst.relation]))
     return out

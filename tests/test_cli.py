@@ -12,10 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ssdpsem
-from ssdpsem import cli, encoder, trainer
+from ssdpsem import cli, encoder, evalkit, pipeline, sentiment, trainer
 
 
 def run(argv, capsys=None):
@@ -692,6 +693,7 @@ def test_empty_split_is_named(tmp_path, data_dir, train_dir, monkeypatch, capsys
     ({"alternate_tasks": False}, "alternate_tasks"),
     ({"last_k": 0}, "last_k"),
     ({"seed": -1}, "seed"),
+    ({"max_len": 12}, "max_len"),
 ])
 def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkeypatch,
                                                       capsys, bad, key):
@@ -705,6 +707,89 @@ def test_ablate_validates_every_entry_before_training(tmp_path, data_dir, monkey
     assert calls == []
     err = capsys.readouterr().err
     assert "grid entry 1" in err and key in err
+
+
+def test_ablate_checks_every_entry_against_the_eval_split_before_training(
+        tmp_path, data_dir, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(trainer, "train", lambda *a, **k: calls.append(a))
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    dev = data / "dev.jsonl"
+    recs = [json.loads(line) for line in dev.read_text(encoding="utf-8").splitlines()]
+    root = recs[0]["heads"].index(-1)
+    extra = 40 - len(recs[0]["tokens"])  # one past every train instance's length
+    recs[0]["tokens"] += ["again"] * extra
+    recs[0]["heads"] += [root] * extra
+    recs[0]["deprels"] += ["advmod"] * extra
+    dev.write_text("".join(json.dumps(rec) + "\n" for rec in recs), encoding="utf-8")
+    base = {"epochs": 1, "layers": 1, "heads": 1, "d_model": 4, "d_ff": 4}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([base, dict(base, max_len=34)]), encoding="utf-8")
+    assert run(["ablate", "--grid", str(grid), "--data", str(data), "--eval-split", "dev",
+                "--out", str(tmp_path / "abl")]) == 1
+    assert calls == []
+    assert (f"error: {grid}: grid entry 1: {recs[0]['id']}: sequence length 41 exceeds "
+            f"max_len 34") in capsys.readouterr().err
+    assert not (tmp_path / "abl").exists()
+
+
+def test_ablate_names_the_diverging_entry(tmp_path, data_dir, monkeypatch, capsys):
+    """A run whose loss goes non-finite exits 2 naming the grid file and
+    entry; the divergence is raised directly, since under warnings-as-errors
+    a real overflow surfaces as numpy's RuntimeWarning instead."""
+    train = trainer.train
+
+    def diverging(config, *args, **kwargs):
+        if config.optimizer == "sgd":
+            raise trainer.TrainDivergenceError(1, "l_re")
+        return train(config, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", diverging)
+    base = {"epochs": 1, "layers": 2, "heads": 2, "d_model": 16, "d_ff": 32, "batch_size": 8}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([base, dict(base, optimizer="sgd", lr=1e300)]), encoding="utf-8")
+    assert run(["ablate", "--grid", str(grid), "--data", str(data_dir),
+                "--out", str(tmp_path / "abl")]) == 2
+    assert (f"runtime failure: {grid}: grid entry 1: non-finite loss term l_re at step 1"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("eval_split", ["dev", "train"])
+def test_ablate_annotates_train_per_variant_and_the_eval_split_once(
+        tmp_path, data_dir, monkeypatch, eval_split):
+    base = {"epochs": 1, "layers": 2, "heads": 2, "d_model": 16, "d_ff": 32,
+            "batch_size": 8, "seed": 0}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([dict(base, mode=mode, isl_variant=variant)
+                                for variant in ("SPL", "ISL", "EPL")
+                                for mode in ("baseline", "asp")]), encoding="utf-8")
+    calls, lists, results = [], set(), []
+    annotate, ablation_grid = pipeline.annotate, evalkit.ablation_grid
+
+    def counting(instances, lex, variant):
+        calls.append((instances[0].id.split("-")[0], variant))
+        lists.add(id(instances))
+        return annotate(instances, lex, variant)
+
+    monkeypatch.setattr(pipeline, "annotate", counting)
+    monkeypatch.setattr(evalkit, "ablation_grid", lambda *a: results.extend(ablation_grid(*a))
+                        or results)
+    assert run(["ablate", "--grid", str(grid), "--data", str(data_dir), "--eval-split",
+                eval_split, "--out", str(tmp_path / "abl")]) == 0
+    # the eval split once, with the default variant, then train once per variant in grid order
+    assert calls == [(eval_split, "ISL"), ("train", "SPL"), ("train", "ISL"), ("train", "EPL")]
+    assert len(lists) == (1 if eval_split == "train" else 2)  # one raw list serves both
+    # the same reports as one fresh train + annotate + evaluate per config: the
+    # eval split's label signal, whatever its variant, never reaches prediction
+    manifest, splits = cli._load_data_dir(data_dir)
+    lexicon = sentiment.load_lexicon()
+    for config, report in results[1::2]:
+        train, _ = annotate(splits["train"], lexicon, config.isl_variant)
+        record = trainer.train(config, train, manifest.relations)
+        prepared, _ = annotate(splits[eval_split], lexicon, config.isl_variant)
+        alone = evalkit.evaluate(record.state, prepared, manifest.entity_types)
+        assert np.array_equal(alone.confusion, report.confusion)
 
 
 @pytest.mark.parametrize("command, extra, split", [

