@@ -4,7 +4,7 @@ actually changed:
 
   - relation micro-F1 on a test split whose sentiment-cue vocabulary is
     held out of training (so the raw cue words are out-of-vocabulary and
-    only the prepended, lexicon-normalized sentiment token is reliable),
+    only the prepended sentiment token, the record's gold tag, is reliable),
   - how much averaged encoder attention sits on the marked (ISL)
     positions before and after training,
   - how sharp the pooling attention becomes under the entropy penalty.
@@ -18,18 +18,13 @@ from ssdpsem import corpus, evalkit, pipeline, sentiment, trainer
 
 
 def train_one(mode, train_prep, manifest, seed=0):
-    captured = {}
-
-    def hook(epoch, state):
-        if epoch == -1:
-            captured["init"] = state.copy()
-
+    """The trained run and the state it started from."""
     cfg = trainer.TrainConfig(
         epochs=12, layers=2, heads=2, d_model=16, d_ff=32, batch_size=16,
         lr=1e-3, seed=seed, mode=mode,
     )
-    record = trainer.train(cfg, train_prep, manifest.relations, epoch_hook=hook)
-    return record, captured["init"]
+    init_state = trainer.init_from_config(cfg, train_prep, manifest.relations)
+    return trainer.train(cfg, train_prep, manifest.relations), init_state
 
 
 def main():

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -206,7 +207,7 @@ def cmd_annotate(args):
 
 
 def cmd_train(args):
-    from . import pipeline, trainer
+    from . import encoder, pipeline, trainer
 
     out = Path(args.out)
     config = _train_config(_read_json(args.config), args.config)
@@ -218,15 +219,18 @@ def cmd_train(args):
     (out / "config.json").write_text(
         json.dumps(vars(config), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    record = _naming(args.config, trainer.train, config, prepared, manifest.relations,
-                     checkpoint_path=out / "model.ckpt", metrics_path=out / "metrics.csv")
+    t0 = time.perf_counter()
+    record = _naming(args.config, trainer.train, config, prepared, manifest.relations)
+    wall_time = time.perf_counter() - t0
+    (out / "metrics.csv").write_text("\n".join(record.metrics_rows) + "\n", encoding="utf-8")
+    encoder.save_checkpoint(record.state, out / "model.ckpt")
     for row in record.epoch_losses:
         log(
             f"epoch {row['epoch']} l_re {_f(row['l_re'])} l_asp {_f(row['l_asp'])} "
             f"l_ib {_f(row['l_ib'])} total {_f(row['total'])}"
         )
     log(f"asp fallbacks {record.asp_fallbacks}")
-    log(f"wall time {_f(record.wall_time)} s")
+    log(f"wall time {_f(wall_time)} s")
     return 0
 
 
@@ -271,11 +275,15 @@ def cmd_ablate(args):
     configs = [_train_config(rec, f"{args.grid}: grid entry {i}") for i, rec in enumerate(grid)]
     manifest, splits = _load_data_dir(Path(args.data), "train", args.eval_split)
     lexicon = sentiment.load_lexicon(args.lexicon)
-    # prediction never reads the label signal, so one variant serves every run
-    eval_prepared, _ = pipeline.annotate(splits[args.eval_split], lexicon,
-                                         trainer.TrainConfig.isl_variant)
+    # prediction never reads the label signal, so one variant serves every run;
+    # an eval on the train split takes the first variant's annotation of it
+    if args.eval_split != "train":
+        eval_prepared, _ = pipeline.annotate(splits[args.eval_split], lexicon,
+                                             trainer.TrainConfig.isl_variant)
     train = {variant: pipeline.annotate(splits["train"], lexicon, variant)[0]
              for variant in dict.fromkeys(c.isl_variant for c in configs)}
+    if args.eval_split == "train":
+        eval_prepared = train[configs[0].isl_variant]
     del splits  # the raw instances are released here: the grid reads only annotated ones
     for i, config in enumerate(configs):
         for prepared in (train[config.isl_variant], eval_prepared):
@@ -366,7 +374,7 @@ def cmd_sdp_dump(args):
                 "fallback": res.fallback,
             }
         )
-    text = "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"
+    text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -106,15 +106,6 @@ class ModelState:
         self.grad_flat, self.grads = _buffer(shapes)
         self.workspace = {}
 
-    def copy(self):
-        return ModelState(
-            config=self.config,
-            seed=self.seed,
-            vocab=list(self.vocab),
-            params=self.params,
-            relations=list(self.relations),
-        )
-
 
 def _buffer(shapes):
     """One zeroed float64 buffer and a view into it per name, in order."""

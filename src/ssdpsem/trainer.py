@@ -9,7 +9,6 @@ masking is needed.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -58,7 +57,6 @@ class TrainConfig(enc.EncoderConfig):
 class RunRecord:
     epoch_losses: list[dict]  # per epoch: mean l_re/l_asp/l_ib/total
     metrics_rows: list[str]  # CSV lines incl. header
-    wall_time: float
     asp_fallbacks: int
     state: enc.ModelState
 
@@ -182,6 +180,8 @@ def _collate(encoded, indices):
 
 
 def init_from_config(config: TrainConfig, prepared_train, relations):
+    """The state ``train`` starts from: a model over the annotated instances'
+    vocabulary, drawn from the config's encoder keys and seed."""
     vocab = enc.build_vocab([pi.augmented for pi in prepared_train])
     return enc.init_state(config.encoder_config(), vocab, config.seed, relations)
 
@@ -194,15 +194,10 @@ def _prepare(config: TrainConfig, prepared, relations):
     return state, encode_prepared(state, prepared)
 
 
-def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
-          metrics_path=None, epoch_hook=None) -> RunRecord:
+def train(config: TrainConfig, prepared, relations) -> RunRecord:
     """Train on ``prepared``, the training split as ``pipeline.annotate``
-    returns it for config.isl_variant.
-
-    epoch_hook(epoch, state) runs after each epoch (and once before epoch 0
-    with epoch=-1) for attention-mass tracking and similar probes.
-    """
-    t0 = time.perf_counter()
+    returns it for config.isl_variant, and return the run; the caller writes
+    it.  ``init_from_config`` builds the state it starts from."""
     state, encoded = _prepare(config, prepared, relations)
     terms = objectives.MODE_TERMS[config.mode]
     optimizer = make_optimizer(config)
@@ -210,8 +205,6 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
     epoch_losses = []
     step = 0
     fallbacks = 0
-    if epoch_hook is not None:
-        epoch_hook(-1, state)
     for epoch in range(config.epochs):
         order = list(range(len(encoded)))
         random.Random(f"{config.seed}:{epoch}").shuffle(order)
@@ -238,20 +231,12 @@ def train(config: TrainConfig, prepared, relations, checkpoint_path=None,
             {"epoch": epoch, "l_re": means[0], "l_asp": means[1], "l_ib": means[2],
              "total": means[3]}
         )
-        if epoch_hook is not None:
-            epoch_hook(epoch, state)
-    # the step buffers: evaluation does not use them, and the writes below
+    # the step buffers: evaluation does not use them, and the caller's writes
     # should not add to the peak they set
     state.workspace.clear()
-    if metrics_path is not None:
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-    if checkpoint_path is not None:
-        enc.save_checkpoint(state, checkpoint_path)
     return RunRecord(
         epoch_losses=epoch_losses,
         metrics_rows=rows,
-        wall_time=time.perf_counter() - t0,
         asp_fallbacks=fallbacks,
         state=state,
     )

@@ -268,15 +268,10 @@ def test_criterion_6_asp_attention_shift(capsys, ref_corpus, ref_lexicon, ref_tr
     dev_prepared, _ = pipeline.annotate(splits["dev"], ref_lexicon, "ISL")
     gains = []
     for seed in SEEDS:
-        captured = {}
-
-        def hook(epoch, state):
-            if epoch == -1:
-                captured["init"] = state.copy()
-
         cfg = trainer.TrainConfig(epochs=3, seed=seed, mode="asp", **REFERENCE)
-        record = trainer.train(cfg, ref_train(), manifest.relations, epoch_hook=hook)
-        before = evalkit.isl_attention_mass(captured["init"], dev_prepared)
+        init = trainer.init_from_config(cfg, ref_train(), manifest.relations)
+        record = trainer.train(cfg, ref_train(), manifest.relations)
+        before = evalkit.isl_attention_mass(init, dev_prepared)
         after = evalkit.isl_attention_mass(record.state, dev_prepared)
         gains.append(after - before)
     hits = sum(g >= 0.05 for g in gains)
@@ -337,9 +332,10 @@ def test_criterion_9_determinism(capsys, tmp_path, ref_corpus, ref_train):
     digests = []
     for tag in ("a", "b"):
         cfg = trainer.TrainConfig(epochs=2, seed=7, mode="asp_saib", **REFERENCE)
-        trainer.train(cfg, small, manifest.relations,
-                      checkpoint_path=tmp_path / f"{tag}.ckpt",
-                      metrics_path=tmp_path / f"{tag}.csv")
+        record = trainer.train(cfg, small, manifest.relations)
+        (tmp_path / f"{tag}.csv").write_text("\n".join(record.metrics_rows) + "\n",
+                                             encoding="utf-8")
+        enc.save_checkpoint(record.state, tmp_path / f"{tag}.ckpt")
         digests.append(((tmp_path / f"{tag}.csv").read_bytes(),
                         (tmp_path / f"{tag}.ckpt").read_bytes()))
     csv_same = digests[0][0] == digests[1][0]

@@ -411,6 +411,15 @@ def test_sdp_dump_to_stdout(data_dir, capsys):
     assert rec["subj_head"] in rec["path"] and rec["obj_head"] in rec["path"]
 
 
+def test_sdp_dump_of_an_empty_file_writes_an_empty_file(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert run(["sdp", "dump", "--jsonl", str(empty), "--out", str(tmp_path / "dump")]) == 0
+    assert (tmp_path / "dump" / "sdp.jsonl").read_bytes() == b""
+    assert run(["sdp", "dump", "--jsonl", str(empty)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_sdp_dump_to_directory(tmp_path, data_dir):
     out = tmp_path / "dump"
     assert run(["sdp", "dump", "--jsonl", str(data_dir / "dev.jsonl"),
@@ -777,8 +786,10 @@ def test_ablate_annotates_train_per_variant_and_the_eval_split_once(
                         or results)
     assert run(["ablate", "--grid", str(grid), "--data", str(data_dir), "--eval-split",
                 eval_split, "--out", str(tmp_path / "abl")]) == 0
-    # the eval split once, with the default variant, then train once per variant in grid order
-    assert calls == [(eval_split, "ISL"), ("train", "SPL"), ("train", "ISL"), ("train", "EPL")]
+    # train once per variant in grid order, after the eval split once with the
+    # default variant; an eval on the train split reuses a train annotation
+    trains = [("train", "SPL"), ("train", "ISL"), ("train", "EPL")]
+    assert calls == (trains if eval_split == "train" else [(eval_split, "ISL")] + trains)
     assert len(lists) == (1 if eval_split == "train" else 2)  # one raw list serves both
     # the same reports as one fresh train + annotate + evaluate per config: the
     # eval split's label signal, whatever its variant, never reaches prediction

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import ssdpsem
+from ssdpsem import trainer
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -30,6 +31,10 @@ def test_guided_vs_baseline_train_one(small_train, small_manifest):
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     record, init_state = demo.train_one("asp_saib", small_train, small_manifest)
+    # the initial state is drawn from the encoder keys and the seed alone
+    cfg = trainer.TrainConfig(layers=2, heads=2, d_model=16, d_ff=32, seed=0)
+    init = trainer.init_from_config(cfg, small_train, small_manifest.relations)
+    assert init_state.flat.tobytes() == init.flat.tobytes()
     assert len(record.epoch_losses) == 12
     assert record.epoch_losses[-1]["total"] < record.epoch_losses[0]["total"]
     assert not np.array_equal(init_state.params["clf.W"], record.state.params["clf.W"])

@@ -409,20 +409,29 @@ def test_embedding_gradient_hits_only_used_rows():
     assert not np.allclose(grads["emb"][2], 0.0)
 
 
+def _state_from_params(state):
+    """A second state built by the constructor from ``state``'s params."""
+    return enc.ModelState(config=state.config, seed=state.seed, vocab=state.vocab,
+                          params=state.params, relations=state.relations)
+
+
 def test_state_copy_is_deep():
+    """A state built from another's params is a deep copy of them."""
     state = tiny_state()
-    clone = state.copy()
+    clone = _state_from_params(state)
     clone.params["emb"][0, 0] += 1.0
     assert state.params["emb"][0, 0] != clone.params["emb"][0, 0]
 
 
 def test_state_copy_owns_independent_buffers():
+    """The constructor copies the arrays it is given into buffers of its own."""
     state = tiny_state()
-    clone = state.copy()
+    clone = _state_from_params(state)
     assert clone.flat.tobytes() == state.flat.tobytes()
     for a, b in ((clone.flat, state.flat), (clone.grad_flat, state.grad_flat)):
         assert not np.shares_memory(a, b)
     _assert_views_in_sorted_order(clone.params, clone.flat)
+    _assert_views_in_sorted_order(clone.grads, clone.grad_flat)
     assert clone.workspace is not state.workspace
 
 

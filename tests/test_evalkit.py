@@ -1,6 +1,7 @@
 """Metric identities, bucketing, ablation grids, and attention exports."""
 
 import csv
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -267,7 +268,9 @@ def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
 def test_predict_batch_size_changes_no_output_and_leaves_the_step_workspace(
         state_and_prepared):
     state, prepared = state_and_prepared
-    state, prepared = state.copy(), prepared * 8  # so some lengths fill several batches
+    # a state of its own: the constructor copies the params into fresh buffers
+    state = dataclasses.replace(state)
+    prepared = prepared * 8  # so some lengths fill several batches
     encoded = trainer.encode_prepared(state, prepared)
     order = range(len(encoded))
     assert len(trainer.make_batches(encoded, 16, order)) > len(

@@ -1,5 +1,6 @@
 """Training-loop determinism, optimizers, batching, and the gradient suite."""
 
+import json
 import random
 import re
 import weakref
@@ -11,7 +12,7 @@ import pytest
 
 from ssdpsem import encoder as enc
 from ssdpsem import objectives as obj
-from ssdpsem import corpus, pipeline, trainer
+from ssdpsem import cli, corpus, pipeline, trainer
 from ssdpsem.corpus import ConfigError
 
 from test_encoder import tiny_state
@@ -163,13 +164,10 @@ def test_train_runs_and_is_deterministic(tmp_path, small_train, small_manifest):
     cfg = trainer.TrainConfig(epochs=2, seed=3, mode="asp_saib", **SMALL)
     outs = []
     for tag in ("a", "b"):
-        record = trainer.train(
-            cfg, small_train, small_manifest.relations,
-            checkpoint_path=tmp_path / f"{tag}.ckpt",
-            metrics_path=tmp_path / f"{tag}.csv",
-        )
+        record = trainer.train(cfg, small_train, small_manifest.relations)
+        enc.save_checkpoint(record.state, tmp_path / f"{tag}.ckpt")
         outs.append(record)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert outs[0].metrics_rows == outs[1].metrics_rows
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
     assert len(outs[0].epoch_losses) == 2
     header = outs[0].metrics_rows[0]
@@ -185,14 +183,8 @@ def test_train_loss_decreases(small_train, small_manifest):
 def test_first_metrics_row_matches_offline_recomputation(small_train, small_manifest):
     """Loss at step 0 equals objectives.batch_losses on the initial state."""
     cfg = trainer.TrainConfig(epochs=1, seed=9, mode="asp_saib", **SMALL)
-    captured = {}
-
-    def hook(epoch, state):
-        if epoch == -1:
-            captured["state"] = state.copy()
-
-    record = trainer.train(cfg, small_train, small_manifest.relations, epoch_hook=hook)
-    state = captured["state"]
+    state = trainer.init_from_config(cfg, small_train, small_manifest.relations)
+    record = trainer.train(cfg, small_train, small_manifest.relations)
     encoded = trainer.encode_prepared(state, small_train)
     order = list(range(len(encoded)))
     random.Random(f"{cfg.seed}:0").shuffle(order)
@@ -208,14 +200,8 @@ def test_train_with_sgd_steps_by_lr_times_the_gradient(small_train, small_manife
     """optimizer="sgd": the loss logged at step 1 is the loss after one plain
     step, flat -= lr * grad, from the initial state (Adam's would differ)."""
     cfg = trainer.TrainConfig(epochs=1, seed=9, optimizer="sgd", lr=0.05, **SMALL)
-    captured = {}
-
-    def hook(epoch, state):
-        if epoch == -1:
-            captured["state"] = state.copy()
-
-    record = trainer.train(cfg, small_train, small_manifest.relations, epoch_hook=hook)
-    state = captured["state"]
+    state = trainer.init_from_config(cfg, small_train, small_manifest.relations)
+    record = trainer.train(cfg, small_train, small_manifest.relations)
     encoded = trainer.encode_prepared(state, small_train)
     order = list(range(len(encoded)))
     random.Random(f"{cfg.seed}:0").shuffle(order)
@@ -406,22 +392,26 @@ def test_train_drops_each_step_result_before_the_next(small_train, small_manifes
     assert len(live) > 1 and max(live) == 0
 
 
-def test_train_releases_the_step_workspace_before_it_writes(tmp_path, small_train,
-                                                           small_manifest, monkeypatch):
-    """The step buffers are gone before metrics.csv and the checkpoint are
-    written, so the writes add nothing to the peak the steps set."""
+def test_train_releases_the_step_workspace_before_it_writes(tmp_path, monkeypatch):
+    """``ssdp train`` writes metrics.csv and then the checkpoint once
+    ``trainer.train`` has emptied the step workspace, so the writes add
+    nothing to the peak the steps set."""
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["synth", "--seed", "5", "--out", str(data),
+                     "--train", "24", "--dev", "1", "--test", "1"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(epochs=1, seed=0, **SMALL)), encoding="utf-8")
     seen = []
     save_checkpoint = enc.save_checkpoint
 
     def spy(state, path):
-        seen.append((len(state.workspace), (tmp_path / "m.csv").exists()))
+        seen.append((len(state.workspace), (out / "metrics.csv").exists()))
         save_checkpoint(state, path)
 
     monkeypatch.setattr(enc, "save_checkpoint", spy)
-    record = trainer.train(trainer.TrainConfig(epochs=1, seed=0, **SMALL), small_train[:24],
-                           small_manifest.relations, checkpoint_path=tmp_path / "m.ckpt",
-                           metrics_path=tmp_path / "m.csv")
-    assert seen == [(0, True)] and not record.state.workspace
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 0
+    assert seen == [(0, True)] and (out / "model.ckpt").exists()
 
 
 def test_divergence_raises_with_step(small_train, small_manifest):
