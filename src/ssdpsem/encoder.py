@@ -77,12 +77,11 @@ class ModelState:
     ``objectives.relation_head_backward`` write into; ``grads`` follows the
     order of ``params``, which is the order gradcheck reports.  The
     vocabulary and the relation label set fix the sizes of ``emb`` and the
-    classifier.  ``workspace`` keeps a training step's buffers between
-    steps: the forward cache, the backward temporaries and
-    ``_weight_grad``'s products, each grown to the largest batch seen
-    (``trainer.train`` empties it when it returns).  The constructor copies
-    the given arrays into a fresh buffer, so a state never shares memory
-    with another.
+    classifier.  The constructor copies the given arrays into a fresh
+    buffer, so a state never shares memory with another.  A pickled or
+    deep-copied state is rebuilt through the constructor from its
+    parameters: its blocks are views of its own ``flat``, and its gradients
+    start at zero, as a fresh state's do.
     """
 
     config: EncoderConfig
@@ -94,7 +93,6 @@ class ModelState:
     flat: np.ndarray = field(init=False, repr=False)
     grad_flat: np.ndarray = field(init=False, repr=False)
     grads: dict[str, np.ndarray] = field(init=False, repr=False)
-    workspace: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.token_to_id = {s: i for i, s in enumerate(self.vocab)}
@@ -104,7 +102,10 @@ class ModelState:
             view[...] = self.params[k]
         self.params = views
         self.grad_flat, self.grads = _buffer(shapes)
-        self.workspace = {}
+
+    def __reduce__(self):
+        # field by field, a copy's params would no longer view its flat
+        return ModelState, (self.config, self.seed, self.vocab, self.params, self.relations)
 
 
 def _buffer(shapes):
@@ -116,19 +117,6 @@ def _buffer(shapes):
         views[name] = flat[start:start + size].reshape(shape)
         start += size
     return flat, views
-
-
-def _slot(workspace, key, shape):
-    """A float64 array of ``shape`` to write into: a view of the buffer
-    ``workspace`` keeps under ``key``, grown to the largest size asked for,
-    or a fresh array when there is no workspace."""
-    if workspace is None:
-        return np.empty(shape)
-    size = math.prod(shape)
-    buf = workspace.get(key)
-    if buf is None or buf.size < size:
-        buf = workspace[key] = np.empty(size)
-    return buf[:size].reshape(shape)
 
 
 def _param_shapes(config, n_words, n_labels):
@@ -189,31 +177,32 @@ def positional_encoding(n, d):
     return enc
 
 
-def _layernorm(u, g, b, out=None):
+def _layernorm(u, g, b):
     """g * xhat + b over the last axis, with its (xhat, inv_std) cache.
-    With ``out``, the result goes there, u is overwritten by xhat, and out
-    holds the squares of the centred input until the result replaces them."""
+    u is overwritten by xhat; the result's buffer holds the squares of the
+    centred input until the result replaces them."""
     # add.reduce over the last axis divided by its length is what mean
     # computes, bit for bit, without mean's Python-level wrapper
     d = u.shape[-1]
     mu = np.add.reduce(u, axis=-1, keepdims=True) / d
-    xc = u - mu if out is None else np.subtract(u, mu, out=u)
-    var = np.add.reduce(np.multiply(xc, xc, out=out), axis=-1, keepdims=True) / d
+    xc = np.subtract(u, mu, out=u)
+    y = np.multiply(xc, xc)
+    var = np.add.reduce(y, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv_std, out=xc)
-    y = np.multiply(g, xhat, out=out)
+    np.multiply(g, xhat, out=y)
     y += b
     return y, (xhat, inv_std)
 
 
-def _layernorm_backward(dy, cache, g, dg, db, workspace):
+def _layernorm_backward(dy, cache, g, dg, db):
     """The input gradient, written into the buffer of the cached xhat, which
     it consumes; dy is overwritten by dxhat.  The gain and bias gradients go
     into dg, db."""
     xhat, inv_std = cache
     d = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
-    t = np.multiply(dy, xhat, out=_slot(workspace, "ln.t", dy.shape))
+    t = np.multiply(dy, xhat)
     np.add.reduce(t, axis=axes, out=dg)
     np.add.reduce(dy, axis=axes, out=db)
     dxhat = np.multiply(dy, g, out=dy)
@@ -255,16 +244,13 @@ class ForwardResult:
     consumed: bool = False  # set by backward, which overwrites the cache
 
 
-def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
+def forward(state: ModelState, ids) -> ForwardResult:
     """The encoder over a same-length batch of token ids (B, n).
 
-    With a ``workspace`` (training passes ``state.workspace``), the cache
-    and the large temporaries are written into buffers kept there across
-    steps, so the result is valid only until the next forward with that
-    workspace.  Without one, every array is fresh.  All layers' attention
-    is one ``(L, B, H, n, n)`` block.  ``backward`` reuses the per-layer
-    cache for its own temporaries; ``features`` and ``attention`` keep their
-    values through it.
+    Every array is fresh.  All layers' attention is one ``(L, B, H, n, n)``
+    block.  ``backward`` reuses the per-layer cache for its own
+    temporaries; ``features`` and ``attention`` keep their values through
+    it.
     """
     cfg = state.config
     p = state.params
@@ -275,39 +261,27 @@ def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
     bad = ids[(ids < 0) | (ids >= len(state.vocab))]
     if bad.size:
         raise ValueError(f"unknown token id {int(bad.flat[0])}")
-    d, H, ff = cfg.d_model, cfg.heads, cfg.d_ff
-    # ids are checked above; mode="clip" lets take write straight into out
-    x = np.take(p["emb"], ids, axis=0, out=_slot(workspace, ("x", 0), (B, n, d)), mode="clip")
+    d, H = cfg.d_model, cfg.heads
+    x = p["emb"][ids]
     x += positional_encoding(n, d)
     cache = {"ids": ids, "layers": []}
-    attention = _slot(workspace, "A", (cfg.layers, B, H, n, n))
+    attention = np.empty((cfg.layers, B, H, n, n))
     scale = 1.0 / np.sqrt(cfg.d_head)
     for ell in range(cfg.layers):
         pre = f"L{ell}."
-
-        def slot(name, *shape):
-            return _slot(workspace, (name, ell), shape)
-
-        q, k, v = (
-            _split_heads(_affine(x, p[pre + w], p[pre + w.replace("W", "b")],
-                                 slot(w, B, n, d)), H)
-            for w in ("Wq", "Wk", "Wv")
-        )
+        q, k, v = (_split_heads(_affine(x, p[pre + w], p[pre + w.replace("W", "b")]), H)
+                   for w in ("Wq", "Wk", "Wv"))
         S = np.matmul(q, k.transpose(0, 1, 3, 2), out=attention[ell])
         S *= scale
         A = softmax(S, out=S)
-        # A @ v is read only by the copy into ctx, so one slot serves all layers
-        ctx = _merge_heads(np.matmul(A, v, out=_slot(workspace, "Av", (B, H, n, d // H))),
-                           slot("ctx", B, n, H, d // H))
-        ao = _affine(ctx, p[pre + "Wo"], p[pre + "bo"], slot("u1", B, n, d))
-        x1, ln1_cache = _layernorm(np.add(x, ao, out=ao), p[pre + "ln1_g"], p[pre + "ln1_b"],
-                                   slot("x1", B, n, d))
+        ctx = _merge_heads(np.matmul(A, v), np.empty((B, n, H, d // H)))
+        ao = _affine(ctx, p[pre + "Wo"], p[pre + "bo"])
+        x1, ln1_cache = _layernorm(np.add(x, ao, out=ao), p[pre + "ln1_g"], p[pre + "ln1_b"])
         # the ReLU runs in place; backward reads its mask as h > 0
-        h = _affine(x1, p[pre + "W1"], p[pre + "b1"], slot("h", B, n, ff))
+        h = _affine(x1, p[pre + "W1"], p[pre + "b1"])
         np.maximum(h, 0.0, out=h)
-        f2 = _affine(h, p[pre + "W2"], p[pre + "b2"], slot("u2", B, n, d))
-        x2, ln2_cache = _layernorm(np.add(x1, f2, out=f2), p[pre + "ln2_g"], p[pre + "ln2_b"],
-                                   _slot(workspace, ("x", ell + 1), (B, n, d)))
+        f2 = _affine(h, p[pre + "W2"], p[pre + "b2"])
+        x2, ln2_cache = _layernorm(np.add(x1, f2, out=f2), p[pre + "ln2_g"], p[pre + "ln2_b"])
         cache["layers"].append(
             dict(x=x, q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, x1=x1, h=h, ln2=ln2_cache)
         )
@@ -315,28 +289,23 @@ def forward(state: ModelState, ids, workspace=None) -> ForwardResult:
     return ForwardResult(features=x, attention=attention, cache=cache)
 
 
-def _affine(x, W, b, out):
-    """x @ W + b, written into out."""
-    y = np.matmul(x, W, out=out)
+def _affine(x, W, b):
+    """x @ W + b."""
+    y = np.matmul(x, W)
     y += b
     return y
 
 
-def _weight_grad(a, b, out, workspace):
+def _weight_grad(a, b, out):
     """Write the sum over the batch of a[i].T @ b[i] into out:
     (B, n, d), (B, n, e) -> (d, e).
 
-    A per-sample batched matmul into the ``"products"`` slot of
-    ``workspace``, summed over the batch afterwards; every call reuses that
-    one slot, as each product is summed before the next call.  The single
-    reshaped GEMM ``a.reshape(-1, d).T @ b.reshape(-1, e)`` gives different
-    bits at different BLAS thread counts for some B*n, which would break
-    the determinism contract (see README, Determinism).
+    A per-sample batched matmul, summed over the batch afterwards.  The
+    single reshaped GEMM ``a.reshape(-1, d).T @ b.reshape(-1, e)`` gives
+    different bits at different BLAS thread counts for some B*n, which
+    would break the determinism contract (see README, Determinism).
     """
-    B, d, e = a.shape[0], a.shape[2], b.shape[2]
-    products = np.matmul(a.transpose(0, 2, 1), b,
-                         out=_slot(workspace, "products", (B, d, e)))
-    return np.add.reduce(products, axis=0, out=out)
+    return np.add.reduce(np.matmul(a.transpose(0, 2, 1), b), axis=0, out=out)
 
 
 def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
@@ -345,7 +314,7 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
 
     d_features: (B, n, d) upstream gradient on the final token features
     (gradients on the sentiment feature must already be added to row 0); it
-    is copied into the workspace and never written.
+    is copied and never written.
     d_avg: optional (B, n) gradient on ``average_attention(result.attention,
     last_k)``; each of the last k layers' post-softmax attention gets
     d_avg / (k*H*n) added to every head's every query row.
@@ -353,23 +322,20 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     once backward has read them for the last time, so the cache is consumed:
     ``result.consumed`` is set, and a second backward on ``result`` raises
     ValueError.  ``result.features`` and ``result.attention`` keep their
-    values.  Besides the cache, ``state.workspace`` holds the copy of
-    d_features and four scratch buffers: "ln.t", "dA", "dAA" and "products".
-    Returns ``state.grads``, views into ``state.grad_flat`` that stay valid
-    until the next backward on this state.  The ``emb`` and layer blocks are
-    overwritten; the head's blocks are left as they are, for
-    ``objectives.relation_head_backward`` to write.
+    values.  Returns ``state.grads``, views into ``state.grad_flat`` that
+    stay valid until the next backward on this state.  The ``emb`` and
+    layer blocks are overwritten; the head's blocks are left as they are,
+    for ``objectives.relation_head_backward`` to write.
     """
     if result.consumed:
         raise ValueError("backward: this ForwardResult's cache was consumed by an earlier "
                          "backward; run forward again")
     result.consumed = True
     cfg = state.config
-    p, g, ws = state.params, state.grads, state.workspace
+    p, g = state.params, state.grads
     B, n, d = result.features.shape
     H, hd = cfg.heads, cfg.d_head
-    dx = _slot(ws, "d_features", (B, n, d))
-    np.copyto(dx, d_features)
+    dx = np.array(d_features, dtype=np.float64)
     scale = 1.0 / np.sqrt(cfg.d_head)
     k = min(cfg.last_k, cfg.layers)
     if d_avg is not None:
@@ -380,26 +346,25 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
         # the comments name the cache buffer each temporary is written into
         x1, h, A = c["x1"], c["h"], c["A"]
         du2 = _layernorm_backward(dx, c["ln2"], p[pre + "ln2_g"], g[pre + "ln2_g"],
-                                  g[pre + "ln2_b"], ws)  # u2
-        _weight_grad(h, du2, g[pre + "W2"], ws)
+                                  g[pre + "ln2_b"])  # u2
+        _weight_grad(h, du2, g[pre + "W2"])
         np.add.reduce(du2, axis=(0, 1), out=g[pre + "b2"])
         relu = h > 0
         df1 = np.multiply(np.matmul(du2, p[pre + "W2"].T, out=h), relu, out=h)  # h
-        _weight_grad(x1, df1, g[pre + "W1"], ws)
+        _weight_grad(x1, df1, g[pre + "W1"])
         np.add.reduce(df1, axis=(0, 1), out=g[pre + "b1"])
         dx1 = np.matmul(df1, p[pre + "W1"].T, out=x1)  # x1
         np.add(du2, dx1, out=dx1)
         dao = _layernorm_backward(dx1, c["ln1"], p[pre + "ln1_g"], g[pre + "ln1_g"],
-                                  g[pre + "ln1_b"], ws)  # u1
-        _weight_grad(c["ctx"], dao, g[pre + "Wo"], ws)
+                                  g[pre + "ln1_b"])  # u1
+        _weight_grad(c["ctx"], dao, g[pre + "Wo"])
         np.add.reduce(dao, axis=(0, 1), out=g[pre + "bo"])
         dctx = _split_heads(np.matmul(dao, p[pre + "Wo"].T, out=c["ctx"]), H)  # ctx
-        dA = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2), out=_slot(ws, "dA", (B, H, n, n)))
+        dA = np.matmul(dctx, c["v"].transpose(0, 1, 3, 2))
         dv = np.matmul(A.transpose(0, 1, 3, 2), dctx, out=x1.reshape(B, H, n, hd))  # x1
         if d_avg is not None and ell >= cfg.layers - k:
             dA += d_received
-        rows = np.add.reduce(np.multiply(dA, A, out=_slot(ws, "dAA", (B, H, n, n))), axis=-1,
-                             keepdims=True)
+        rows = np.add.reduce(np.multiply(dA, A), axis=-1, keepdims=True)
         dS = np.multiply(A, np.subtract(dA, rows, out=dA), out=dA)
         dq = np.matmul(dS, c["k"], out=du2.reshape(B, H, n, hd))  # u2
         dq *= scale
@@ -411,7 +376,7 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
         x_in = c["x"]
         dx = dao  # dao's last read is above, so accumulate into it in place
         for name, dmat in (("Wq", dQf), ("Wk", dKf), ("Wv", dVf)):
-            _weight_grad(x_in, dmat, g[pre + name], ws)
+            _weight_grad(x_in, dmat, g[pre + name])
             np.add.reduce(dmat, axis=(0, 1), out=g[pre + name.replace("W", "b")])
             dx += np.matmul(dmat, p[pre + name].T, out=du2)  # u2
     # the embedding gradient: each cell sums its rows in token order from

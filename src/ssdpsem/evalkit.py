@@ -62,19 +62,16 @@ def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
     per-instance results.
 
     A row's outputs are bit-identical whatever rows share its batch, so
-    ``batch_size`` sets only the memory held: the default is training's,
-    and every batch's forward reuses one workspace local to the call
-    (``state.workspace`` is left alone).
+    ``batch_size`` sets only the memory held: the default is training's.
     """
     encoded = trainer.encode_prepared(state, prepared)
     out = [None] * len(encoded)
-    workspace = {}
     for chunk in trainer.make_batches(encoded, batch_size, range(len(encoded))):
         batch = trainer._collate(encoded, chunk)
-        fwd = enc.forward(state, batch.ids, workspace)
+        fwd = enc.forward(state, batch.ids)
         a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
         a_avg = enc.average_attention(fwd.attention, state.config.last_k)
-        del fwd  # its cache views the workspace: a slot the next batch grows is then freed
+        del fwd  # its cache, freed before the next batch's forward
         marked_mass = (a_avg * batch.Q).sum(axis=1)
         pooling_entropy = objectives.entropy(a_ib)
         for row, i in enumerate(chunk):

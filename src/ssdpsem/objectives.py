@@ -204,10 +204,9 @@ class Batch(NamedTuple):
 @dataclass
 class BatchResult:
     """The batch's losses, its ASP fallback count, and the encoder
-    ``forward`` it ran, valid until the next forward on ``state.workspace``.
-    Unless the call was value-only, the encoder backward has consumed that
-    forward's cache: only its ``features`` and ``attention`` still hold
-    their values."""
+    ``forward`` it ran.  Unless the call was value-only, the encoder
+    backward has consumed that forward's cache: only its ``features`` and
+    ``attention`` still hold their values."""
 
     breakdown: LossBreakdown
     asp_fallbacks: int
@@ -228,7 +227,7 @@ def batch_losses(state, batch, terms, config, value_only=False) -> BatchResult:
     ``state.grads`` is left as it was.
     """
     p = state.params
-    fwd = enc.forward(state, batch.ids, state.workspace)
+    fwd = enc.forward(state, batch.ids)
     alpha_ib, pooled, probs = relation_head(p, fwd.features)
     l_re = l_asp = l_ib = d_alpha = 0.0
     d_logits, d_alpha_avg, fallbacks = None, None, 0

@@ -220,9 +220,8 @@ def train(config: TrainConfig, prepared, relations) -> RunRecord:
             rows.append(f"{step},{b.l_re:.6f},{b.l_asp:.6f},{b.l_ib:.6f},{b.total:.6f}")
             sums += (b.l_re, b.l_asp, b.l_ib, b.total)
             fallbacks += result.asp_fallbacks
-            # its forward views the workspace (the cache backward consumed, the
-            # features and attention): kept, it would pin the old buffer of a
-            # slot that a later, longer batch regrows
+            # its forward holds the step's cache: kept into the next step, it
+            # would be a second one at that step's peak
             del result
             n_batches += 1
             step += 1
@@ -231,9 +230,6 @@ def train(config: TrainConfig, prepared, relations) -> RunRecord:
             {"epoch": epoch, "l_re": means[0], "l_asp": means[1], "l_ib": means[2],
              "total": means[3]}
         )
-    # the step buffers: evaluation does not use them, and the caller's writes
-    # should not add to the peak they set
-    state.workspace.clear()
     return RunRecord(
         epoch_losses=epoch_losses,
         metrics_rows=rows,
@@ -283,7 +279,7 @@ _TERM_SETS = {"l_re": ("re",), "l_asp": ("asp",), "l_ib": ("ib",),
 def _probe(state, batch, config):
     """One value-only forward over ``batch``: every term's loss, and the sign
     pattern of each feed-forward pre-activation (the ReLU output's
-    ``h > 0``), read before the next forward overwrites the workspace."""
+    ``h > 0``)."""
     result = objectives.batch_losses(state, batch, _TERM_SETS["total"], config,
                                      value_only=True)
     layers = result.forward.cache["layers"]

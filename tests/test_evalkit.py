@@ -1,7 +1,6 @@
 """Metric identities, bucketing, ablation grids, and attention exports."""
 
 import csv
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -265,32 +264,24 @@ def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
             assert alone.tobytes() == batched.tobytes(), f"{key}, instance {i}"
 
 
-def test_predict_batch_size_changes_no_output_and_leaves_the_step_workspace(
-        state_and_prepared):
+def test_predict_batch_size_changes_no_output(state_and_prepared):
     state, prepared = state_and_prepared
-    # a state of its own: the constructor copies the params into fresh buffers
-    state = dataclasses.replace(state)
     prepared = prepared * 8  # so some lengths fill several batches
     encoded = trainer.encode_prepared(state, prepared)
     order = range(len(encoded))
     assert len(trainer.make_batches(encoded, 16, order)) > len(
         trainer.make_batches(encoded, 64, order))
-    objectives.batch_losses(state, trainer._collate(encoded, [0]), ("re",), trainer.TrainConfig())
-    before = {key: (buf, buf.copy()) for key, buf in state.workspace.items()}
     small, large = (evalkit.predict(state, prepared, batch_size=b) for b in (16, 64))
     assert len(small) == len(large) == len(prepared)
     for a, b in zip(small, large):
         assert _scalars(a) == _scalars(b)
         assert a.alpha_ib.tobytes() == b.alpha_ib.tobytes()
         assert a.alpha_avg.tobytes() == b.alpha_avg.tobytes()
-    assert state.workspace.keys() == before.keys()
-    for key, (buf, copy) in before.items():
-        assert state.workspace[key] is buf and buf.tobytes() == copy.tobytes(), key
 
 
 # tracemalloc's peak for the evaluation below before eval batches were
-# capped at training's size and given a reused workspace (batches of up to
-# 64 rows, each with fresh arrays, the previous batch's cache still alive)
+# capped at training's size and each batch's forward was dropped before the
+# next (batches of up to 64 rows, the previous batch's cache still alive)
 PEAK_MIB_BEFORE = 50.96
 
 

@@ -39,7 +39,7 @@ def batches(draw):
 @given(batch=batches())
 def test_a_batched_forward_row_equals_the_row_run_alone(batch):
     state, ids = batch
-    together = enc.forward(state, ids, workspace={})  # as a training step runs it
+    together = enc.forward(state, ids)
     for b in range(len(ids)):
         alone = enc.forward(state, ids[b:b + 1])
         assert alone.features.tobytes() == together.features[b:b + 1].tobytes()

@@ -357,7 +357,7 @@ def _reference_batch_grads(state, batch, terms, config):
     """The batch gradients composed as a head backward that owns the RE and
     entropy terms, with the KLD term and the encoder backward after it."""
     p, grads = state.params, state.grads
-    fwd = enc.forward(state, batch.ids, state.workspace)
+    fwd = enc.forward(state, batch.ids)
     alpha_ib, pooled, probs = obj.relation_head(p, fwd.features)
     d_alpha, d_features = np.zeros_like(alpha_ib), 0.0
     if "re" in terms:
