@@ -477,7 +477,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:  # corpus's errors are ValueErrors
+    # a path that is missing, of the wrong kind or not ours to open is bad
+    # input, named by the errno message; other OSErrors (a full disk) are not
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+            PermissionError, ValueError) as exc:  # corpus's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

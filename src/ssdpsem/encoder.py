@@ -190,9 +190,24 @@ def _layernorm(u, g, b):
     var = np.add.reduce(y, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = np.multiply(xc, inv_std, out=xc)
-    np.multiply(g, xhat, out=y)
-    y += b
-    return y, (xhat, inv_std)
+    return _layernorm_output(xhat, g, b, out=y), (xhat, inv_std)
+
+
+def _layernorm_output(xhat, g, b, out):
+    """g * xhat + b written into out: the bits ``_layernorm`` returns, which
+    is how ``backward`` rebuilds a layernorm output from its cache."""
+    np.multiply(g, xhat, out=out)
+    out += b
+    return out
+
+
+def _embed(emb, ids, out=None):
+    """The layer-0 input emb[ids] + the positional table, into out if given.
+    The ids must be in range: ``mode="clip"`` only keeps ``take`` from
+    buffering ``out``, which its default mode does."""
+    x = np.take(emb, ids, axis=0, out=out, mode="clip")
+    x += positional_encoding(*x.shape[-2:])
+    return x
 
 
 def _layernorm_backward(dy, cache, g, dg, db):
@@ -248,9 +263,13 @@ def forward(state: ModelState, ids) -> ForwardResult:
     """The encoder over a same-length batch of token ids (B, n).
 
     Every array is fresh.  All layers' attention is one ``(L, B, H, n, n)``
-    block.  ``backward`` reuses the per-layer cache for its own
-    temporaries; ``features`` and ``attention`` keep their values through
-    it.
+    block.  Each layer's cache holds what ``backward`` reads and cannot
+    rebuild without a matmul: q, k, v, A, the merged context, the two
+    layernorm caches and the ReLU output h.  The layer input and x1, the
+    first layernorm's output, are not kept: ``backward`` rebuilds them
+    from the layernorm caches (layer 0's input from the embedding).
+    ``backward`` reuses the per-layer cache for its own temporaries;
+    ``features`` and ``attention`` keep their values through it.
     """
     cfg = state.config
     p = state.params
@@ -262,8 +281,7 @@ def forward(state: ModelState, ids) -> ForwardResult:
     if bad.size:
         raise ValueError(f"unknown token id {int(bad.flat[0])}")
     d, H = cfg.d_model, cfg.heads
-    x = p["emb"][ids]
-    x += positional_encoding(n, d)
+    x = _embed(p["emb"], ids)
     cache = {"ids": ids, "layers": []}
     attention = np.empty((cfg.layers, B, H, n, n))
     scale = 1.0 / np.sqrt(cfg.d_head)
@@ -282,9 +300,8 @@ def forward(state: ModelState, ids) -> ForwardResult:
         np.maximum(h, 0.0, out=h)
         f2 = _affine(h, p[pre + "W2"], p[pre + "b2"])
         x2, ln2_cache = _layernorm(np.add(x1, f2, out=f2), p[pre + "ln2_g"], p[pre + "ln2_b"])
-        cache["layers"].append(
-            dict(x=x, q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, x1=x1, h=h, ln2=ln2_cache)
-        )
+        cache["layers"].append(dict(q=q, k=k, v=v, A=A, ctx=ctx, ln1=ln1_cache, h=h,
+                                    ln2=ln2_cache))
         x = x2
     return ForwardResult(features=x, attention=attention, cache=cache)
 
@@ -318,8 +335,10 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     d_avg: optional (B, n) gradient on ``average_attention(result.attention,
     last_k)``; each of the last k layers' post-softmax attention gets
     d_avg / (k*H*n) added to every head's every query row.
-    Each layer's temporaries go into that layer's forward-cache buffers
-    once backward has read them for the last time, so the cache is consumed:
+    Each layer's temporaries, and the x1 and layer input it rebuilds, go
+    into that layer's forward-cache buffers once backward has read them for
+    the last time, or into the buffer of the gradient from the layer above
+    once its layernorm backward has read it; so the cache is consumed:
     ``result.consumed`` is set, and a second backward on ``result`` raises
     ValueError.  ``result.features`` and ``result.attention`` keep their
     values.  Returns ``state.grads``, views into ``state.grad_flat`` that
@@ -340,17 +359,21 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
     k = min(cfg.last_k, cfg.layers)
     if d_avg is not None:
         d_received = d_avg[:, None, None, :] / (k * H * n)  # (B, 1, 1, n)
+    layers = result.cache["layers"]
     for ell in reversed(range(cfg.layers)):
         pre = f"L{ell}."
-        c = result.cache["layers"][ell]
-        # the comments name the cache buffer each temporary is written into
-        x1, h, A = c["x1"], c["h"], c["A"]
+        c = layers[ell]
+        # the comments name the buffer each temporary is written into: a
+        # cache buffer backward has read for the last time, or dx's
+        h, A = c["h"], c["A"]
         du2 = _layernorm_backward(dx, c["ln2"], p[pre + "ln2_g"], g[pre + "ln2_g"],
                                   g[pre + "ln2_b"])  # u2
         _weight_grad(h, du2, g[pre + "W2"])
         np.add.reduce(du2, axis=(0, 1), out=g[pre + "b2"])
         relu = h > 0
         df1 = np.multiply(np.matmul(du2, p[pre + "W2"].T, out=h), relu, out=h)  # h
+        # x1 is rebuilt from ln1, which its backward below consumes
+        x1 = _layernorm_output(c["ln1"][0], p[pre + "ln1_g"], p[pre + "ln1_b"], out=dx)  # dx
         _weight_grad(x1, df1, g[pre + "W1"])
         np.add.reduce(df1, axis=(0, 1), out=g[pre + "b1"])
         dx1 = np.matmul(df1, p[pre + "W1"].T, out=x1)  # x1
@@ -372,13 +395,21 @@ def backward(state: ModelState, result: ForwardResult, d_features, d_avg=None):
         dk = np.matmul(dS.transpose(0, 1, 3, 2), c["q"], out=x1.reshape(B, H, n, hd))  # x1
         dk *= scale
         dQf = _merge_heads(dq, c["q"].transpose(0, 2, 1, 3))  # q, which frees u2
-        dKf = _merge_heads(dk, c["k"].transpose(0, 2, 1, 3))  # k
-        x_in = c["x"]
+        dKf = _merge_heads(dk, c["k"].transpose(0, 2, 1, 3))  # k, which frees x1
+        # the layer input, rebuilt: the output of layer ell - 1, whose ln2
+        # cache its own backward, still to come, has not consumed yet
+        if ell:
+            below = f"L{ell - 1}."
+            x_in = _layernorm_output(layers[ell - 1]["ln2"][0], p[below + "ln2_g"],
+                                     p[below + "ln2_b"], out=x1)  # x1
+        else:
+            x_in = _embed(p["emb"], result.cache["ids"], out=x1)  # x1
         dx = dao  # dao's last read is above, so accumulate into it in place
         for name, dmat in (("Wq", dQf), ("Wk", dKf), ("Wv", dVf)):
             _weight_grad(x_in, dmat, g[pre + name])
             np.add.reduce(dmat, axis=(0, 1), out=g[pre + name.replace("W", "b")])
             dx += np.matmul(dmat, p[pre + name].T, out=du2)  # u2
+        del x1, dx1, dv, dk, x_in  # dx's old buffer, so it is not held into the next layer
     # the embedding gradient: each cell sums its rows in token order from
     # 0.0, as np.add.at into a zeroed block would, bit for bit
     cells = result.cache["ids"].reshape(-1, 1) * d + np.arange(d)

@@ -74,8 +74,9 @@ def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
         del fwd  # its cache, freed before the next batch's forward
         marked_mass = (a_avg * batch.Q).sum(axis=1)
         pooling_entropy = objectives.entropy(a_ib)
+        preds = probs.argmax(axis=1)
         for row, i in enumerate(chunk):
-            out[i] = Prediction(pred=int(np.argmax(probs[row])), gold=int(batch.gold[row]),
+            out[i] = Prediction(pred=int(preds[row]), gold=int(batch.gold[row]),
                                 alpha_ib=a_ib[row], alpha_avg=a_avg[row],
                                 marked_mass=float(marked_mass[row]),
                                 pooling_entropy=float(pooling_entropy[row]))

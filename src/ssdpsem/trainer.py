@@ -174,8 +174,8 @@ def make_batches(encoded, batch_size, order):
 def _collate(encoded, indices):
     """The ``objectives.Batch`` of the encoded instances at ``indices``: the
     one place a batch is built."""
-    return objectives.Batch(ids=np.stack([encoded[i][0] for i in indices]),
-                            Q=np.stack([encoded[i][1] for i in indices]),
+    return objectives.Batch(ids=np.array([encoded[i][0] for i in indices]),
+                            Q=np.array([encoded[i][1] for i in indices]),
                             gold=np.array([encoded[i][2] for i in indices], dtype=np.int64))
 
 

@@ -175,6 +175,39 @@ def test_train_missing_data_dir_exits_one(tmp_path):
                 "--out", str(tmp_path / "o")]) == 1
 
 
+def _wrong_kind_argv(command, data, a_dir, a_file, out):
+    """The argv that gives ``command`` a directory where it reads or writes a
+    file, or a file where it needs a directory; every other path is valid."""
+    return {
+        "eval --checkpoint DIR": ["eval", "--checkpoint", a_dir, "--split",
+                                  f"{data}/test.jsonl", "--manifest", f"{data}/manifest.json",
+                                  "--out", out],
+        "train --config DIR": ["train", "--config", a_dir, "--data", data, "--out", out],
+        "train --data FILE": ["train", "--config", a_file, "--data", a_file, "--out", out],
+        "sdp dump --jsonl DIR": ["sdp", "dump", "--jsonl", a_dir],
+        "annotate --lexicon DIR": ["annotate", "--jsonl", f"{data}/test.jsonl",
+                                   "--lexicon", a_dir, "--out", out],
+        "synth --out FILE": ["synth", "--train", "2", "--dev", "0", "--test", "0",
+                             "--out", a_file],
+    }[command]
+
+
+@pytest.mark.parametrize("command", [
+    "eval --checkpoint DIR", "train --config DIR", "train --data FILE",
+    "sdp dump --jsonl DIR", "annotate --lexicon DIR", "synth --out FILE",
+])
+def test_a_path_of_the_wrong_kind_exits_one_naming_it(tmp_path, data_dir, capsys, command):
+    a_dir, a_file = tmp_path / "a-dir", tmp_path / "config.json"
+    a_dir.mkdir()
+    a_file.write_text("{\"epochs\": 1}", encoding="utf-8")
+    argv = _wrong_kind_argv(command, str(data_dir), str(a_dir), str(a_file),
+                            str(tmp_path / "out"))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ")
+    assert str(a_dir if command.endswith("DIR") else a_file) in err
+
+
 def test_eval_writes_report(tmp_path, data_dir, train_dir):
     out = tmp_path / "eval"
     assert run(["eval", "--checkpoint", str(train_dir / "model.ckpt"),

@@ -265,7 +265,7 @@ def test_a_step_workspace_holds_the_forward_cache_and_four_scratch_buffers(
     """A step allocates every array fresh, and at the default size its
     traced peak stays under what the step workspace of earlier versions
     held: the forward cache, the copy of the top gradient and four scratch
-    buffers (16.07 MiB; the step peaks at 15.28).  That holds because
+    buffers (16.07 MiB; the step peaks at 13.16).  That holds because
     backward writes its temporaries into the cache it has read, and a
     backward with buffers of its own would break it.  The caller's
     d_features, the features and the attention keep their bytes."""
@@ -282,7 +282,17 @@ def test_a_step_workspace_holds_the_forward_cache_and_four_scratch_buffers(
         return grads
 
     monkeypatch.setattr(enc, "backward", spy)
-    enc.positional_encoding(n, cfg.d_model)  # built once per shape, then cached
+    result, peak = _traced_step(state, batch)
+    assert unchanged == [True] and result.forward.consumed
+    # at the tiny sizes, Python's per-array bookkeeping outweighs the arrays
+    if make_state is _default_state:
+        assert peak < _step_workspace_bytes(cfg.layers, B, n, cfg.d_model, cfg.heads, cfg.d_ff)
+
+
+def _traced_step(state, batch):
+    """One training ``batch_losses`` and its tracemalloc peak over the
+    memory traced when it starts."""
+    enc.positional_encoding(batch.ids.shape[1], state.config.d_model)  # cached per shape
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -290,11 +300,50 @@ def test_a_step_workspace_holds_the_forward_cache_and_four_scratch_buffers(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert unchanged == [True] and result.forward.consumed
-    # at the tiny sizes, Python's per-array bookkeeping outweighs the arrays
-    if make_state is _default_state:
-        assert peak - start < _step_workspace_bytes(cfg.layers, B, n, cfg.d_model, cfg.heads,
-                                                    cfg.d_ff)
+    return result, peak - start
+
+
+def test_a_default_step_peaks_under_14_mib():
+    """The cache keeps neither a layer's input nor x1, which backward
+    rebuilds into buffers it has finished with: one 4 x 4 x 64 step on the
+    seed-11 corpus's largest batch (16 x 34) peaks at 13.16 MiB traced,
+    15.28 when the cache held both."""
+    state = _default_state()
+    _, peak = _traced_step(state, make_batch(state, 16, 34))
+    assert peak <= 14.0 * 2**20
+
+
+def test_the_cache_holds_no_layer_input_or_x1_and_backward_rebuilds_their_bytes(monkeypatch):
+    """Each layer's cache holds neither its input x nor x1; the layernorm
+    outputs backward rebuilds them from, ``_layernorm_output`` of the ln1
+    and ln2 caches and ``_embed`` for layer 0, equal forward's bit for bit
+    (the gains and biases are drawn, so neither is the identity)."""
+    state = tiny_state(layers=3)
+    rng = np.random.default_rng(1)
+    for name, param in state.params.items():
+        if ".ln" in name:
+            param[...] = rng.uniform(0.5, 1.5, param.shape)
+    ids = make_batch(state, 3, 6).ids
+    layernorm, outputs = enc._layernorm, []
+
+    def spy(u, g, b):
+        y, cache = layernorm(u, g, b)
+        outputs.append(y.copy())
+        return y, cache
+
+    monkeypatch.setattr(enc, "_layernorm", spy)
+    layers = enc.forward(state, ids).cache["layers"]
+    p = state.params
+    layer_input = p["emb"][ids]
+    layer_input += enc.positional_encoding(6, state.config.d_model)
+    assert enc._embed(p["emb"], ids, out=np.empty_like(layer_input)).tobytes() \
+        == layer_input.tobytes()
+    for ell, c in enumerate(layers):
+        assert "x" not in c and "x1" not in c
+        for ln, forward_output in (("ln1", outputs[2 * ell]), ("ln2", outputs[2 * ell + 1])):
+            rebuilt = enc._layernorm_output(c[ln][0], p[f"L{ell}.{ln}_g"], p[f"L{ell}.{ln}_b"],
+                                            out=np.empty_like(forward_output))
+            assert rebuilt.tobytes() == forward_output.tobytes()
 
 
 def test_embedding_gradient_equals_an_add_at_scatter_bit_for_bit():

@@ -345,7 +345,8 @@ def test_gradcheck_batch_equals_the_per_term_reference_bit_for_bit(
         small_train, small_manifest, override):
     cfg, state, batch = _one_instance_batch(small_train, small_manifest)
     # plant a kink: one L0 pre-activation at zero, so most upstream probes cross it
-    x1 = enc.forward(state, batch.ids).cache["layers"][0]["x1"]
+    xhat1 = enc.forward(state, batch.ids).cache["layers"][0]["ln1"][0]
+    x1 = state.params["L0.ln1_g"] * xhat1 + state.params["L0.ln1_b"]
     f1 = x1 @ state.params["L0.W1"] + state.params["L0.b1"]
     state.params["L0.b1"][0] -= f1[0, 1, 0]
     expected = _reference_gradcheck_batch(state, batch, cfg, 4, override)
@@ -360,11 +361,12 @@ def test_gradcheck_batch_equals_the_per_term_reference_bit_for_bit(
 
 def test_a_step_keeps_only_what_backward_reads():
     """After one batch_losses, each layer's forward cache holds exactly the
-    arrays backward reads (the ReLU pre-activation is not among them)."""
+    arrays backward reads (the ReLU pre-activation is not among them), and
+    not the layer input or x1, which backward rebuilds from ln2 and ln1."""
     state = tiny_state()
     result = obj.batch_losses(state, make_batch(state), FULL, CONFIG)
     for layer in result.forward.cache["layers"]:
-        assert set(layer) == {"x", "q", "k", "v", "A", "ctx", "ln1", "x1", "h", "ln2"}
+        assert set(layer) == {"q", "k", "v", "A", "ctx", "ln1", "h", "ln2"}
 
 
 def test_train_drops_each_step_result_before_the_next(small_train, small_manifest,
