@@ -57,9 +57,9 @@ class EncoderConfig:
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("layers", "heads", "d_model", "d_ff", "max_len", "last_k"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
 
     @property
     def d_head(self):
@@ -468,14 +468,17 @@ _HEADER_KEYS = {
               f"distinct strs, {PAD!r} and {UNK!r} first"),
     "relations": (_distinct_strs, "distinct strs"),
 }
+# the header's config object: every EncoderConfig key, which the config checks
+_CONFIG_KEYS = {f.name: (lambda v: True, "present") for f in fields(EncoderConfig)}
 
 
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint; a truncated file, trailing bytes, or a header that
-    is malformed or whose arrays (name, shape, dtype) do not match its
-    config, vocabulary and relations raise ValueError naming the path.  A
-    header or array size that goes past the end of the file is a truncation,
-    found by the file's size before any read asks for that many bytes."""
+    is malformed, lacks an ``EncoderConfig`` key or whose arrays (name,
+    shape, dtype) do not match its config, vocabulary and relations raise
+    ValueError naming the path.  A header or array size that goes past the
+    end of the file is a truncation, found by the file's size before any
+    read asks for that many bytes."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
@@ -487,7 +490,7 @@ def load_checkpoint(path) -> ModelState:
         blob = fh.read(size)
         try:
             header = _checked(json.loads(blob.decode("utf-8")), _HEADER_KEYS, ValueError)
-            config = EncoderConfig(**header["config"])
+            config = EncoderConfig(**_checked(header["config"], _CONFIG_KEYS, ValueError))
             specs, seed = header["arrays"], header["seed"]
             vocab, relations = header["vocab"], header["relations"]
             shapes = _param_shapes(config, len(vocab), len(relations))

@@ -56,17 +56,18 @@ class Prediction(NamedTuple):
     pooling_entropy: float
 
 
-def predict(state, prepared, batch_size=trainer.TrainConfig.batch_size):
+def predict(state, prepared):
     """Batched inference grouped by sequence length: one ``Prediction`` per
     instance, in input order, and the one place a forward pass becomes
     per-instance results.
 
-    A row's outputs are bit-identical whatever rows share its batch, so
-    ``batch_size`` sets only the memory held: the default is training's.
+    Batches hold at most training's default ``TrainConfig.batch_size``
+    rows; a row's outputs are bit-identical whatever rows share its batch.
     """
     encoded = trainer.encode_prepared(state, prepared)
     out = [None] * len(encoded)
-    for chunk in trainer.make_batches(encoded, batch_size, range(len(encoded))):
+    for chunk in trainer.make_batches(encoded, trainer.TrainConfig.batch_size,
+                                      range(len(encoded))):
         batch = trainer._collate(encoded, chunk)
         fwd = enc.forward(state, batch.ids)
         a_ib, _, probs = objectives.relation_head(state.params, fwd.features)
@@ -212,8 +213,9 @@ def report_to_text(report: EvalReport, relations):
 # Attention exports
 
 
-def export_attention(state, prepared_instance, csv_path, svg_path=None):
-    """Write per-token averaged and pooling attention as CSV (+ SVG heatmap).
+def export_attention(state, prepared_instance, csv_path, svg_path):
+    """Write per-token averaged and pooling attention as CSV and as an SVG
+    heatmap.
 
     CSV values use repr-exact float formatting so re-reading reproduces the
     in-memory vectors bit for bit.  Returns the instance's ``Prediction``,
@@ -230,8 +232,7 @@ def export_attention(state, prepared_instance, csv_path, svg_path=None):
                 [i, tok, repr(float(a_avg[i])), repr(float(a_ib[i])),
                  int(prepared_instance.Q[i])]
             )
-    if svg_path is not None:
-        _write_heatmap_svg(svg_path, tokens, {"alpha_avg": a_avg, "alpha_ib": a_ib})
+    _write_heatmap_svg(svg_path, tokens, {"alpha_avg": a_avg, "alpha_ib": a_ib})
     return prediction
 
 

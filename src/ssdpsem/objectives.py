@@ -27,6 +27,9 @@ MODE_TERMS = {
     "asp_saib": ("re", "asp", "ib"),
 }
 
+# the KLD term's smoothing of both distributions
+ASP_EPSILON = 1e-8
+
 
 @dataclass
 class LossBreakdown:
@@ -49,19 +52,19 @@ def total_loss(l_re, l_asp, l_ib) -> LossBreakdown:
     return LossBreakdown(l_re=l_re, l_asp=l_asp, l_ib=l_ib, total=l_re + l_asp + l_ib)
 
 
-def asp_loss(alpha_avg, Q, lambda_asp, epsilon):
+def asp_loss(alpha_avg, Q, lambda_asp):
     """KLD pulling the masked averaged attention toward the label distribution.
 
     alpha_avg, Q: (B, n).  The label distribution is q = Q / sum(Q) per
-    row.  The attention is masked in Hadamard manner with Q,
-    epsilon-smoothed, and compared against the equally smoothed q as
+    row.  The attention is masked in Hadamard manner with Q, smoothed by
+    ``ASP_EPSILON``, and compared against the equally smoothed q as
     KLD(q_s || a_s).  The masked side is NOT renormalized: its missing
     mass is exactly the attention sitting on unmarked positions, so
     minimizing this loss migrates attention mass onto the marked positions
     instead of merely reshaping it among them.
-    Both sides share the smoothing denominator 1 + n*epsilon, which makes
-    the loss exactly zero when the masked attention equals q and non-negative
-    otherwise (the masked side is a sub-distribution).
+    Both sides share the smoothing denominator 1 + n*ASP_EPSILON, which
+    makes the loss exactly zero when the masked attention equals q and
+    non-negative otherwise (the masked side is a sub-distribution).
 
     Rows whose masked attention sums to exactly zero fall back to
     uniform-over-marked positions (constant in alpha, so their gradient is
@@ -76,11 +79,11 @@ def asp_loss(alpha_avg, Q, lambda_asp, epsilon):
     m = alpha_avg * Q
     s = m.sum(axis=1, keepdims=True)
     fallback = (s == 0.0).ravel()
-    a = np.where(fallback[:, None], q + epsilon, m + epsilon) / (1.0 + n * epsilon)
-    qs = (q + epsilon) / (1.0 + n * epsilon)
+    a = np.where(fallback[:, None], q + ASP_EPSILON, m + ASP_EPSILON) / (1.0 + n * ASP_EPSILON)
+    qs = (q + ASP_EPSILON) / (1.0 + n * ASP_EPSILON)
     kld = (qs * np.log(qs / a)).sum(axis=1)
     loss = lambda_asp * kld.mean()
-    d_alpha = -lambda_asp / B * qs * Q / (m + epsilon)
+    d_alpha = -lambda_asp / B * qs * Q / (m + ASP_EPSILON)
     d_alpha[fallback] = 0.0
     return loss, d_alpha, int(fallback.sum())
 
@@ -222,9 +225,8 @@ def batch_losses(state, batch, terms, config, value_only=False) -> BatchResult:
     ``terms`` is the set of loss terms summed into the total, a subset of
     ("re", "asp", "ib"): training passes ``MODE_TERMS[config.mode]``, the
     gradient check each term alone and all three.  ``config`` is the run's
-    ``TrainConfig``; the KLD term reads its ``lambda_asp`` and
-    ``asp_epsilon``.  With ``value_only`` no backward runs and
-    ``state.grads`` is left as it was.
+    ``TrainConfig``; the KLD term reads its ``lambda_asp``.  With
+    ``value_only`` no backward runs and ``state.grads`` is left as it was.
     """
     p = state.params
     fwd = enc.forward(state, batch.ids)
@@ -238,7 +240,7 @@ def batch_losses(state, batch, terms, config, value_only=False) -> BatchResult:
     if "asp" in terms:
         l_asp, d_alpha_avg, fallbacks = asp_loss(
             enc.average_attention(fwd.attention, state.config.last_k), batch.Q,
-            config.lambda_asp, config.asp_epsilon)
+            config.lambda_asp)
     result = BatchResult(breakdown=total_loss(float(l_re), float(l_asp), float(l_ib)),
                          asp_fallbacks=fallbacks, forward=fwd)
     if value_only:

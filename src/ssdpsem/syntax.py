@@ -59,8 +59,6 @@ def extract_sdp(graph: list[list[int]], s: int, o: int) -> SdpResult:
     n = len(graph)
     if not (0 <= s < n and 0 <= o < n):
         raise ValueError(f"endpoint out of range: s={s}, o={o}, n={n}")
-    if s == o:
-        return SdpResult(path=[s])
     parent = {s: None}
     queue = deque([s])
     while queue:

@@ -30,7 +30,6 @@ class TrainConfig(enc.EncoderConfig):
     mode: str = "asp_saib"  # baseline | asp | saib | asp_saib
     isl_variant: str = "ISL"  # EPL | SPL | ISL; also annotated where no signal is read
     lambda_asp: float = 1.0
-    asp_epsilon: float = 1e-8
 
     def __post_init__(self):
         super().__post_init__()
@@ -41,7 +40,7 @@ class TrainConfig(enc.EncoderConfig):
             raise ConfigError(f"isl_variant must be one of {VARIANTS}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"optimizer must be sgd|adam, got {self.optimizer!r}")
-        for name in ("epochs", "batch_size", "lr", "asp_epsilon"):
+        for name in ("epochs", "batch_size", "lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("lambda_asp", "seed"):
@@ -83,8 +82,10 @@ ADAM_BLOCK = 2**14
 
 
 class AdamOptimizer:
-    def __init__(self, lr, b1=0.9, b2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
+        self.lr = lr
         self.t = 0
         self.m = self.v = None
 
@@ -120,12 +121,6 @@ class AdamOptimizer:
             tmp += self.eps
             update /= tmp
             p -= update
-
-
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "sgd":
-        return SgdOptimizer(config.lr)
-    return AdamOptimizer(config.lr)
 
 
 def check_length(inst, max_len):
@@ -200,7 +195,7 @@ def train(config: TrainConfig, prepared, relations) -> RunRecord:
     it.  ``init_from_config`` builds the state it starts from."""
     state, encoded = _prepare(config, prepared, relations)
     terms = objectives.MODE_TERMS[config.mode]
-    optimizer = make_optimizer(config)
+    optimizer = (SgdOptimizer if config.optimizer == "sgd" else AdamOptimizer)(config.lr)
     rows = ["step,l_re,l_asp,l_ib,total"]
     epoch_losses = []
     step = 0
@@ -292,11 +287,10 @@ def gradcheck_batch(state, batch, config, max_coords_per_block,
     ``objectives.Batch`` (``_collate`` builds it).
 
     Checks each loss term in isolation plus their sum, whatever
-    ``config.mode`` is; ``config`` supplies the KLD term's weight and
-    smoothing.  The four analytic gradients are computed and copied out of
-    ``state.grads`` first; then one probe pair per coordinate, at +h and
-    -h, serves all four terms (a one-term total equals that term's value
-    bit for bit).
+    ``config.mode`` is; ``config`` supplies the KLD term's weight.  The four
+    analytic gradients are computed and copied out of ``state.grads`` first;
+    then one probe pair per coordinate, at +h and -h, serves all four terms
+    (a one-term total equals that term's value bit for bit).
     Coordinates are subsampled with an even deterministic stride when a
     block exceeds ``max_coords_per_block``.  Entries are term-major, blocks
     in ``state.params`` order.  ``analytic_override(term, grads)`` lets tests

@@ -516,19 +516,27 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         enc.load_checkpoint(path)
 
 
-def _header_claiming(blob, **config):
-    """``blob`` with a header whose config takes ``config``'s values and
-    whose array list matches them; the body is left as it was."""
+def _edit_header(blob, edit):
+    """``blob`` with ``edit`` applied to its parsed header; the body is left
+    as it was."""
     start = len(enc._MAGIC) + 8
     end = start + int.from_bytes(blob[start - 8:start], "little")
     header = json.loads(blob[start:end])
-    header["config"].update(config)
-    shapes = enc._param_shapes(enc.EncoderConfig(**header["config"]), len(header["vocab"]),
-                               len(header["relations"]))
-    header["arrays"] = [{"name": k, "shape": list(shapes[k]), "dtype": "float64"}
-                        for k in sorted(shapes)]
+    edit(header)
     text = json.dumps(header).encode("utf-8")
     return blob[:start - 8] + len(text).to_bytes(8, "little") + text + blob[end:]
+
+
+def _header_claiming(blob, **config):
+    """``blob`` with a header whose config takes ``config``'s values and
+    whose array list matches them; the body is left as it was."""
+    def claim(header):
+        header["config"].update(config)
+        shapes = enc._param_shapes(enc.EncoderConfig(**header["config"]),
+                                   len(header["vocab"]), len(header["relations"]))
+        header["arrays"] = [{"name": k, "shape": list(shapes[k]), "dtype": "float64"}
+                            for k in sorted(shapes)]
+    return _edit_header(blob, claim)
 
 
 # a size field past the end of the file is checked before a read asks for it:
@@ -550,6 +558,19 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path, corrupt, mes
     assert again.read_bytes() == good.read_bytes()
     bad.write_bytes(corrupt(good.read_bytes()))
     with pytest.raises(ValueError, match=message) as err:
+        enc.load_checkpoint(bad)
+    assert str(bad) in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["last_k", "max_len"])
+def test_checkpoint_header_missing_a_config_key_is_refused(tmp_path, key):
+    """Neither key sizes an array, so read with its default a 1-layer model
+    saved with last_k 1 and max_len 8 would load as last_k 3, max_len 64."""
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    config = enc.EncoderConfig(layers=1, heads=1, d_model=4, d_ff=4, max_len=8, last_k=1)
+    enc.save_checkpoint(enc.init_state(config, [enc.PAD, enc.UNK], 0, ["r"]), good)
+    bad.write_bytes(_edit_header(good.read_bytes(), lambda h: h["config"].pop(key)))
+    with pytest.raises(ValueError, match=f"missing key '{key}'") as err:
         enc.load_checkpoint(bad)
     assert str(bad) in str(err.value)
 

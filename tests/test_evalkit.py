@@ -252,9 +252,10 @@ def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
     """`ssdp inspect` runs one instance, `ssdp eval` batches of several; both
     must report the same attention, bit for bit."""
     state, prepared = state_and_prepared
-    predictions = evalkit.predict(state, prepared, batch_size=64)
+    predictions = evalkit.predict(state, prepared)
     for i, instance in enumerate(prepared):
-        record = evalkit.export_attention(state, instance, tmp_path / "att.csv")
+        record = evalkit.export_attention(state, instance, tmp_path / "att.csv",
+                                          tmp_path / "att.svg")
         assert _scalars(record) == _scalars(predictions[i])
         with open(tmp_path / "att.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -262,21 +263,6 @@ def test_export_attention_equals_the_row_predict_gives_in_a_batch(tmp_path,
             alone = np.array([float(r[key]) for r in rows])
             batched = getattr(predictions[i], key)
             assert alone.tobytes() == batched.tobytes(), f"{key}, instance {i}"
-
-
-def test_predict_batch_size_changes_no_output(state_and_prepared):
-    state, prepared = state_and_prepared
-    prepared = prepared * 8  # so some lengths fill several batches
-    encoded = trainer.encode_prepared(state, prepared)
-    order = range(len(encoded))
-    assert len(trainer.make_batches(encoded, 16, order)) > len(
-        trainer.make_batches(encoded, 64, order))
-    small, large = (evalkit.predict(state, prepared, batch_size=b) for b in (16, 64))
-    assert len(small) == len(large) == len(prepared)
-    for a, b in zip(small, large):
-        assert _scalars(a) == _scalars(b)
-        assert a.alpha_ib.tobytes() == b.alpha_ib.tobytes()
-        assert a.alpha_avg.tobytes() == b.alpha_avg.tobytes()
 
 
 # tracemalloc's peak for the evaluation below before eval batches were

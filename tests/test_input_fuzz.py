@@ -30,7 +30,7 @@ FIELDS = ["", "_", "0", "1", "2", "-1", "-3", "9", "1.1", "1-2", "x"]
 # every TrainConfig key, at a model small enough to train in milliseconds
 CONFIG = {"layers": 1, "heads": 1, "d_model": 4, "d_ff": 4, "max_len": 64, "last_k": 1,
           "epochs": 1, "batch_size": 4, "lr": 0.001, "optimizer": "adam", "seed": 0,
-          "mode": "asp_saib", "isl_variant": "ISL", "lambda_asp": 1.0, "asp_epsilon": 1e-8}
+          "mode": "asp_saib", "isl_variant": "ISL", "lambda_asp": 1.0}
 
 fuzz = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 

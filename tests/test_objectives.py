@@ -10,7 +10,7 @@ from ssdpsem.trainer import TrainConfig
 from test_encoder import make_batch, tiny_state
 
 CONFIG = TrainConfig()
-ASP = (CONFIG.lambda_asp, CONFIG.asp_epsilon)
+LAMBDA = CONFIG.lambda_asp
 FULL = obj.MODE_TERMS["asp_saib"]
 
 
@@ -36,7 +36,7 @@ def test_asp_loss_zero_when_masked_attention_equals_q():
     Q = np.array([[1.0, 0.0, 1.0, 0.0]])
     q = Q / Q.sum()
     alpha = q.copy()  # attention already equals the target, all mass marked
-    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, *ASP)
+    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, LAMBDA)
     assert loss == pytest.approx(0.0, abs=1e-10)
     assert fallbacks == 0
 
@@ -45,12 +45,12 @@ def test_asp_loss_uniform_full_mask_is_zero():
     n = 4
     Q = np.ones((1, n))
     alpha = np.full((1, n), 1.0 / n)
-    loss, _, _ = obj.asp_loss(alpha, Q, *ASP)
+    loss, _, _ = obj.asp_loss(alpha, Q, LAMBDA)
     assert loss == pytest.approx(0.0, abs=1e-10)
 
 
 def test_asp_loss_matches_standalone_kld_oracle():
-    eps = 1e-8
+    eps = obj.ASP_EPSILON
     alpha = np.array([[0.7, 0.1, 0.1, 0.1]])
     Q = np.array([[1.0, 0.0, 0.0, 1.0]])
     q = np.array([[0.5, 0.0, 0.0, 0.5]])
@@ -58,7 +58,7 @@ def test_asp_loss_matches_standalone_kld_oracle():
     masked = (alpha * Q + eps) / (1 + n * eps)
     qs = (q + eps) / (1 + n * eps)
     expected = kld_oracle(qs[0], masked[0])
-    loss, _, _ = obj.asp_loss(alpha, Q, CONFIG.lambda_asp, eps)
+    loss, _, _ = obj.asp_loss(alpha, Q, LAMBDA)
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_asp_loss_nonnegative_on_random_inputs():
         alpha = rng.dirichlet(np.ones(n))[None, :]
         Q = np.zeros((1, n))
         Q[0, rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 1.0
-        loss, _, _ = obj.asp_loss(alpha, Q, *ASP)
+        loss, _, _ = obj.asp_loss(alpha, Q, LAMBDA)
         assert loss >= -1e-12
 
 
@@ -79,7 +79,7 @@ def test_asp_loss_decreases_as_marked_mass_grows():
     losses = []
     for mass in (0.2, 0.5, 0.8, 1.0):
         alpha = np.array([[mass / 2, mass / 2, (1 - mass) / 2, (1 - mass) / 2]])
-        loss, _, _ = obj.asp_loss(alpha, Q, *ASP)
+        loss, _, _ = obj.asp_loss(alpha, Q, LAMBDA)
         losses.append(loss)
     assert losses == sorted(losses, reverse=True)
 
@@ -87,7 +87,7 @@ def test_asp_loss_decreases_as_marked_mass_grows():
 def test_asp_loss_zero_mask_fallback_counts_and_zero_grad():
     alpha = np.array([[0.0, 0.0, 0.5, 0.5]])
     Q = np.array([[1.0, 1.0, 0.0, 0.0]])
-    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, *ASP)
+    loss, d_alpha, fallbacks = obj.asp_loss(alpha, Q, LAMBDA)
     assert fallbacks == 1
     assert np.allclose(d_alpha, 0.0)
     assert np.isfinite(loss)
@@ -96,8 +96,8 @@ def test_asp_loss_zero_mask_fallback_counts_and_zero_grad():
 def test_asp_loss_scales_with_lambda():
     alpha = np.array([[0.6, 0.2, 0.1, 0.1]])
     Q = np.array([[1.0, 0.0, 0.0, 1.0]])
-    l1, g1, _ = obj.asp_loss(alpha, Q, 1.0, CONFIG.asp_epsilon)
-    l2, g2, _ = obj.asp_loss(alpha, Q, 2.0, CONFIG.asp_epsilon)
+    l1, g1, _ = obj.asp_loss(alpha, Q, 1.0)
+    l2, g2, _ = obj.asp_loss(alpha, Q, 2.0)
     assert l2 == pytest.approx(2 * l1)
     assert np.allclose(g2, 2 * g1)
 
@@ -106,13 +106,13 @@ def test_asp_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     alpha = rng.dirichlet(np.ones(5))[None, :]
     Q = np.array([[1.0, 0.0, 1.0, 1.0, 0.0]])
-    _, d_alpha, _ = obj.asp_loss(alpha, Q, *ASP)
+    _, d_alpha, _ = obj.asp_loss(alpha, Q, LAMBDA)
     step = 1e-7
     for i in range(5):
         up, down = alpha.copy(), alpha.copy()
         up[0, i] += step
         down[0, i] -= step
-        fd = (obj.asp_loss(up, Q, *ASP)[0] - obj.asp_loss(down, Q, *ASP)[0]) / (2 * step)
+        fd = (obj.asp_loss(up, Q, LAMBDA)[0] - obj.asp_loss(down, Q, LAMBDA)[0]) / (2 * step)
         assert d_alpha[0, i] == pytest.approx(fd, abs=1e-5)
 
 
@@ -378,7 +378,7 @@ def _reference_batch_grads(state, batch, terms, config):
     d_alpha_avg = None
     if "asp" in terms:
         _, d_alpha_avg, _ = obj.asp_loss(enc.average_attention(fwd.attention, state.config.last_k),
-                                         batch.Q, config.lambda_asp, config.asp_epsilon)
+                                         batch.Q, config.lambda_asp)
     enc.backward(state, fwd, d_features, d_alpha_avg)
     return {name: g.tobytes() for name, g in grads.items()}
 

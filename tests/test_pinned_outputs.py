@@ -26,6 +26,9 @@ PINNED_SHA256 = {
         "9d6515c33d02cae10c499c32e230ce7605a8b0996444c7af4a7351aa9f28d0bb",
     "ann/annotate_stats.json":
         "6b612b8d09e0d623f4244aa4aa17076edfac6c4d668634a989a2cd096971ba2b",
+    # the run's config record, pinned when asp_epsilon left TrainConfig
+    "train/config.json":
+        "aa67cf667242aaf206a54a8fb6ac6ac4b499f9beffd76db1b1c7744ca2d56cb6",
     "train/metrics.csv":
         "c6feb8fe5d875a3381a371b9accd4a15962bd440dbf57e52de139f337acb3ec3",
     "train/model.ckpt":

@@ -71,7 +71,7 @@ def test_adam_lr_zero_is_identity():
 
 def test_adam_step_is_bit_identical_to_textbook_formula():
     rng = np.random.default_rng(3)
-    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8  # the textbook constants
     for shapes in (
         {"w": (40, 16), "b": (16,), "emb": (30, 8)},
         # two full ADAM_BLOCKs and a remainder, with blocks that straddle arrays
@@ -84,7 +84,7 @@ def test_adam_step_is_bit_identical_to_textbook_formula():
         ref = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
-        opt = trainer.AdamOptimizer(lr, b1, b2, eps)
+        opt = trainer.AdamOptimizer(lr)
         for t in range(1, 8):
             # many exact zeros, as in the embedding gradient
             grad_flat = np.concatenate(
